@@ -22,7 +22,13 @@ from . import hgio
 from .core import Hypergraph, clique_expand, degree_profile
 from .cutspace import cut_metrics, theorem_bound, theorem_bound_claim
 from .derand import erdos_selfridge_2cut, flip_local_search, greedy_order_cut, order_for_W
-from .errors import CertificateError, GuaranteeViolation, HypercutError
+from .errors import (
+    CertificateError,
+    DriverInapplicable,
+    GuaranteeViolation,
+    HypercutError,
+    SearchFailed,
+)
 from .instances import (
     GenSpec,
     exact_maxcut,
@@ -117,7 +123,7 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         sr = codegree_structure(h, params)
         try:
             cut, driver_ledger = _dispatch_driver(h, r, max(h.max_arity, 2), sr, params)
-        except HypercutError:
+        except (SearchFailed, DriverInapplicable):
             cut, driver_ledger = None, None
         if cut is None:
             cut = conditional_rcut(h, r)
@@ -494,11 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(fn=_cmd_sweep)
 
     return parser
-
-
-def run_command(argv=None) -> int:
-    """Entry point; see ``main``."""
-    return main(argv)
 
 
 def main(argv=None) -> int:

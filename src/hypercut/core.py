@@ -193,12 +193,6 @@ def multigraph_from_pairs(n: int, pair_list) -> Multigraph:
     return Multigraph(n, tuple((u, v, c) for (u, v), c in sorted(counts.items())))
 
 
-def induce_multigraph(g: Multigraph, u_set) -> Multigraph:
-    u = frozenset(u_set)
-    pairs = tuple(p for p in g.pairs if p[0] in u and p[1] in u)
-    return Multigraph(g.n_vertices, pairs)
-
-
 def multigraph_as_hypergraph(g: Multigraph) -> Hypergraph:
     """View a multigraph as a 2-uniform multihypergraph (pairs repeated)."""
     edges: list[Edge] = []

@@ -33,12 +33,6 @@ class Cut:
         if any(p < 1 or p > self.r for p in self.assignment):
             raise InvalidCut("part labels must lie in {1..r}")
 
-    def parts(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.r)]
-        for v, p in enumerate(self.assignment):
-            out[p - 1].add(v)
-        return out
-
 
 @dataclass(frozen=True)
 class PartialCut:
@@ -51,10 +45,6 @@ class PartialCut:
         if any(p < 1 or p > self.r for p in self.assigned.values()):
             raise InvalidCut("part labels must lie in {1..r}")
 
-    @property
-    def domain(self) -> set[int]:
-        return set(self.assigned)
-
 
 @dataclass(frozen=True)
 class CutMetrics:
@@ -66,12 +56,6 @@ class CutMetrics:
 def is_dyadic(x: Fraction) -> bool:
     d = x.denominator
     return d & (d - 1) == 0
-
-
-def dyadic_log2_denominator(x: Fraction) -> int:
-    if not is_dyadic(x):
-        raise InvalidParams(f"{x} is not dyadic")
-    return x.denominator.bit_length() - 1
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +131,7 @@ def _edge_probability_key(edge, assigned: dict, r: int, base: int):
         else:
             hit.add(p)
     missing = r - len(hit)
-    if any(p > base for p in range(1, r + 1) if p not in hit):
+    if base < r and any(p > base for p in range(1, r + 1) if p not in hit):
         return None
     return missing, free
 
@@ -228,33 +212,46 @@ def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fr
     )
 
 
-def partial_average_excess(h, pc: PartialCut, free_parts: int | None = None) -> Fraction:
-    """Average size of the partial cut minus the uniform-cut expectation.
+def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
+    """Average excess of each of several partial r-cuts with disjoint domains.
 
-    Only edges meeting the assigned domain can shift the average, so the
-    sum runs over those alone.
+    ``assignments`` is a sequence of mappings vertex -> part in {1..r}.
+    Entry i is the expected size after completing assignment i alone
+    uniformly at random, minus the uniform-cut expectation.  Only edges
+    meeting an assignment's domain can shift its average, so one pass over
+    the edges, visiting each edge once per assignment it meets, gives
+    every value.
     """
     hh = _as_hypergraph(h)
-    base = pc.r if free_parts is None else free_parts
-    assigned = pc.assigned
-    cond: Counter = Counter()
-    uncond: Counter = Counter()
+    owner: dict[int, int] = {}
+    for i, assigned in enumerate(assignments):
+        for v, p in assigned.items():
+            if p < 1 or p > r:
+                raise InvalidCut("part labels must lie in {1..r}")
+            if v in owner:
+                raise InvalidParams("partial cuts must have disjoint domains")
+            owner[v] = i
+    cond: list[Counter] = [Counter() for _ in assignments]
+    uncond: list[Counter] = [Counter() for _ in assignments]
     for e in hh.edges:
-        if free_parts is None and not any(v in assigned for v in e):
-            continue  # untouched edges keep their unconditional probability
-        key = _edge_probability_key(e, assigned, pc.r, base)
-        if key is not None:
-            cond[key] += 1
-        uncond[len(e)] += 1
-    total = sum(
-        (cnt * _inclusion_exclusion(missing, free, base) for (missing, free), cnt in cond.items()),
-        Fraction(0),
+        for i in {owner[v] for v in e if v in owner}:
+            key = _edge_probability_key(e, assignments[i], r, r)
+            if key is not None:
+                cond[i][key] += 1
+            uncond[i][len(e)] += 1
+    return tuple(
+        sum(
+            (cnt * _inclusion_exclusion(missing, free, r) for (missing, free), cnt in c.items()),
+            Fraction(0),
+        )
+        - sum((cnt * _inclusion_exclusion(r, s, r) for s, cnt in u.items()), Fraction(0))
+        for c, u in zip(cond, uncond)
     )
-    baseline = sum(
-        (cnt * _inclusion_exclusion(pc.r, s, pc.r) for s, cnt in uncond.items()),
-        Fraction(0),
-    )
-    return total - baseline
+
+
+def partial_average_excess(h, pc: PartialCut) -> Fraction:
+    """Average size of the partial cut minus the uniform-cut expectation."""
+    return partial_average_excesses(h, pc.r, [pc.assigned])[0]
 
 
 def _sqrt_bound(radicand: int, shift: int, denom: int):

@@ -19,9 +19,8 @@ from fractions import Fraction
 from .core import Hypergraph, Multigraph, WeightedGraph, multigraph_as_hypergraph
 from .cutspace import (
     Cut,
-    PartialCut,
     multicolour_probability,
-    partial_average_excess,
+    partial_average_excesses,
     uniform_expected_size,
 )
 from .errors import (
@@ -394,9 +393,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
             f"{len(offenders)} edges collapse into a single part twice", offenders
         )
 
-    x_values = tuple(
-        partial_average_excess(hh, PartialCut(2, dict(pc))) for pc in partial_cuts
-    )
+    x_values = partial_average_excesses(hh, 2, partial_cuts)
 
     # Singleton parts for every remaining vertex, pinned to colour 1.
     blocks: list[tuple[frozenset, dict]] = [

@@ -392,7 +392,7 @@ def good_partition_search(
 # --------------------------------------------------------------- drivers
 
 
-def _restore_entry(h: Hypergraph, hd: Hypergraph, r: int, cut: Cut, promise_hd: Fraction):
+def _restore_entry(h: Hypergraph, hd: Hypergraph, r: int, promise_hd: Fraction):
     """Promise carried back to the undeleted instance."""
     deleted_expectation = sum(
         (multicolour_probability(len(e), (), len(e), r) for e in h.edges),
@@ -474,7 +474,7 @@ def driver_3cut(
     ledger = GuaranteeLedger()
     ledger.add("combined per-part greedy gains", promise_fwd, fwd_excess, scope="stage")
     ledger.add("part-3 exposure transfer", promise_hd, excess_hd, scope="stage")
-    promise_h = _restore_entry(h, hd, 3, c3, promise_hd)
+    promise_h = _restore_entry(h, hd, 3, promise_hd)
     ledger.add("deleted-edge restoration", promise_h, cut_metrics(h, c3).excess)
     ledger.assert_ok()
     return c3, ledger
@@ -583,7 +583,7 @@ def driver_2cut(
     ledger = GuaranteeLedger()
     ledger.add("combined weighted greedy gains", promise_fwd, fwd_excess, scope="stage")
     ledger.add("doubled exposure transfer", promise_hd, excess_hd, scope="stage")
-    promise_h = _restore_entry(h, hd, 2, c2, promise_hd)
+    promise_h = _restore_entry(h, hd, 2, promise_hd)
     ledger.add("deleted-edge restoration", promise_h, cut_metrics(h, c2).excess)
     ledger.assert_ok()
     return c2, ledger

@@ -22,6 +22,7 @@ from .cutspace import (
     cut_metrics,
     partial_average_excess,
     partial_average_size,
+    uniform_expected_size,
 )
 from .errors import (
     CertificateError,
@@ -152,9 +153,7 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
 def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Fraction:
     """E[Z | exposure] - E[Z] with starred vertices uniform over {1..keep}."""
     pc = PartialCut(r, dict(rho))
-    return partial_average_size(h, pc, free_parts=keep) - partial_average_size(
-        h, PartialCut(r, {})
-    )
+    return partial_average_size(h, pc, free_parts=keep) - uniform_expected_size(h, r)
 
 
 @dataclass
@@ -201,7 +200,7 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
             n_undet += 1
     forward = Hypergraph(h.n_vertices, h.max_arity, tuple(fwd_edges))
     cond = partial_average_size(h, PartialCut(2, dict(rho)))
-    base = partial_average_size(h, PartialCut(2, {}))
+    base = uniform_expected_size(h, 2)
 
     def back_map(phi: Cut) -> Cut:
         if phi.r != 2 or len(phi.assignment) != h.n_vertices:

@@ -229,3 +229,19 @@ def test_guarantee_violation_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "cut", str(path))
     assert code == 2
     assert "GuaranteeViolation" in err
+
+
+def test_pipeline_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a failing driver certificate must reach the caller, not fall back
+    import hypercut.cli as cli
+    from hypercut.errors import CertificateError
+
+    def broken(h, r, k, sr, params):
+        raise CertificateError("injected back-map failure")
+
+    monkeypatch.setattr(cli, "_dispatch_driver", broken)
+    path = tmp_path / "s9.hg"
+    path.write_text(serialize(generate(GenSpec(family="sts", n=9))))
+    code, _, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", "3")
+    assert code == 2
+    assert "CertificateError" in err

@@ -15,6 +15,7 @@ from hypercut.cutspace import (
     expected_fraction,
     multicolour_probability,
     partial_average_excess,
+    partial_average_excesses,
     stirling2,
     theorem_bound,
     theorem_bound_claim,
@@ -242,6 +243,27 @@ def test_partial_average_matches_enumeration_property(data):
     pc = PartialCut(r, fixed)
     brute = brute_expected_size(h, fixed, r) - brute_expected_size(h, {}, r)
     assert partial_average_excess(h, pc) == brute
+
+
+@settings(max_examples=60)
+@given(tiny_instances_with_partials(), st.data())
+def test_partial_average_excesses_match_enumeration_property(data, draw):
+    h, r, assign = data
+    t = draw.draw(st.integers(min_value=2, max_value=3))
+    # group t leaves the vertex free
+    group = draw.draw(st.lists(st.integers(0, t), min_size=h.n_vertices, max_size=h.n_vertices))
+    partials = [
+        {v: p for v, p in enumerate(assign) if group[v] == i} for i in range(t)
+    ]
+    base = brute_expected_size(h, {}, r)
+    got = partial_average_excesses(h, r, partials)
+    assert got == tuple(brute_expected_size(h, pc, r) - base for pc in partials)
+
+
+def test_partial_average_excesses_rejects_overlap():
+    h = build(3, [[0, 1, 2]])
+    with pytest.raises(InvalidParams):
+        partial_average_excesses(h, 2, [{0: 1}, {0: 2}])
 
 
 def test_weighted_cut_metrics():

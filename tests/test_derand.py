@@ -285,6 +285,9 @@ def test_combine_random_plans():
         partials = [{v: rng.choice((1, 2)) for v in p} for p in parts]
         cut, plan = combine_partial_cuts(h2, parts, partials)
         assert plan.realized_excess >= sum(plan.average_excesses)
+        base = brute_expected_size(h2, {}, 2)
+        for x, pc in zip(plan.average_excesses, partials):
+            assert x == brute_expected_size(h2, pc, 2) - base
 
 
 # ---------------------------------------------------------------- baselines
