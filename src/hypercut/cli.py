@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,8 +306,8 @@ def experiment_sweep(config: dict) -> list[dict]:
 
     The returned rows follow the CSV schema
     family,n,m,k,r,seed,algo,size,expected,excess,guarantee,runtime_ms.
-    Rows are computed with per-row derived seeds, so results do not
-    depend on execution order; HYPERCUT_THREADS caps worker threads.
+    Rows are computed serially, each with its own derived seed, so every
+    row is independent of the others.
     """
     family_list = config["families"]
     sizes = config["sizes"]
@@ -354,12 +352,7 @@ def experiment_sweep(config: dict) -> list[dict]:
             "runtime_ms": f"{report.runtime_ms:.1f}",
         }
 
-    workers = max(1, int(os.environ.get("HYPERCUT_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(job) for job in grid]
+    rows = [one(job) for job in grid]
 
     for algo in algos:
         pts = [

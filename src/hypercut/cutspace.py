@@ -4,8 +4,8 @@ Sizes, expected sizes, excesses, multicolour probabilities, average
 excesses of partial cuts, and the closed-form excess bounds.  Every
 probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
-For 2-cuts all values are dyadic (power-of-two denominators), which the
-derandomization engines exploit.
+``multicolour_table`` carries the uniform-completion probabilities as
+integers scaled by r^(k-1), the one form the derandomization engines use.
 """
 
 from __future__ import annotations
@@ -85,6 +85,29 @@ def _inclusion_exclusion(missing: int, free_count: int, base: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def multicolour_table(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Multicolour probabilities of edges of size <= k, scaled by r^(k-1).
+
+    ``table[missing][free]`` is r^(k-1) times the probability that
+    ``free`` vertices, uniform over the r parts, hit all ``missing`` parts
+    not yet hit.  Row r runs to free = k, the other rows to k-1: an edge
+    with k free vertices has no part hit yet.  Every entry is an integer,
+    since r^free divides r^(k-1) for free < k, and r^(k-1) * r! S(k,r) / r^k
+    = (r-1)! S(k,r).
+    """
+    scale = r ** (k - 1)
+    rows = []
+    for missing in range(r + 1):
+        row = []
+        for free in range((k if missing == r else k - 1) + 1):
+            value = scale * _inclusion_exclusion(missing, free, r)
+            assert value.denominator == 1
+            row.append(value.numerator)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def multicolour_probability(
     edge_size: int,
     hit_parts,
@@ -112,12 +135,6 @@ def multicolour_probability(
     if any(p > base for p in missing):
         return Fraction(0)
     return _inclusion_exclusion(len(missing), free_count, base)
-
-
-def _edge_probability_under_partial(edge, pc: PartialCut, free_parts: int | None = None) -> Fraction:
-    hit = {pc.assigned[v] for v in edge if v in pc.assigned}
-    free = sum(1 for v in edge if v not in pc.assigned)
-    return multicolour_probability(len(edge), hit, free, pc.r, free_parts=free_parts)
 
 
 def _edge_probability_key(edge, assigned: dict, r: int, base: int):

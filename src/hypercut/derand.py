@@ -2,11 +2,15 @@
 
 Conditional expectations with deferred (undetermined) vertices, greedy
 cuts over vertex orderings, flip local search, and derandomized
-combination of per-part partial cuts.  All 2-cut conditional
-expectations have denominators dividing 2^(k-1), so the engines carry
-them as integers scaled by that power of two; the arithmetic stays
-exact.  Each engine cross-checks its own bookkeeping and raises
-``GuaranteeViolation`` / ``CertificateError`` on any mismatch.
+combination of per-part partial cuts.  The three conditional-expectation
+engines (``erdos_selfridge_2cut``, ``combine_partial_cuts``,
+``conditional_rcut``) keep per edge the mask of parts already hit (part p
+is bit p-1) and the number of units still uniform, and read the edge's
+multicolour probability from ``cutspace.multicolour_table``, an integer
+table scaled by r^(k-1); the arithmetic stays exact.  Each engine
+cross-checks its own bookkeeping, realized size times the scale against
+the integer running expectation, and raises ``GuaranteeViolation`` /
+``CertificateError`` on any mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from .core import Hypergraph, Multigraph, WeightedGraph, multigraph_as_hypergraph
 from .cutspace import (
     Cut,
-    multicolour_probability,
+    multicolour_table,
     partial_average_excesses,
     uniform_expected_size,
 )
@@ -63,17 +67,6 @@ class CombinePlan:
     realized_excess: Fraction
 
 
-def _two_cut_prob_scaled(c1: int, c2: int, f: int, scale: int) -> int:
-    """Pr(both parts hit) * scale, given per-side determined counts and f free."""
-    if c1 > 0 and c2 > 0:
-        return scale
-    if c1 > 0 or c2 > 0:
-        return scale - (scale >> f)
-    if f <= 1:
-        return 0
-    return scale - (scale >> (f - 1))
-
-
 def first_two_vertex_set(h: Hypergraph, order) -> frozenset:
     """Vertices among the first two, in the order, of some edge of size >= 3."""
     pos = {v: i for i, v in enumerate(order)}
@@ -109,13 +102,13 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     k_eff = max((len(e) for e in h.edges), default=2)
     k_eff = max(k_eff, 2)
     scale = 1 << (k_eff - 1)
+    table = multicolour_table(2, k_eff)
 
     edges = h.edges
     inc = h.incidence()
-    cnt1 = [0] * len(edges)
-    cnt2 = [0] * len(edges)
+    hit = [0] * len(edges)
     free = [len(e) for e in edges]
-    prob = [_two_cut_prob_scaled(0, 0, f, scale) for f in free]
+    prob = [table[2][f] for f in free]
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
@@ -133,26 +126,19 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
         return 0 < prob[ei] < scale
 
     def hypothetical(ei: int, extra: dict) -> int:
-        c1, c2, f = cnt1[ei], cnt2[ei], free[ei]
+        mask = hit[ei]
         for p in extra.values():
-            if p == 1:
-                c1 += 1
-            else:
-                c2 += 1
-            f -= 1
-        return _two_cut_prob_scaled(c1, c2, f, scale)
+            mask |= 1 << (p - 1)
+        return table[2 - mask.bit_count()][free[ei] - len(extra)]
 
     def assign(w: int, p: int) -> None:
         nonlocal ez
         part[w] = p
         for ei in inc[w]:
             ez -= prob[ei]
-            if p == 1:
-                cnt1[ei] += 1
-            else:
-                cnt2[ei] += 1
+            hit[ei] |= 1 << (p - 1)
             free[ei] -= 1
-            prob[ei] = _two_cut_prob_scaled(cnt1[ei], cnt2[ei], free[ei], scale)
+            prob[ei] = table[2 - hit[ei].bit_count()][free[ei]]
             ez += prob[ei]
 
     snapshot(None)
@@ -409,10 +395,12 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
             block_of[v] = b
 
     k_eff = max((len(e) for e in hh.edges), default=2)
-    scale = 1 << k_eff
+    table = multicolour_table(2, k_eff)
+    scale = table[0][0]  # probability 1
 
     # Per edge: fixed colour mask from bicolour blocks, plus per-block
-    # single-colour contributions that a swap may flip.
+    # single-colour contributions that a swap may flip; each pending block
+    # is a uniform unit while its swap is undecided.
     edge_mask = []
     edge_pending: list[dict] = []  # block -> colour (1/2) still undecided
     touching: list[list[int]] = [[] for _ in range(len(blocks))]
@@ -431,14 +419,10 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
         edge_mask.append(mask)
         edge_pending.append(pending)
 
-    def edge_prob(i: int) -> int:
-        mask = edge_mask[i]
-        u = len(edge_pending[i])
-        c1 = 1 if mask & 1 else 0
-        c2 = 1 if mask & 2 else 0
-        return _two_cut_prob_scaled(c1, c2, u, scale)
-
-    prob = [edge_prob(i) for i in range(len(hh.edges))]
+    prob = [
+        table[2 - mask.bit_count()][len(pending)]
+        for mask, pending in zip(edge_mask, edge_pending)
+    ]
     expected_sigma = sum(prob)
 
     base = uniform_expected_size(hh, 2)
@@ -449,24 +433,20 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     swaps = []
     for b in range(len(blocks)):
         deltas = [0, 0]
-        for s in (0, 1):
-            for i in touching[b]:
-                colour = edge_pending[i][b]
-                if s == 1:
-                    colour = 3 - colour
-                mask = edge_mask[i] | (1 if colour == 1 else 2)
-                u = len(edge_pending[i]) - 1
-                c1 = 1 if mask & 1 else 0
-                c2 = 1 if mask & 2 else 0
-                deltas[s] += _two_cut_prob_scaled(c1, c2, u, scale) - prob[i]
+        for i in touching[b]:
+            colour = edge_pending[i][b]
+            u = len(edge_pending[i]) - 1
+            for s, c in ((0, colour), (1, 3 - colour)):
+                mask = edge_mask[i] | 1 << (c - 1)
+                deltas[s] += table[2 - mask.bit_count()][u] - prob[i]
         s_star = 0 if deltas[0] >= deltas[1] else 1
         swaps.append(s_star)
         for i in touching[b]:
             colour = edge_pending[i].pop(b)
             if s_star == 1:
                 colour = 3 - colour
-            edge_mask[i] |= 1 if colour == 1 else 2
-            prob[i] = edge_prob(i)
+            edge_mask[i] |= 1 << (colour - 1)
+            prob[i] = table[2 - edge_mask[i].bit_count()][len(edge_pending[i])]
         running += deltas[s_star]
 
     assignment = [1] * n
@@ -509,43 +489,37 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
     n = h.n_vertices
     seq = list(range(n)) if order is None else list(order)
     inc = h.incidence()
-    hit = [frozenset() for _ in h.edges]
+    k = max((len(e) for e in h.edges), default=1)
+    table = multicolour_table(r, k)
+    scale = table[0][0]  # probability 1
+    hit = [0] * len(h.edges)
     freec = [len(e) for e in h.edges]
-
-    def p_of(i: int) -> Fraction:
-        return multicolour_probability(len(h.edges[i]), hit[i], freec[i], r)
-
-    prob = [p_of(i) for i in range(len(h.edges))]
-    expected = sum(prob, Fraction(0))
+    prob = [table[r][f] for f in freec]
+    expected = sum(prob)
     base = expected
+    parts = range(1, r + 1)
     assignment = [1] * n
     for v in seq:
-        best = None
-        for p in range(1, r + 1):
-            delta = Fraction(0)
-            for ei in inc[v]:
-                delta += (
-                    multicolour_probability(
-                        len(h.edges[ei]), hit[ei] | {p}, freec[ei] - 1, r
-                    )
-                    - prob[ei]
-                )
-            if best is None or delta > best[0]:
-                best = (delta, p)
-        assignment[v] = best[1]
+        gain = [0] * (r + 1)
+        for ei in inc[v]:
+            mask, f, now = hit[ei], freec[ei] - 1, prob[ei]
+            for p in parts:
+                gain[p] += table[r - (mask | 1 << (p - 1)).bit_count()][f] - now
+        best = max(parts, key=gain.__getitem__)  # first maximum: smallest part
+        assignment[v] = best
         for ei in inc[v]:
             expected -= prob[ei]
-            hit[ei] = hit[ei] | {best[1]}
+            hit[ei] |= 1 << (best - 1)
             freec[ei] -= 1
-            prob[ei] = p_of(ei)
+            prob[ei] = table[r - hit[ei].bit_count()][freec[ei]]
             expected += prob[ei]
     cut = Cut(r, tuple(assignment))
     realized = sum(
         1 for e in h.edges if {assignment[v] for v in e} == set(range(1, r + 1))
     )
-    if Fraction(realized) != expected:
+    if realized * scale != expected:
         raise CertificateError("conditional r-cut bookkeeping mismatch")
-    if realized < base:
+    if realized * scale < base:
         raise GuaranteeViolation("conditional r-cut fell below the random baseline")
     return cut
 

@@ -20,7 +20,7 @@ from .core import Hypergraph, clique_expand, degree_profile, induce
 from .cutspace import (
     Cut,
     cut_metrics,
-    multicolour_probability,
+    uniform_expected_size,
 )
 from .derand import (
     conditional_rcut,
@@ -394,13 +394,7 @@ def good_partition_search(
 
 def _restore_entry(h: Hypergraph, hd: Hypergraph, r: int, promise_hd: Fraction):
     """Promise carried back to the undeleted instance."""
-    deleted_expectation = sum(
-        (multicolour_probability(len(e), (), len(e), r) for e in h.edges),
-        Fraction(0),
-    ) - sum(
-        (multicolour_probability(len(e), (), len(e), r) for e in hd.edges),
-        Fraction(0),
-    )
+    deleted_expectation = uniform_expected_size(h, r) - uniform_expected_size(hd, r)
     return promise_hd - deleted_expectation
 
 
@@ -655,10 +649,6 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
 # --------------------------------------------------------------- solve
 
 
-def _candidate(candidates, name, cut):
-    candidates.append((name, cut))
-
-
 def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[Cut, GuaranteeLedger]:
     """Best cut across every applicable route, with a verified ledger.
 
@@ -678,24 +668,24 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
 
     base_cut = conditional_rcut(h, r)
     ledger.add("conditional-expectations baseline", Fraction(0), cut_metrics(h, base_cut).excess)
-    _candidate(candidates, "cond-exp", base_cut)
+    candidates.append(("cond-exp", base_cut))
 
     chrom, chi = chromatic_cut(h, r, params.trials, params.seed)
     ledger.add(
         f"chromatic balance (chi={chi})", None, cut_metrics(h, chrom).excess, deterministic=False
     )
-    _candidate(candidates, "chromatic", chrom)
+    candidates.append(("chromatic", chrom))
 
     if r == 2:
         order = order_for_W(h, min(params.trials, 8), params.seed)
         es_cut, es_ledger = erdos_selfridge_2cut(h, order)
         ledger.add("deferred conditional expectations", es_ledger.guaranteed_excess, es_ledger.realized_excess)
-        _candidate(candidates, "es", es_cut)
+        candidates.append(("es", es_cut))
         if all(len(e) == 2 for e in h.edges):
             mg = clique_expand(h)
             greedy, _ = greedy_order_cut(mg, order)
             polished = flip_local_search(mg, greedy)
-            _candidate(candidates, "greedy-flip", polished)
+            candidates.append(("greedy-flip", polished))
         elif all(len(e) == 3 for e in h.edges):
             red = expand_3graph(h)
             greedy, gl = greedy_order_cut(red.forward, order)
@@ -706,7 +696,7 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
                 gl.realized_excess / 2,
                 cut_metrics(h, back).excess,
             )
-            _candidate(candidates, "expand-greedy", back)
+            candidates.append(("expand-greedy", back))
     elif r == 3 and all(len(e) == 3 for e in h.edges):
         order = order_for_W(h, min(params.trials, 8), params.seed)
         c2, es_ledger = erdos_selfridge_2cut(h, order)
@@ -716,13 +706,13 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
             Fraction(8, 27) * es_ledger.realized_excess,
             cut_metrics(h, lifted).excess,
         )
-        _candidate(candidates, "es-lift", lifted)
+        candidates.append(("es-lift", lifted))
     elif r >= 3:
         merged = _es_exposure_baseline(h, r, params)
         if merged is not None:
             cut, promise = merged
             ledger.add("exposure + deferred engine", promise, cut_metrics(h, cut).excess)
-            _candidate(candidates, "es-expose", cut)
+            candidates.append(("es-expose", cut))
 
     sr = codegree_structure(h, params)
     if sr.branch == "matching-cut":
@@ -733,7 +723,7 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
             cut_metrics(h, cmc).excess,
             deterministic=False,
         )
-        _candidate(candidates, "matching-cut", cmc)
+        candidates.append(("matching-cut", cmc))
 
     complement = sorted(set(range(n)) - sr.u_set)
     if len(complement) >= r:
@@ -744,13 +734,13 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
             cut_metrics(h, dsc).excess,
             deterministic=False,
         )
-        _candidate(candidates, "dense-subset", dsc)
+        candidates.append(("dense-subset", dsc))
 
     try:
         driver_cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         if driver_cut is not None:
             ledger.extend(driver_ledger, prefix="pipeline: ")
-            _candidate(candidates, "pipeline", driver_cut)
+            candidates.append(("pipeline", driver_cut))
     except (SearchFailed, DriverInapplicable):
         pass
 

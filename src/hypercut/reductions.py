@@ -40,8 +40,6 @@ class Reduction:
     kind: str
     forward: object
     back_map: Callable[[Cut], Cut]
-    exposure: dict | None = None
-    scale: Fraction | None = None  # forward size = scale * original size, when exact
 
 
 def _multigraph_cut_size(g: Multigraph, cut: Cut) -> int:
@@ -69,7 +67,7 @@ def expand_3graph(h: Hypergraph) -> Reduction:
             )
         return cut
 
-    return Reduction("expand-3graph", forward, back_map, scale=Fraction(2))
+    return Reduction("expand-3graph", forward, back_map)
 
 
 def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
@@ -98,7 +96,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
             )
         return cut
 
-    return Reduction("rgraph-expand", forward, back_map, scale=Fraction(2))
+    return Reduction("rgraph-expand", forward, back_map)
 
 
 def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
@@ -147,7 +145,7 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
             )
         return out
 
-    return Reduction("hpart-expose", forward, back_map, exposure=dict(rho), scale=Fraction(1))
+    return Reduction("hpart-expose", forward, back_map)
 
 
 def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Fraction:
@@ -235,8 +233,6 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
         kind="hpart-double",
         forward=forward,
         back_map=back_map,
-        exposure=dict(rho),
-        scale=None,
         n_multi=n_multi,
         n_undetermined=n_undet,
         conditional_size=cond,

@@ -176,18 +176,6 @@ def test_sweep_empty_grid(tmp_path):
     assert all(r["family"] == "slope-summary" for r in rows)
 
 
-def test_sweep_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCUT_THREADS", "4")
-    out = tmp_path / "t.csv"
-    code, _, _ = run(
-        capsys,
-        "sweep", "--families", "matching", "--sizes", "12,24",
-        "--algos", "es", "--r", "2", "--seed", "2", "-o", str(out),
-    )
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 4  # header + 2 rows + summary
-
-
 def test_check_moments(tmp_path, capsys):
     path = tmp_path / "m.hg"
     path.write_text("hg 1 4 4 1\n0 1 2 3\n")

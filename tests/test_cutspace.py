@@ -14,6 +14,7 @@ from hypercut.cutspace import (
     equitable_complete_value,
     expected_fraction,
     multicolour_probability,
+    multicolour_table,
     partial_average_excess,
     partial_average_excesses,
     stirling2,
@@ -202,6 +203,26 @@ def test_expected_fraction_matches_inclusion_exclusion(k, r):
     if r > k:
         return
     assert expected_fraction(k, r) == multicolour_probability(k, (), k, r)
+
+
+def test_multicolour_table_matches_one_edge_enumeration():
+    brute = {}
+    for r in range(2, 6):
+        for k in range(1, 7):
+            table = multicolour_table(r, k)
+            assert [len(row) for row in table] == [k] * r + [k + 1]
+            for missing, row in enumerate(table):
+                for free, entry in enumerate(row):
+                    hits = r - missing
+                    if hits + free == 0:
+                        assert entry == 0
+                        continue
+                    if (missing, free, r) not in brute:
+                        # vertices 0..hits-1 sit in distinct parts, the rest are free
+                        h = build(hits + free, [range(hits + free)])
+                        fixed = {v: v + 1 for v in range(hits)}
+                        brute[missing, free, r] = brute_expected_size(h, fixed, r)
+                    assert Fraction(entry, r ** (k - 1)) == brute[missing, free, r]
 
 
 @st.composite

@@ -11,7 +11,7 @@ from itertools import product
 
 from hypercut.core import build
 from hypercut.cutspace import Cut, cut_metrics
-from hypercut.derand import combine_partial_cuts, erdos_selfridge_2cut
+from hypercut.derand import combine_partial_cuts, conditional_rcut, erdos_selfridge_2cut
 from hypercut.instances import GenSpec, exact_maxcut, generate
 from hypercut.pipeline import goodness_audit
 
@@ -83,6 +83,32 @@ def test_deferred_engine_matches_literal_enumeration():
         cut, ledger = erdos_selfridge_2cut(h, order)
         assert list(ledger.expectation_trace) == ref_trace
         assert cut == ref_cut
+
+
+def reference_conditional_rcut(h, r, order):
+    """Each vertex in turn takes the part of largest enumerated average size.
+
+    Ties go to the smallest part.
+    """
+    fixed = {}
+    for v in order:
+        best = None
+        for p in range(1, r + 1):
+            val = brute_expected_size(h, {**fixed, v: p}, r)
+            if best is None or val > best[0]:
+                best = (val, p)
+        fixed[v] = best[1]
+    return Cut(r, tuple(fixed[v] for v in range(h.n_vertices)))
+
+
+def test_conditional_rcut_matches_literal_enumeration():
+    rng = random.Random("reference-rcut")
+    for r in (2, 3, 4):
+        for _ in range(12):
+            h = random_mixed(rng, n_hi=7, m_hi=10, k_hi=5)
+            order = list(range(h.n_vertices))
+            rng.shuffle(order)
+            assert conditional_rcut(h, r, order) == reference_conditional_rcut(h, r, order)
 
 
 def test_combine_expectation_matches_joint_enumeration():
