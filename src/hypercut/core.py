@@ -113,6 +113,8 @@ def build(n: int, raw_edges, max_arity: int | None = None) -> Hypergraph:
     """
     if n < 0:
         raise InvalidParams(f"negative vertex count {n}")
+    if max_arity is not None and max_arity < 0:
+        raise InvalidParams(f"negative max_arity {max_arity}")
     edges: list[Edge] = []
     realized = 0
     for raw in raw_edges:

@@ -536,13 +536,10 @@ def driver_2cut(
             continue
         hpart: Hypergraph = red.forward
 
-        part_sets = []
+        part_sets = [vs for vs in ({v for v in p if v in w} for p in gp.parts) if vs]
+        wgs = weighted_reduce(hpart, part_sets)
         partials = []
-        for p in gp.parts:
-            vs = {v for v in p if v in w}
-            if not vs:
-                continue
-            wg = weighted_reduce(hpart, vs)
+        for vs, wg in zip(part_sets, wgs):
             local = defaultdict(list)
             for uu, vv, wt in wg.weights:
                 local[uu].append((vv, wt))
@@ -550,9 +547,8 @@ def driver_2cut(
             order = sorted(vs)
             rng.shuffle(order)
             assigned, _, _ = greedy_on_adjacency(local, order)
-            weighted_identity_check(hpart, wg, assigned)
-            part_sets.append(vs)
             partials.append(assigned)
+        weighted_identity_check(hpart, wgs, partials)
 
         if part_sets:
             phi, plan = combine_partial_cuts(hpart, part_sets, partials)

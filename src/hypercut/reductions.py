@@ -20,7 +20,7 @@ from .cutspace import (
     Cut,
     PartialCut,
     cut_metrics,
-    partial_average_excess,
+    partial_average_excesses,
     partial_average_size,
     uniform_expected_size,
 )
@@ -241,50 +241,74 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     return red
 
 
-def weighted_reduce(h: Hypergraph, v_prime) -> WeightedGraph:
-    """Average-excess problem on V' as an exactly equivalent weighted graph.
+def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:
+    """Average-excess problems on disjoint parts as exactly equivalent weighted graphs.
 
-    Each edge meeting V' in exactly {u,v} adds 2^(2-|e|) to the weight
-    between u and v; then, for every assignment of V', the weighted excess
-    equals the average excess of the partial cut, exactly.
+    For each part V', every edge meeting V' in exactly {u,v} adds
+    2^(2-|e|) to the weight between u and v; then, for every assignment
+    of V', the weighted excess equals the average excess of the partial
+    cut, exactly.  One pass over the edges builds the graph of every part.
     """
-    vp = frozenset(v_prime)
-    weights: dict[tuple[int, int], Fraction] = {}
+    parts = list(parts)
+    owner: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        for v in part:
+            if v in owner:
+                raise InvalidParams("weighted_reduce parts must be disjoint")
+            owner[v] = i
+    # weights carried as integers scaled by 2^k (each 2^(2-|e|) is k-dyadic)
+    k = max((len(e) for e in h.edges), default=2)
+    scaled: list[dict[tuple[int, int], int]] = [{} for _ in parts]
     for e in h.edges:
-        inside = [v for v in e if v in vp]
-        if len(inside) > 2:
-            raise InvalidReduction(
-                f"edge {e} meets V' in {len(inside)} > 2 vertices"
-            )
-        if len(inside) == 2:
-            u, v = sorted(inside)
-            weights[(u, v)] = weights.get((u, v), Fraction(0)) + Fraction(
-                4, 2 ** len(e)
-            )
-    return WeightedGraph(
-        h.n_vertices, tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    )
-
-
-def weighted_identity_check(h: Hypergraph, wg: WeightedGraph, omega: dict) -> Fraction:
-    """Certify the weighted/average-excess identity for one assignment.
-
-    Returns the common value; raises ``CertificateError`` on mismatch.
-    """
-    n = wg.n_vertices
-    assignment = tuple(omega.get(v, 1) for v in range(n))
-    dom = frozenset(omega)
-    crossing = sum(
-        (w for u, v, w in wg.weights if assignment[u] != assignment[v]),
-        Fraction(0),
-    )
-    weighted_excess = crossing - wg.total_weight / 2
-    avg = partial_average_excess(h, PartialCut(2, dict(omega)))
-    if weighted_excess != avg:
-        raise CertificateError(
-            f"weighted excess {weighted_excess} != average excess {avg} on {sorted(dom)}"
+        inside = [v for v in e if v in owner]
+        if len(inside) < 2:
+            continue
+        by_part: dict[int, list[int]] = {}
+        for v in inside:
+            by_part.setdefault(owner[v], []).append(v)
+        for i, vs in by_part.items():
+            if len(vs) > 2:
+                raise InvalidReduction(
+                    f"edge {e} meets part {i} in {len(vs)} > 2 vertices"
+                )
+            if len(vs) == 2:
+                pair = (vs[0], vs[1]) if vs[0] < vs[1] else (vs[1], vs[0])
+                scaled[i][pair] = scaled[i].get(pair, 0) + (1 << (k + 2 - len(e)))
+    scale = 1 << k
+    return [
+        WeightedGraph(
+            h.n_vertices,
+            tuple((u, v, Fraction(w, scale)) for (u, v), w in sorted(ws.items())),
         )
-    return avg
+        for ws in scaled
+    ]
+
+
+def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
+    """Certify the weighted/average-excess identity for every part at once.
+
+    ``wgs[i]`` is the weighted graph of part i and ``omegas[i]`` a 2-part
+    assignment of that part.  Each weighted excess is compared with the
+    matching entry of one ``partial_average_excesses`` pass, the
+    ``Fraction`` oracle, which shares no code with ``weighted_reduce``.
+    Returns the common values; raises ``CertificateError`` on the first
+    mismatch.
+    """
+    if len(wgs) != len(omegas):
+        raise InvalidParams("need one assignment per weighted graph")
+    averages = partial_average_excesses(h, 2, omegas)
+    for i, (wg, omega, avg) in enumerate(zip(wgs, omegas, averages)):
+        crossing = sum(
+            (w for u, v, w in wg.weights if omega.get(u, 1) != omega.get(v, 1)),
+            Fraction(0),
+        )
+        weighted_excess = crossing - wg.total_weight / 2
+        if weighted_excess != avg:
+            raise CertificateError(
+                f"part {i}: weighted excess {weighted_excess} != average excess "
+                f"{avg} on {sorted(omega)}"
+            )
+    return averages
 
 
 def lift_2cut_to_3cut(

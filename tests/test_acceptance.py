@@ -191,8 +191,8 @@ def test_criterion_4_reduction_certificates():
         vp = set(rng.sample(range(h.n_vertices), min(h.n_vertices, rng.randint(1, 4))))
         if any(sum(v in vp for v in e) > 2 for e in h.edges):
             continue
-        wg = weighted_reduce(h, vp)
-        weighted_identity_check(h, wg, {v: rng.choice((1, 2)) for v in vp})
+        wg = weighted_reduce(h, [vp])[0]
+        weighted_identity_check(h, [wg], [{v: rng.choice((1, 2)) for v in vp}])
         checked += 1
         runs += 1
 

@@ -2,12 +2,18 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercut.cli import experiment_sweep, main
 from hypercut.core import build
 from hypercut.hgio import load, parse, serialize
 from hypercut.instances import GenSpec, generate
-from hypercut.errors import InvalidParams
+from hypercut.errors import (
+    CertificateError,
+    GuaranteeViolation,
+    HypercutError,
+    InvalidParams,
+)
 
 
 def run(capsys, *argv):
@@ -42,6 +48,52 @@ def test_parse_comments_and_errors():
         parse("hg 2 3 4 1\n0 1 2\n")
     with pytest.raises(InvalidParams):
         parse("hg 1 3 4 2\n0 1 2\n")
+
+
+def test_parse_rejects_negative_arity():
+    with pytest.raises(InvalidParams, match="max_arity"):
+        parse("hg 1 -1 3 0\n")
+
+
+_WILD = st.one_of(
+    st.integers(-3, -1).map(str),
+    st.integers(10**18, 10**30).map(str),
+    st.sampled_from(["", "x", "1.5", "0x3", "+2", "--1", "1e3", "nan", "9" * 5000]),
+)
+
+_RARELY = st.sampled_from([False] * 15 + [True])
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance files that are valid, or wrong in a field, a count or an id."""
+
+    def field(valid: str) -> str:
+        return draw(_WILD) if draw(_RARELY) else valid
+
+    n = draw(st.integers(1, 9))
+    # id n is out of range; a repeated first id makes a duplicate inside an edge
+    ids = st.lists(st.integers(0, n), min_size=1, max_size=5, unique=True)
+    edges = [e + e[:1] * draw(_RARELY) for e in draw(st.lists(ids, max_size=6))]
+    lines = [" ".join(field(str(v)) for v in e) for e in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "#", "  # 1 2"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    head = [field("hg"), field("1"), field("5"), field(str(n)), field(str(len(edges)))]
+    if draw(_RARELY):
+        head.pop()
+    return "\n".join([" ".join(head), *lines]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_texts())
+def test_parse_round_trips_or_raises_input_error(text):
+    try:
+        h = parse(text)
+    except HypercutError as exc:
+        assert not isinstance(exc, (CertificateError, GuaranteeViolation))
+        return
+    assert parse(serialize(h)) == h
 
 
 # ------------------------------------------------------------- commands

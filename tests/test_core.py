@@ -10,7 +10,7 @@ from hypercut.core import (
     induce,
     multigraph_from_pairs,
 )
-from hypercut.errors import InvalidEdge, InvalidVertex
+from hypercut.errors import InvalidEdge, InvalidParams, InvalidVertex
 
 from conftest import FANO_LINES
 
@@ -58,6 +58,12 @@ def test_build_rejects_bad_edges():
         build(3, [[0, 3]])
     with pytest.raises(InvalidVertex):
         build(3, [[-1, 0]])
+
+
+def test_build_rejects_negative_arity():
+    with pytest.raises(InvalidParams):
+        build(3, [], max_arity=-1)
+    assert build(3, [], max_arity=0).max_arity == 0
 
 
 def test_build_canonicalizes_order():

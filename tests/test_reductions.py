@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypercut.core import build
+from hypercut.core import WeightedGraph, build
 from hypercut.cutspace import Cut, PartialCut, cut_metrics, partial_average_size
 from hypercut.derand import greedy_order_cut
 from hypercut.errors import (
+    CertificateError,
     InvalidArity,
     InvalidExposure,
     InvalidParams,
@@ -214,24 +215,24 @@ def test_hpart_double_excess_transfer_random():
 
 def test_weighted_reduce_formula():
     h = build(6, [[0, 1, 2, 3], [0, 1, 4], [2, 4, 5]])
-    wg = weighted_reduce(h, {0, 1})
+    wg = weighted_reduce(h, [{0, 1}])[0]
     assert wg.weights == ((0, 1, Fraction(1, 4) + Fraction(1, 2)),)
 
 
 def test_weighted_reduce_rejects_triple_meet():
     h = build(4, [[0, 1, 2]])
     with pytest.raises(InvalidReduction):
-        weighted_reduce(h, {0, 1, 2})
+        weighted_reduce(h, [{0, 1, 2}])
 
 
 def test_weighted_identity_exhaustive_small():
     h = build(5, [[0, 1, 2], [0, 1, 3, 4], [2, 3, 4], [0, 2]])
     vp = {0, 2}
-    wg = weighted_reduce(h, vp)
+    wg = weighted_reduce(h, [vp])[0]
     for a in (1, 2):
         for b in (1, 2):
             omega = {0: a, 2: b}
-            avg = weighted_identity_check(h, wg, omega)
+            (avg,) = weighted_identity_check(h, [wg], [omega])
             brute = brute_expected_size(h, omega, 2) - brute_expected_size(h, {}, 2)
             assert avg == brute
 
@@ -244,10 +245,65 @@ def test_weighted_identity_random_batch():
         vp = set(rng.sample(range(h.n_vertices), min(h.n_vertices, rng.randint(1, 4))))
         if any(sum(v in vp for v in e) > 2 for e in h.edges):
             continue
-        wg = weighted_reduce(h, vp)
+        wg = weighted_reduce(h, [vp])[0]
         omega = {v: rng.choice((1, 2)) for v in vp}
-        weighted_identity_check(h, wg, omega)
+        weighted_identity_check(h, [wg], [omega])
         checked += 1
+
+
+def _weighted_excess(wg, omega):
+    crossing = sum((w for u, v, w in wg.weights if omega[u] != omega[v]), Fraction(0))
+    return crossing - wg.total_weight / 2
+
+
+def test_weighted_reduce_family_matches_enumeration_property():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 150:
+        h = random_mixed(rng, n_hi=9, m_hi=12, k_hi=5)
+        n_parts = rng.randint(2, 4)
+        if h.n_vertices < n_parts:
+            continue
+        pool = rng.sample(range(h.n_vertices), rng.randint(n_parts, h.n_vertices))
+        cuts = sorted(rng.sample(range(1, len(pool)), n_parts - 1))
+        parts = [set(pool[a:b]) for a, b in zip([0] + cuts, cuts + [len(pool)])]
+        if any(sum(v in p for v in e) > 2 for e in h.edges for p in parts):
+            continue
+        wgs = weighted_reduce(h, parts)
+        assert len(wgs) == n_parts
+        omegas = [{v: rng.choice((1, 2)) for v in p} for p in parts]
+        values = weighted_identity_check(h, wgs, omegas)
+        base = brute_expected_size(h, {}, 2)
+        for p, wg, omega, value in zip(parts, wgs, omegas, values):
+            assert wg == weighted_reduce(h, [p])[0]
+            brute = brute_expected_size(h, omega, 2) - base
+            assert _weighted_excess(wg, omega) == brute
+            assert value == brute
+        checked += 1
+
+
+def test_weighted_reduce_rejects_overlapping_parts():
+    h = build(4, [[0, 1, 2, 3]])
+    with pytest.raises(InvalidParams):
+        weighted_reduce(h, [{0, 1}, {1, 2}])
+
+
+def test_weighted_reduce_rejects_triple_meet_in_second_part():
+    h = build(6, [[0, 1, 5], [2, 3, 4]])
+    with pytest.raises(InvalidReduction):
+        weighted_reduce(h, [{0, 1}, {2, 3, 4}])
+
+
+def test_weighted_identity_check_audits_last_part():
+    h = build(6, [[0, 1, 2], [3, 4, 5], [0, 1, 3, 4]])
+    parts = [{0, 1}, {3, 4}]
+    omegas = [{0: 1, 1: 2}, {3: 1, 4: 2}]
+    wgs = weighted_reduce(h, parts)
+    weighted_identity_check(h, wgs, omegas)
+    (u, v, w), *rest = wgs[-1].weights
+    tampered = WeightedGraph(wgs[-1].n_vertices, ((u, v, w + 1), *rest))
+    with pytest.raises(CertificateError, match="part 1"):
+        weighted_identity_check(h, [wgs[0], tampered], omegas)
 
 
 # --------------------------------------------------------------- lift
