@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import hgio
 from .core import Hypergraph, clique_expand, degree_profile
 from .cutspace import cut_metrics, theorem_bound, theorem_bound_claim
-from .derand import erdos_selfridge_2cut, flip_local_search, greedy_order_cut, order_for_W
+from .derand import conditional_rcut, flip_local_search, greedy_order_cut, order_for_W
 from .errors import (
     CertificateError,
     DriverInapplicable,
@@ -38,13 +38,13 @@ from .pipeline import (
     GuaranteeLedger,
     PipelineParams,
     _dispatch_driver,
-    chromatic_cut,
+    check_parts,
+    chromatic_route,
     codegree_structure,
+    es_route,
     goodness_audit,
     solve,
 )
-from .derand import conditional_rcut
-from .reductions import lift_2cut_to_3cut
 
 
 @dataclass
@@ -76,33 +76,28 @@ class RunReport:
 
 
 def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
-    """Returns (cut, ledger).  The ledger may be empty for sampled heuristics."""
+    """Returns (cut, ledger).  The ledger may be empty for sampled heuristics.
+
+    ``es`` and ``chromatic`` run ``solve``'s own routes; ``greedy`` (any
+    2-cut) and ``pipeline`` (the structural driver alone, with a
+    conditional-expectations fallback) are the CLI's own.
+    """
     params = PipelineParams(trials=trials, seed=seed)
-    ledger = GuaranteeLedger()
     if algo == "auto":
         return solve(h, r, params)
+    k = check_parts(h, r)
+    clamped = PipelineParams(trials=max(1, trials), seed=seed)
+    ledger = GuaranteeLedger()
     if algo == "es":
-        if r == 2:
-            order = order_for_W(h, max(1, min(trials, 8)), seed)
-            cut, es = erdos_selfridge_2cut(h, order)
-            ledger.add("deferred conditional expectations", es.guaranteed_excess, es.realized_excess)
-            return cut, ledger
-        if r == 3 and all(len(e) == 3 for e in h.edges):
-            order = order_for_W(h, max(1, min(trials, 8)), seed)
-            c2, es = erdos_selfridge_2cut(h, order)
-            cut = lift_2cut_to_3cut(h, c2)
-            ledger.add(
-                "third-part lift of the deferred engine",
-                Fraction(8, 27) * es.realized_excess,
-                cut_metrics(h, cut).excess,
-            )
-            return cut, ledger
-        raise HypercutError("--algo es supports r=2, or r=3 on 3-uniform instances")
+        route = es_route(h, r, clamped, ledger)
+        if route is None:
+            raise HypercutError("--algo es supports r=2, or r=3 on 3-uniform instances")
+        return route[1], ledger
     if algo == "greedy":
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
         mg = clique_expand(h)
-        order = order_for_W(h, max(1, min(trials, 8)), seed)
+        order = order_for_W(h, min(clamped.trials, 8), seed)
         cut, gl = greedy_order_cut(mg, order)
         cut = flip_local_search(mg, cut)
         ledger.add(
@@ -113,14 +108,11 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         )
         return cut, ledger
     if algo == "chromatic":
-        cut, chi = chromatic_cut(h, r, max(1, trials), seed)
-        ledger.add(f"chromatic balance (chi={chi})", None, cut_metrics(h, cut).excess, deterministic=False)
-        return cut, ledger
+        return chromatic_route(h, r, clamped, ledger), ledger
     if algo == "pipeline":
-        params = PipelineParams(trials=trials, seed=seed)
         sr = codegree_structure(h, params)
         try:
-            cut, driver_ledger = _dispatch_driver(h, r, max(h.max_arity, 2), sr, params)
+            cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         except (SearchFailed, DriverInapplicable):
             cut, driver_ledger = None, None
         if cut is None:

@@ -191,6 +191,16 @@ def cut_metrics(h, c: Cut) -> CutMetrics:
     return CutMetrics(Fraction(size), expected, size - expected)
 
 
+def best_cut(h, cuts) -> Cut | None:
+    """First cut of largest size among ``cuts``, an iterable of cuts of h."""
+    best = best_size = None
+    for cut in cuts:
+        size = cut_metrics(h, cut).size
+        if best is None or size > best_size:
+            best, best_size = cut, size
+    return best
+
+
 def weighted_cut_metrics(g: WeightedGraph, c: Cut) -> CutMetrics:
     """Cut metrics for a weighted graph under a 2-cut.
 
@@ -343,10 +353,6 @@ def theorem_bound_claim(name: str) -> str:
     if name not in _BOUNDS:
         raise InvalidParams(f"unknown bound id {name!r}")
     return _BOUNDS[name][2]
-
-
-def known_bounds() -> list[str]:
-    return sorted(_BOUNDS)
 
 
 def equitable_complete_value(n: int, k: int, r: int) -> int:

@@ -46,8 +46,3 @@ def parse(text: str) -> Hypergraph:
 def load(path) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def save(h: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(h))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .core import Hypergraph, clique_expand, degree_profile, induce
 from .cutspace import (
     Cut,
+    best_cut,
     cut_metrics,
     uniform_expected_size,
 )
@@ -61,9 +62,6 @@ class PipelineParams:
     retry_budget: int = 50
     trials: int = 32
     seed: int = 0
-
-    def with_seed(self, seed) -> "PipelineParams":
-        return PipelineParams(self.c, self.c_prime, self.retry_budget, self.trials, seed)
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,6 @@ class StructureReport:
     matching: tuple  # disjoint high-codegree pairs
     branch: str  # matching-cut | dense-induced | high-U-incidence
     induced_edges: int  # e(H[U])
-    high_u_edges: int  # edges with >= k-1 vertices in U
     delta: float
     g: float
     q: float
@@ -191,7 +188,7 @@ def codegree_structure(h: Hypergraph, params: PipelineParams) -> StructureReport
         used.update((u, v))
     if len(matched) >= d.q:
         return StructureReport(
-            frozenset(), tuple(matched), "matching-cut", 0, 0, d.delta, d.g, d.q
+            frozenset(), tuple(matched), "matching-cut", 0, d.delta, d.g, d.q
         )
     u_set = frozenset(
         v for v in range(h.n_vertices) if v not in used and prof.degree[v] <= d.delta
@@ -200,12 +197,8 @@ def codegree_structure(h: Hypergraph, params: PipelineParams) -> StructureReport
     if len(u_set) + 1e-9 < h.n_vertices - 2 * d.q - k_bound * h.m / d.delta:
         raise CertificateError("core-size bound violated; structure pass is wrong")
     induced = sum(1 for e in h.edges if all(v in u_set for v in e))
-    high = sum(1 for e in h.edges if sum(v in u_set for v in e) >= len(e) - 1)
-    k = max(h.max_arity, 1)
-    branch = "dense-induced" if induced >= h.m / (4 * k) else "high-U-incidence"
-    return StructureReport(
-        u_set, tuple(matched), branch, induced, high, d.delta, d.g, d.q
-    )
+    branch = "dense-induced" if induced >= h.m / (4 * k_bound) else "high-U-incidence"
+    return StructureReport(u_set, tuple(matched), branch, induced, d.delta, d.g, d.q)
 
 
 def conditioned_matching_cut(
@@ -219,8 +212,8 @@ def conditioned_matching_cut(
     if len(set(used)) != len(used):
         raise InvalidParams("matching pairs must be disjoint")
     rng = random.Random(f"matching-cut:{seed}")
-    best = None
-    for _ in range(trials):
+
+    def draw() -> Cut:
         assignment = [rng.randint(1, r) for _ in range(h.n_vertices)]
         for u, v in pairs:
             a = rng.randint(1, r)
@@ -228,11 +221,9 @@ def conditioned_matching_cut(
             if b >= a:
                 b += 1
             assignment[u], assignment[v] = a, b
-        cut = Cut(r, tuple(assignment))
-        size = int(cut_metrics(h, cut).size)
-        if best is None or size > best[0]:
-            best = (size, cut)
-    return best[1]
+        return Cut(r, tuple(assignment))
+
+    return best_cut(h, (draw() for _ in range(trials)))
 
 
 # --------------------------------------------------------------- goodness
@@ -265,39 +256,31 @@ def goodness_audit(h: Hypergraph, h_sub: Hypergraph, partition, vertex_set) -> G
         counts = Counter(where[v] for v in e if v in where)
         within += sum(c * (c - 1) // 2 for c in counts.values())
 
+    # one by-part grouping per h-edge feeds (ii), (iii) and the (iv) buckets
     within_deg = Counter()
-    for e in h.edges:
-        by_part = defaultdict(list)
-        for v in e:
-            if v in where:
-                by_part[where[v]].append(v)
-        for vs in by_part.values():
-            for v in vs:
-                within_deg[v] += len(vs) - 1
-    max_deg = max(within_deg.values(), default=0)
-
     spread_bad = []
-    for i, e in enumerate(h.edges):
-        counts = Counter(where[v] for v in e if v in where)
-        collisions = sum(c - 1 for c in counts.values() if c >= 2)
-        if collisions > 1:
-            spread_bad.append(i)
-
-    witness_bad: set[tuple[int, int]] = set()
     bucket: dict[tuple[int, int], list[tuple[int, frozenset]]] = defaultdict(list)
     for i, e in enumerate(h.edges):
         by_part = defaultdict(list)
-        outside = []
         for v in e:
             if v in where:
                 by_part[where[v]].append(v)
+        collisions = 0
         for pi, vs in by_part.items():
             if len(vs) < 2:
                 continue
+            collisions += len(vs) - 1
+            for v in vs:
+                within_deg[v] += len(vs) - 1
             pair = frozenset(vs)
             for w in e:
                 if w in vset and where.get(w) != pi:
                     bucket[(pi, w)].append((i, pair))
+        if collisions > 1:
+            spread_bad.append(i)
+    max_deg = max(within_deg.values(), default=0)
+
+    witness_bad: set[tuple[int, int]] = set()
     for entries in bucket.values():
         for a in range(len(entries)):
             for b in range(a + 1, len(entries)):
@@ -392,10 +375,58 @@ def good_partition_search(
 # --------------------------------------------------------------- drivers
 
 
-def _restore_entry(h: Hypergraph, hd: Hypergraph, r: int, promise_hd: Fraction):
-    """Promise carried back to the undeleted instance."""
+def _greedy_part(vs, weighted_pairs, rng) -> dict:
+    """Greedy 2-assignment of one part, its vertices visited in shuffled order."""
+    local = defaultdict(list)
+    for u, v, wt in weighted_pairs:
+        local[u].append((v, wt))
+        local[v].append((u, wt))
+    order = sorted(vs)
+    rng.shuffle(order)
+    assigned, _, _ = greedy_on_adjacency(local, order)
+    return assigned
+
+
+def _combine_or_baseline(g: Hypergraph, part_sets, partials):
+    """(cut, promised, realized forward excess) of combining the per-part cuts.
+
+    With no part left, the conditional-expectations cut of ``g`` stands in
+    with a zero promise.
+    """
+    if part_sets:
+        cut, plan = combine_partial_cuts(g, part_sets, partials)
+        return cut, sum(plan.average_excesses, Fraction(0)), plan.realized_excess
+    cut = conditional_rcut(g, 2)
+    return cut, Fraction(0), cut_metrics(g, cut).excess
+
+
+def _close_driver_ledger(h: Hypergraph, hd: Hypergraph, r: int, best, claims):
+    """Ledger of a driver's best trial, carried back to the undeleted instance.
+
+    ``best`` is (size, cut, forward promise, forward excess, promise on hd,
+    excess on hd); ``claims`` names the two stage entries.
+    """
+    _, cut, promise_fwd, fwd_excess, promise_hd, excess_hd = best
+    gains_claim, transfer_claim = claims
+    ledger = GuaranteeLedger()
+    ledger.add(gains_claim, promise_fwd, fwd_excess, scope="stage")
+    ledger.add(transfer_claim, promise_hd, excess_hd, scope="stage")
     deleted_expectation = uniform_expected_size(h, r) - uniform_expected_size(hd, r)
-    return promise_hd - deleted_expectation
+    ledger.add(
+        "deleted-edge restoration", promise_hd - deleted_expectation, cut_metrics(h, cut).excess
+    )
+    ledger.assert_ok()
+    return cut, ledger
+
+
+def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
+    """First doubled exposure of the vertices outside W meeting E[Z], or None."""
+    outside = [v for v in range(h.n_vertices) if v not in w]
+    for _ in range(params.retry_budget):
+        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
+        if red.conditional_size >= red.base_size:
+            return red
+    return None
 
 
 def driver_3cut(
@@ -411,6 +442,7 @@ def driver_3cut(
         raise DriverInapplicable("induced core holds too few edges")
     gp = good_partition_search(h, h_u, u_set, params, seed=f"d3:{params.seed}")
     hd = h.without_edges(set(gp.deleted_edges))
+    part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
 
     best = None
     for trial in range(params.trials):
@@ -419,16 +451,12 @@ def driver_3cut(
         red = hpart_expose(hd, 3, rho, keep=2)
         gpart: Hypergraph = red.forward
 
-        part_of = {}
-        for i, p in enumerate(gp.parts):
-            for v in p:
-                part_of[v] = i
         internal = defaultdict(list)
         for e in gpart.edges:
             u, v = e
             pu, pv = part_of.get(u), part_of.get(v)
             if pu is not None and pu == pv and u not in rho and v not in rho:
-                internal[pu].append((u, v))
+                internal[pu].append((u, v, 1))
 
         part_sets = []
         partials = []
@@ -436,42 +464,23 @@ def driver_3cut(
             star = {v for v in p if v not in rho}
             if not star:
                 continue
-            local = defaultdict(list)
-            for u, v in internal.get(i, ()):
-                local[u].append((v, 1))
-                local[v].append((u, 1))
-            order = sorted(star)
-            rng.shuffle(order)
-            assigned, _, _ = greedy_on_adjacency(local, order)
             part_sets.append(star)
-            partials.append(assigned)
+            partials.append(_greedy_part(star, internal.get(i, ()), rng))
 
-        if part_sets:
-            c2, plan = combine_partial_cuts(gpart, part_sets, partials)
-            promise_fwd = sum(plan.average_excesses, Fraction(0))
-            fwd_excess = plan.realized_excess
-        else:
-            c2 = conditional_rcut(gpart, 2)
-            promise_fwd = Fraction(0)
-            fwd_excess = cut_metrics(gpart, c2).excess
+        c2, promise_fwd, fwd_excess = _combine_or_baseline(gpart, part_sets, partials)
         c3 = red.back_map(c2)
         metrics = cut_metrics(hd, c3)
         pae = exposure_average_excess(hd, 3, rho, keep=2)
         if metrics.excess != fwd_excess + pae:
             raise CertificateError("3-cut exposure transfer identity failed")
         promise_hd = promise_fwd + pae
-        cand = (int(metrics.size), trial, c3, promise_fwd, fwd_excess, promise_hd, metrics.excess)
+        cand = (int(metrics.size), c3, promise_fwd, fwd_excess, promise_hd, metrics.excess)
         if best is None or cand[0] > best[0]:
             best = cand
 
-    _, _, c3, promise_fwd, fwd_excess, promise_hd, excess_hd = best
-    ledger = GuaranteeLedger()
-    ledger.add("combined per-part greedy gains", promise_fwd, fwd_excess, scope="stage")
-    ledger.add("part-3 exposure transfer", promise_hd, excess_hd, scope="stage")
-    promise_h = _restore_entry(h, hd, 3, promise_hd)
-    ledger.add("deleted-edge restoration", promise_h, cut_metrics(h, c3).excess)
-    ledger.assert_ok()
-    return c3, ledger
+    return _close_driver_ledger(
+        h, hd, 3, best, ("combined per-part greedy gains", "part-3 exposure transfer")
+    )
 
 
 def driver_2cut(
@@ -490,10 +499,7 @@ def driver_2cut(
     gp = good_partition_search(h, h4, range(n), params, seed=f"d2:{params.seed}")
     dropped = set(gp.deleted_edges)
     hd = h.without_edges(dropped)
-    part_of = {}
-    for i, p in enumerate(gp.parts):
-        for v in p:
-            part_of[v] = i
+    part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
     # per >=4-edge: its doubled part (if any) with the two inside vertices
     paired = []
     for i in big:
@@ -525,71 +531,36 @@ def driver_2cut(
                 break
         _, w = w_best
 
-        red = None
-        for _ in range(params.retry_budget):
-            rho = {v: rng.choice((1, 2)) for v in range(n) if v not in w}
-            cand = hpart_double(hd, w, rho)
-            if cand.conditional_size >= cand.base_size:
-                red = cand
-                break
+        red = _double_exposure(hd, w, rng, params)
         if red is None:
             continue
         hpart: Hypergraph = red.forward
 
         part_sets = [vs for vs in ({v for v in p if v in w} for p in gp.parts) if vs]
         wgs = weighted_reduce(hpart, part_sets)
-        partials = []
-        for vs, wg in zip(part_sets, wgs):
-            local = defaultdict(list)
-            for uu, vv, wt in wg.weights:
-                local[uu].append((vv, wt))
-                local[vv].append((uu, wt))
-            order = sorted(vs)
-            rng.shuffle(order)
-            assigned, _, _ = greedy_on_adjacency(local, order)
-            partials.append(assigned)
+        partials = [_greedy_part(vs, wg.weights, rng) for vs, wg in zip(part_sets, wgs)]
         weighted_identity_check(hpart, wgs, partials)
 
-        if part_sets:
-            phi, plan = combine_partial_cuts(hpart, part_sets, partials)
-            promise_fwd = sum(plan.average_excesses, Fraction(0))
-            fwd_excess = plan.realized_excess
-        else:
-            phi = conditional_rcut(hpart, 2)
-            promise_fwd = Fraction(0)
-            fwd_excess = cut_metrics(hpart, phi).excess
+        phi, promise_fwd, fwd_excess = _combine_or_baseline(hpart, part_sets, partials)
         c2 = red.back_map(phi)
         metrics = cut_metrics(hd, c2)
         promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
         if metrics.excess < promise_hd:
             raise GuaranteeViolation("doubled-exposure promise missed")
-        cand = (int(metrics.size), trial, c2, promise_fwd, fwd_excess, promise_hd, metrics.excess)
+        cand = (int(metrics.size), c2, promise_fwd, fwd_excess, promise_hd, metrics.excess)
         if best is None or cand[0] > best[0]:
             best = cand
 
     if best is None:
         raise SearchFailed("no exposure met the conditional-size bar")
-    _, _, c2, promise_fwd, fwd_excess, promise_hd, excess_hd = best
-    ledger = GuaranteeLedger()
-    ledger.add("combined weighted greedy gains", promise_fwd, fwd_excess, scope="stage")
-    ledger.add("doubled exposure transfer", promise_hd, excess_hd, scope="stage")
-    promise_h = _restore_entry(h, hd, 2, promise_hd)
-    ledger.add("deleted-edge restoration", promise_h, cut_metrics(h, c2).excess)
-    ledger.assert_ok()
-    return c2, ledger
+    return _close_driver_ledger(
+        h, hd, 2, best, ("combined weighted greedy gains", "doubled exposure transfer")
+    )
 
 
 def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
     """Remove the bad vertices first: expose them, solve the doubled instance."""
-    rng = random.Random(f"nobad:{params.seed}")
-    outside = [v for v in range(h.n_vertices) if v not in u_set]
-    red = None
-    for _ in range(params.retry_budget):
-        rho = {v: rng.choice((1, 2)) for v in outside}
-        cand = hpart_double(h, u_set, rho)
-        if cand.conditional_size >= cand.base_size:
-            red = cand
-            break
+    red = _double_exposure(h, u_set, random.Random(f"nobad:{params.seed}"), params)
     if red is None:
         raise SearchFailed("no exposure of the bad vertices met the bar")
     inner_cut, inner_ledger = driver_2cut(red.forward, params, u_set=None)
@@ -628,18 +599,47 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
     classes = list(range(padded))
 
     rng = random.Random(f"chromatic:{seed}")
-    best = None
-    for _ in range(trials):
+    per = padded // r
+
+    def draw() -> Cut:
         rng.shuffle(classes)
-        group = {}
-        per = padded // r
-        for idx, cls in enumerate(classes):
-            group[cls] = idx // per + 1
-        cut = Cut(r, tuple(group[colour[v]] for v in range(h.n_vertices)))
-        size = int(cut_metrics(h, cut).size)
-        if best is None or size > best[0]:
-            best = (size, cut)
-    return best[1], chi
+        group = {cls: idx // per + 1 for idx, cls in enumerate(classes)}
+        return Cut(r, tuple(group[colour[v]] for v in range(h.n_vertices)))
+
+    return best_cut(h, (draw() for _ in range(trials))), chi
+
+
+def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger) -> Cut:
+    """``solve``'s chromatic entry: the cut, with its advisory line added to ``ledger``."""
+    cut, chi = chromatic_cut(h, r, params.trials, params.seed)
+    ledger.add(f"chromatic balance (chi={chi})", None, cut_metrics(h, cut).excess, deterministic=False)
+    return cut
+
+
+def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
+    """``solve``'s deferred-engine entry, with its promise added to ``ledger``.
+
+    At r = 2 the engine's 2-cut; at r = 3 on a 3-uniform instance that
+    2-cut lifted by opening a third part.  Returns (name, cut, order),
+    ``order`` being the vertex order the engine ran on, or None when
+    neither case applies.
+    """
+    if r != 2 and not (r == 3 and all(len(e) == 3 for e in h.edges)):
+        return None
+    order = order_for_W(h, min(params.trials, 8), params.seed)
+    c2, es_ledger = erdos_selfridge_2cut(h, order)
+    if r == 2:
+        ledger.add(
+            "deferred conditional expectations", es_ledger.guaranteed_excess, es_ledger.realized_excess
+        )
+        return "es", c2, order
+    lifted = lift_2cut_to_3cut(h, c2)
+    ledger.add(
+        "third-part lift of the deferred engine",
+        Fraction(8, 27) * es_ledger.realized_excess,
+        cut_metrics(h, lifted).excess,
+    )
+    return "es-lift", lifted, order
 
 
 # --------------------------------------------------------------- solve
@@ -655,9 +655,7 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     params = params or PipelineParams()
     if h.m == 0:
         raise InvalidParams("instance has no edges")
-    k = max(h.max_arity, 2)
-    if not (2 <= r <= k):
-        raise InvalidParams(f"need 2 <= r <= k, got r={r}, k={k}")
+    k = check_parts(h, r)
     n = h.n_vertices
     ledger = GuaranteeLedger()
     candidates: list[tuple[str, Cut]] = []
@@ -666,17 +664,19 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     ledger.add("conditional-expectations baseline", Fraction(0), cut_metrics(h, base_cut).excess)
     candidates.append(("cond-exp", base_cut))
 
-    chrom, chi = chromatic_cut(h, r, params.trials, params.seed)
-    ledger.add(
-        f"chromatic balance (chi={chi})", None, cut_metrics(h, chrom).excess, deterministic=False
-    )
-    candidates.append(("chromatic", chrom))
+    candidates.append(("chromatic", chromatic_route(h, r, params, ledger)))
 
+    es = es_route(h, r, params, ledger)
+    if es is not None:
+        name, es_cut, order = es
+        candidates.append((name, es_cut))
+    else:  # r >= 3, and not a 3-uniform instance at r = 3
+        merged = _es_exposure_baseline(h, r, params)
+        if merged is not None:
+            cut, promise = merged
+            ledger.add("exposure + deferred engine", promise, cut_metrics(h, cut).excess)
+            candidates.append(("es-expose", cut))
     if r == 2:
-        order = order_for_W(h, min(params.trials, 8), params.seed)
-        es_cut, es_ledger = erdos_selfridge_2cut(h, order)
-        ledger.add("deferred conditional expectations", es_ledger.guaranteed_excess, es_ledger.realized_excess)
-        candidates.append(("es", es_cut))
         if all(len(e) == 2 for e in h.edges):
             mg = clique_expand(h)
             greedy, _ = greedy_order_cut(mg, order)
@@ -693,22 +693,6 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
                 cut_metrics(h, back).excess,
             )
             candidates.append(("expand-greedy", back))
-    elif r == 3 and all(len(e) == 3 for e in h.edges):
-        order = order_for_W(h, min(params.trials, 8), params.seed)
-        c2, es_ledger = erdos_selfridge_2cut(h, order)
-        lifted = lift_2cut_to_3cut(h, c2)
-        ledger.add(
-            "third-part lift of the deferred engine",
-            Fraction(8, 27) * es_ledger.realized_excess,
-            cut_metrics(h, lifted).excess,
-        )
-        candidates.append(("es-lift", lifted))
-    elif r >= 3:
-        merged = _es_exposure_baseline(h, r, params)
-        if merged is not None:
-            cut, promise = merged
-            ledger.add("exposure + deferred engine", promise, cut_metrics(h, cut).excess)
-            candidates.append(("es-expose", cut))
 
     sr = codegree_structure(h, params)
     if sr.branch == "matching-cut":
@@ -751,20 +735,50 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     return best, ledger
 
 
-def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
-    """Expose parts {3..r} at random, run the deferred engine, merge back."""
-    rng = random.Random(f"es-expose:{params.seed}")
+def check_parts(h: Hypergraph, r: int) -> int:
+    """k = max(max_arity, 2), after checking that 2 <= r <= k."""
+    k = max(h.max_arity, 2)
+    if not (2 <= r <= k):
+        raise InvalidParams(f"need 2 <= r <= k, got r={r}, k={k}")
+    return k
+
+
+def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelineParams):
+    """Random exposures of parts {keep+1..r}, up to ``params.retry_budget`` draws.
+
+    Each vertex stays starred with probability keep/r, else takes a
+    uniform exposed part.  Yields (rho, average excess, reduction) for
+    every draw whose average excess is nonnegative and whose forward
+    instance keeps an edge.
+    """
+    rng = random.Random(f"{label}:{params.seed}")
     for _ in range(params.retry_budget):
         rho = {}
         for v in range(h.n_vertices):
-            if rng.random() >= 2 / r:
-                rho[v] = rng.randint(3, r)
-        pae = exposure_average_excess(h, r, rho, keep=2)
+            if rng.random() >= keep / r:
+                rho[v] = rng.randint(keep + 1, r)
+        pae = exposure_average_excess(h, r, rho, keep=keep)
         if pae < 0:
             continue
-        red = hpart_expose(h, r, rho, keep=2)
+        red = hpart_expose(h, r, rho, keep=keep)
         if red.forward.m == 0:
             continue
+        yield rho, pae, red
+
+
+def _exposure_transfer(h: Hypergraph, red, pae, sub_cut, sub_ledger):
+    """Merge a cut of an exposure's forward instance back, promise carried over."""
+    merged = red.back_map(sub_cut)
+    ledger = GuaranteeLedger()
+    ledger.extend(sub_ledger, prefix="exposed ", demote=True)
+    sub_promise = sub_ledger.instance_promise()
+    ledger.add("exposure transfer", sub_promise + pae, cut_metrics(h, merged).excess)
+    return merged, ledger
+
+
+def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
+    """Expose parts {3..r} at random, run the deferred engine, merge back."""
+    for _, pae, red in _exposures(h, r, 2, "es-expose", params):
         order = order_for_W(red.forward, 4, params.seed)
         c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
         merged = red.back_map(c2)
@@ -803,54 +817,19 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
 
 def _driver_expose_2(h, r, sr, params):
     """r <= k-2: expose parts {3..r}, drive the mixed 2-cut engine, merge."""
-    rng = random.Random(f"expose2:{params.seed}")
-    for _ in range(params.retry_budget):
-        rho = {}
-        for v in range(h.n_vertices):
-            if rng.random() >= 2 / r:
-                rho[v] = rng.randint(3, r)
-        pae = exposure_average_excess(h, r, rho, keep=2)
-        if pae < 0:
-            continue
-        red = hpart_expose(h, r, rho, keep=2)
-        if red.forward.m == 0:
-            continue
+    for rho, pae, red in _exposures(h, r, 2, "expose2", params):
         stars = {v for v in range(h.n_vertices) if v not in rho}
         u = stars & sr.u_set
         try:
-            sub_cut, sub_ledger = driver_2cut(
-                red.forward, params, u_set=None if u == stars else u
-            )
+            sub = driver_2cut(red.forward, params, u_set=None if u == stars else u)
         except (SearchFailed, DriverInapplicable):
             continue
-        merged = red.back_map(sub_cut)
-        ledger = GuaranteeLedger()
-        ledger.extend(sub_ledger, prefix="exposed ", demote=True)
-        sub_promise = sub_ledger.instance_promise()
-        ledger.add("exposure transfer", sub_promise + pae, cut_metrics(h, merged).excess)
-        return merged, ledger
+        return _exposure_transfer(h, red, pae, *sub)
     raise SearchFailed("no viable exposure for the 2-cut driver")
 
 
 def _driver_expose_3(h, r, sr, params):
     """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
-    rng = random.Random(f"expose3:{params.seed}")
-    for _ in range(params.retry_budget):
-        rho = {}
-        for v in range(h.n_vertices):
-            if rng.random() >= 3 / r:
-                rho[v] = rng.randint(4, r)
-        pae = exposure_average_excess(h, r, rho, keep=3)
-        if pae < 0:
-            continue
-        red = hpart_expose(h, r, rho, keep=3)
-        if red.forward.m == 0:
-            continue
-        sub_cut, sub_ledger = solve(red.forward, 3, params)
-        merged = red.back_map(sub_cut)
-        ledger = GuaranteeLedger()
-        ledger.extend(sub_ledger, prefix="exposed ", demote=True)
-        sub_promise = sub_ledger.instance_promise()
-        ledger.add("exposure transfer", sub_promise + pae, cut_metrics(h, merged).excess)
-        return merged, ledger
+    for _, pae, red in _exposures(h, r, 3, "expose3", params):
+        return _exposure_transfer(h, red, pae, *solve(red.forward, 3, params))
     raise SearchFailed("no viable exposure for the 3-cut reduction")

@@ -19,6 +19,7 @@ from .core import Hypergraph, Multigraph, WeightedGraph, clique_expand
 from .cutspace import (
     Cut,
     PartialCut,
+    best_cut,
     cut_metrics,
     partial_average_excesses,
     partial_average_size,
@@ -311,16 +312,13 @@ def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
     return averages
 
 
-def lift_2cut_to_3cut(
-    h: Hypergraph, c2: Cut, sample: bool = False, trials: int = 32, seed=0
-) -> Cut:
+def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     """Open a third part by conditional expectations over per-vertex moves.
 
     Each vertex independently moving to part 3 with probability 1/3 makes
     a spanning edge rainbow with probability 8/27, so the expected 3-cut
     size is (8/27) times the 2-cut size; the derandomized pass meets that
-    expectation.  ``sample=True`` draws the moves at random instead
-    (best of ``trials``), kept for cross-validation.
+    expectation.
     """
     if any(len(e) != 3 for e in h.edges):
         raise InvalidArity("lift needs a 3-uniform hypergraph")
@@ -328,20 +326,6 @@ def lift_2cut_to_3cut(
         raise InvalidParams("expected a 2-cut of h")
     n = h.n_vertices
     z2 = int(cut_metrics(h, c2).size)
-
-    if sample:
-        rng = random.Random(f"lift:{seed}")
-        best = None
-        for _ in range(max(1, trials)):
-            moved = {v: rng.random() < 1 / 3 for v in range(n)}
-            assignment = tuple(
-                3 if moved[v] else c2.assignment[v] for v in range(n)
-            )
-            cut = Cut(3, assignment)
-            size = int(cut_metrics(h, cut).size)
-            if best is None or size > best[0]:
-                best = (size, cut)
-        return best[1]
 
     # probabilities carried as integers scaled by 27 (denominators are 3^u)
     def rainbow27(e, moved: dict) -> int:
@@ -404,19 +388,17 @@ def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> Cut:
     if len(w) < r:
         raise InvalidParams(f"|W| = {len(w)} < r = {r}")
     rng = random.Random(f"dense-subset:{seed}")
-    best = None
-    for _ in range(trials):
+    quota = [len(w) // r + (1 if i < len(w) % r else 0) for i in range(r)]
+
+    def draw() -> Cut:
         shuffled = w[:]
         rng.shuffle(shuffled)
         assignment = [rng.randint(1, r) for _ in range(h.n_vertices)]
-        quota = [len(w) // r + (1 if i < len(w) % r else 0) for i in range(r)]
         pos = 0
         for p in range(r):
             for v in shuffled[pos : pos + quota[p]]:
                 assignment[v] = p + 1
             pos += quota[p]
-        cut = Cut(r, tuple(assignment))
-        size = int(cut_metrics(h, cut).size)
-        if best is None or size > best[0]:
-            best = (size, cut)
-    return best[1]
+        return Cut(r, tuple(assignment))
+
+    return best_cut(h, (draw() for _ in range(trials)))

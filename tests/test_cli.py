@@ -175,6 +175,29 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cut_rejects_more_parts_than_edge_size(tmp_path, capsys):
+    path = tmp_path / "s9.hg"
+    path.write_text(serialize(generate(GenSpec(family="sts", n=9))))
+    for algo in ("auto", "es", "greedy", "chromatic", "pipeline"):
+        code, out, err = run(capsys, "cut", str(path), "--algo", algo, "--r", "5")
+        assert (code, out) == (1, "")
+        assert "InvalidParams" in err and "r=5, k=3" in err
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_cut_es_entry_matches_auto_ledger(tmp_path, capsys, r):
+    # --algo es runs solve's own route: its one entry recurs verbatim in auto's ledger
+    path = tmp_path / "s13.hg"
+    path.write_text(serialize(generate(GenSpec(family="sts", n=13))))
+    code, es_out, _ = run(capsys, "cut", str(path), "--algo", "es", "--r", str(r))
+    assert code == 0
+    code, auto_out, _ = run(capsys, "cut", str(path), "--algo", "auto", "--r", str(r))
+    assert code == 0
+    (entry,) = [ln for ln in es_out.splitlines() if ln.startswith("guarantee")]
+    claim = entry[: entry.index("]") + 1]
+    assert [ln for ln in auto_out.splitlines() if ln.startswith(claim + " ")] == [entry]
+
+
 def test_gen_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "gen", "--family", "sts", "--n", "8")
     assert code == 1

@@ -10,6 +10,7 @@ from hypercut.core import build
 from hypercut.cutspace import (
     Cut,
     PartialCut,
+    best_cut,
     cut_metrics,
     equitable_complete_value,
     expected_fraction,
@@ -121,6 +122,15 @@ def test_cut_metrics_monochromatic(fano):
 def test_cut_metrics_rejects_mismatch(fano):
     with pytest.raises(InvalidCut):
         cut_metrics(fano, Cut(2, (1, 2)))
+
+
+def test_best_cut_keeps_first_of_equal_sizes():
+    h = build(4, [[0, 1], [2, 3]])
+    first, flipped = Cut(2, (1, 2, 2, 1)), Cut(2, (2, 1, 1, 2))
+    draws = [Cut(2, (1, 2, 1, 1)), first, Cut(2, (1, 1, 1, 1)), flipped]
+    assert [int(cut_metrics(h, c).size) for c in draws] == [1, 2, 0, 2]
+    assert best_cut(h, iter(draws)) == first
+    assert best_cut(h, iter(draws[:1])) == draws[0]
 
 
 def test_partial_average_excess_determined_edge():

@@ -349,12 +349,6 @@ def test_lift_beats_guarantee_random():
         assert cut_metrics(h, c3).size >= Fraction(8, 27) * z2
 
 
-def test_lift_sampling_flag(matching12):
-    c2 = Cut(2, (1, 1, 2) * 4)
-    c3 = lift_2cut_to_3cut(matching12, c2, sample=True, trials=64, seed=5)
-    assert c3.r == 3
-
-
 # --------------------------------------------------------------- dense subset
 
 
