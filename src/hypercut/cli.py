@@ -25,6 +25,7 @@ from .errors import (
     DriverInapplicable,
     GuaranteeViolation,
     HypercutError,
+    InvalidParams,
     SearchFailed,
 )
 from .instances import (
@@ -236,32 +237,41 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_vertex_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_ints(text: str, what: str) -> list[int]:
+    """Comma- or space-separated integers; ``InvalidParams`` names ``what``."""
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise InvalidParams(f"{what} must be integers, got {text!r}") from None
 
 
 def _cmd_check(args) -> int:
     h = hgio.load(args.instance)
     if args.kind == "monotonicity":
-        edge = _parse_vertex_list(args.edge)
+        edge = _parse_ints(args.edge, "--edge")
         constraints = []
         for spec in args.constraint or []:
-            part, level = spec.rsplit(":", 1)
-            constraints.append((_parse_vertex_list(part), int(level)))
+            part, sep, level = spec.rpartition(":")
+            levels = _parse_ints(level, "--constraint level")
+            if not sep or len(levels) != 1:
+                raise InvalidParams(f"--constraint needs vertices:level, got {spec!r}")
+            constraints.append((_parse_ints(part, "--constraint"), levels[0]))
         res = monotonicity_check(h, args.r, edge, constraints)
         print(f"conditional={res.conditional} base={res.base} verdict={res.verdict}")
         return 0 if res.verdict != "FAIL" else 1
     if args.kind == "moments":
-        w = _parse_vertex_list(args.w)
-        u, v = _parse_vertex_list(args.pair)
-        res = moment_audit(h, w, (u, v), args.samples, args.seed)
+        w = _parse_ints(args.w, "--w")
+        pair = _parse_ints(args.pair, "--pair")
+        if len(pair) != 2:
+            raise InvalidParams(f"--pair needs two vertex ids, got {args.pair!r}")
+        res = moment_audit(h, w, tuple(pair), args.samples, args.seed)
         print(
             f"variance={res.variance:.6f} kurtosis={res.kurtosis:.6f} "
             f"g_uv={res.g_uv} verdict={res.verdict}"
         )
         return 0 if res.verdict != "FAIL" else 1
     if args.kind == "goodness":
-        parts = [set(_parse_vertex_list(p)) for p in args.parts.split(";") if p.strip()]
+        parts = [set(_parse_ints(p, "--parts")) for p in args.parts.split(";") if p.strip()]
         covered = set().union(*parts) if parts else set()
         rep = goodness_audit(h, h, parts, covered)
         print(
@@ -397,7 +407,7 @@ CSV_COLUMNS = [
 def _cmd_sweep(args) -> int:
     config = {
         "families": args.families.split(","),
-        "sizes": [int(x) for x in args.sizes.split(",")] if args.sizes else [],
+        "sizes": _parse_ints(args.sizes, "--sizes"),
         "algos": args.algos.split(","),
         "r": args.r,
         "trials": args.trials,

@@ -2,8 +2,10 @@
 
 Vertices are dense 0-based integers.  Edges are stored as strictly
 increasing tuples; coincident edges are kept as distinct entries, so
-multiplicity is a first-class concept.  Instances never mutate after
-construction and every operation here is pure.
+multiplicity is a first-class concept.  Instances never change their
+value after construction and every operation here is pure; a
+``Hypergraph`` builds its padded edge array and edge-size histogram on
+first use and keeps them, outside its equality and hash.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidEdge, InvalidParams, InvalidVertex
 
@@ -28,6 +33,25 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only (m, w) vertex array, w the largest realized edge size;
+        shorter edges are padded with the sentinel vertex n."""
+        w = max((len(e) for e in self.edges), default=0)
+        pad = (self.n_vertices,) * w
+        arr = np.array([e + pad[len(e):] for e in self.edges], dtype=np.intp)
+        arr = arr.reshape(self.m, w)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def size_histogram(self) -> tuple[int, ...]:
+        """Entry s is the number of edges of size s, for s up to the largest."""
+        counts = [0] * (max((len(e) for e in self.edges), default=0) + 1)
+        for e in self.edges:
+            counts[len(e)] += 1
+        return tuple(counts)
 
     def edge_multiset(self) -> Counter:
         return Counter(self.edges)

@@ -6,6 +6,8 @@ probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
 ``multicolour_table`` carries the uniform-completion probabilities as
 integers scaled by r^(k-1), the one form the derandomization engines use.
+``cut_metrics`` counts multicoloured edges with numpy over the instance's
+padded edge array, an exact integer count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Hypergraph, Multigraph, WeightedGraph, multigraph_as_hypergraph
+import numpy as np
+
+from .core import Hypergraph, Multigraph, multigraph_as_hypergraph
 from .errors import InvalidCut, InvalidParams
 
 
@@ -51,11 +55,6 @@ class CutMetrics:
     size: Fraction  # integral for unweighted instances
     expected: Fraction
     excess: Fraction
-
-
-def is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +160,9 @@ def _as_hypergraph(h) -> Hypergraph:
 
 def uniform_expected_size(h, r: int) -> Fraction:
     """Exact expected size of a uniformly random r-cut."""
-    hh = _as_hypergraph(h)
-    sizes = Counter(len(e) for e in hh.edges)
+    hist = _as_hypergraph(h).size_histogram
     return sum(
-        (cnt * _inclusion_exclusion(r, s, r) for s, cnt in sizes.items()),
+        (cnt * _inclusion_exclusion(r, s, r) for s, cnt in enumerate(hist) if cnt),
         Fraction(0),
     )
 
@@ -174,19 +172,21 @@ def cut_metrics(h, c: Cut) -> CutMetrics:
 
     Accepts a Hypergraph or a Multigraph.  Edges smaller than r
     contribute probability 0 to the expectation, so mixed instances are
-    handled exactly.
+    handled exactly.  The size counts the rows of the padded edge array
+    whose part labels, sorted, show r distinct nonzero values; the
+    sentinel vertex carries label 0.
     """
     hh = _as_hypergraph(h)
     if len(c.assignment) != hh.n_vertices:
         raise InvalidCut(
             f"assignment length {len(c.assignment)} != n_vertices {hh.n_vertices}"
         )
-    size = 0
-    full = frozenset(range(1, c.r + 1))
-    assign = c.assignment
-    for e in hh.edges:
-        if {assign[v] for v in e} == full:
-            size += 1
+    labels = np.array((*c.assignment, 0), dtype=np.min_scalar_type(c.r))
+    rows = np.sort(labels[hh.edge_array], axis=1)
+    # a nonzero label opens a new value where it differs from its left neighbour
+    new = rows != 0
+    new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    size = int(np.count_nonzero(new.sum(axis=1) == c.r))
     expected = uniform_expected_size(hh, c.r)
     return CutMetrics(Fraction(size), expected, size - expected)
 
@@ -199,24 +199,6 @@ def best_cut(h, cuts) -> Cut | None:
         if best is None or size > best_size:
             best, best_size = cut, size
     return best
-
-
-def weighted_cut_metrics(g: WeightedGraph, c: Cut) -> CutMetrics:
-    """Cut metrics for a weighted graph under a 2-cut.
-
-    Size is the crossing weight; the uniform-cut expectation is half the
-    total weight.
-    """
-    if c.r != 2:
-        raise InvalidCut("weighted instances carry pair edges; use r=2")
-    if len(c.assignment) != g.n_vertices:
-        raise InvalidCut("assignment length mismatch")
-    size = Fraction(0)
-    for u, v, w in g.weights:
-        if c.assignment[u] != c.assignment[v]:
-            size += w
-    expected = g.total_weight / 2
-    return CutMetrics(size, expected, size - expected)
 
 
 def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fraction:

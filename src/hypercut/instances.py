@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Hypergraph, build
 from .cutspace import Cut, expected_fraction
-from .errors import InvalidParams, OracleInfeasible
+from .errors import InvalidEdge, InvalidParams, InvalidVertex, OracleInfeasible
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,14 @@ def monotonicity_check(h, r: int, e, constraints) -> MonotonicityResult:
 
     ``constraints`` lists (f_i, l_i): f_i a subset of e with at least two
     vertices, conditioned to meet at least l_i >= 2 parts.  Enumeration is
-    exact over r^|e| assignments of e's vertices.
+    exact over r^|e| assignments of e's vertices.  ``e`` must be a nonempty
+    set of distinct vertex ids of h.
     """
     e = tuple(e)
+    if not e or len(set(e)) != len(e):
+        raise InvalidEdge(f"edge {list(e)} is empty or repeats a vertex")
+    if any(not 0 <= v < h.n_vertices for v in e):
+        raise InvalidVertex(f"vertex id out of range in edge {list(e)} (n={h.n_vertices})")
     fs = [(tuple(f), int(l)) for f, l in constraints]
     used: set[int] = set()
     for f, l in fs:

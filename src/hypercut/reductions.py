@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -312,13 +313,46 @@ def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
     return averages
 
 
+@lru_cache(maxsize=None)
+def _rainbow_table() -> tuple[int, ...]:
+    """27 * Pr(a 3-edge ends rainbow), indexed by its packed lift state.
+
+    The state (mask << 4) | (a << 2) | b holds the mask of parts that
+    decided vertices hit (part 1 is bit 1, part 2 bit 2, part 3 bit 4)
+    and the counts a and b of free vertices in 2-cut parts 1 and 2.  A free vertex stays in its part with
+    probability 2/3 and moves to part 3 with probability 1/3; summing
+    2^(stays) over the 2^(a+b) outcomes that complete the mask, times
+    3^(3-a-b), gives 27 * Pr exactly.
+    """
+    table = [0] * 128
+    for mask in range(8):
+        for a in range(4):
+            for b in range(4 - a):
+                free = (1,) * a + (2,) * b
+                total = 0
+                for moves in range(1 << len(free)):
+                    parts, weight = mask, 1
+                    for i, p in enumerate(free):
+                        if moves >> i & 1:
+                            parts |= 4
+                        else:
+                            parts |= p
+                            weight *= 2
+                    if parts == 7:
+                        total += weight
+                table[mask << 4 | a << 2 | b] = total * 3 ** (3 - a - b)
+    return tuple(table)
+
+
 def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     """Open a third part by conditional expectations over per-vertex moves.
 
     Each vertex independently moving to part 3 with probability 1/3 makes
     a spanning edge rainbow with probability 8/27, so the expected 3-cut
     size is (8/27) times the 2-cut size; the derandomized pass meets that
-    expectation.
+    expectation.  Each edge keeps its packed state (see
+    ``_rainbow_table``); deciding a vertex moves it from a free count
+    into the decided-part mask.
     """
     if any(len(e) != 3 for e in h.edges):
         raise InvalidArity("lift needs a 3-uniform hypergraph")
@@ -326,52 +360,31 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
         raise InvalidParams("expected a 2-cut of h")
     n = h.n_vertices
     z2 = int(cut_metrics(h, c2).size)
+    side = c2.assignment
 
     # probabilities carried as integers scaled by 27 (denominators are 3^u)
-    def rainbow27(e, moved: dict) -> int:
-        free = [v for v in e if v not in moved]
-        base = 3 ** (3 - len(free))
-        total = 0
-        for bits in range(1 << len(free)):
-            weight = base
-            parts = 0
-            for i, v in enumerate(free):
-                if bits >> i & 1:
-                    parts |= 4
-                else:
-                    weight *= 2
-                    parts |= 1 << (c2.assignment[v] - 1)
-            for v in e:
-                if v in moved:
-                    parts |= 4 if moved[v] else 1 << (c2.assignment[v] - 1)
-            if parts == 7:
-                total += weight
-        return total
-
+    table = _rainbow_table()
     inc = h.incidence()
-    prob = [rainbow27(e, {}) for e in h.edges]
-    expected = sum(prob)
+    state = [sum(4 if side[v] == 1 else 1 for v in e) for e in h.edges]
+    expected = sum(table[s] for s in state)
     if expected != 8 * z2:
         raise CertificateError("initial lift expectation != (8/27) * 2-cut size")
-    moved: dict[int, bool] = {}
+    moved = [False] * n
     for v in range(n):
-        deltas = []
-        for mv in (False, True):
-            d = 0
-            for ei in inc[v]:
-                trial = {u: moved[u] for u in h.edges[ei] if u in moved}
-                trial[v] = mv
-                d += rainbow27(h.edges[ei], trial) - prob[ei]
-            deltas.append(d)
-        mv = deltas[1] > deltas[0]  # tie keeps the vertex in its 2-cut part
-        moved[v] = mv
+        free = 4 if side[v] == 1 else 1  # v leaves its part's free count
+        stay_bit, move_bit = side[v] << 4, 4 << 4
+        d_stay = d_move = 0
         for ei in inc[v]:
-            trial = {u: moved[u] for u in h.edges[ei] if u in moved}
-            expected -= prob[ei]
-            prob[ei] = rainbow27(h.edges[ei], trial)
-            expected += prob[ei]
-    assignment = tuple(3 if moved[v] else c2.assignment[v] for v in range(n))
-    cut = Cut(3, assignment)
+            s = state[ei]
+            d_stay += table[(s | stay_bit) - free] - table[s]
+            d_move += table[(s | move_bit) - free] - table[s]
+        mv = d_move > d_stay  # tie keeps the vertex in its 2-cut part
+        moved[v] = mv
+        expected += d_move if mv else d_stay
+        bit = move_bit if mv else stay_bit
+        for ei in inc[v]:
+            state[ei] = (state[ei] | bit) - free
+    cut = Cut(3, tuple(3 if moved[v] else side[v] for v in range(n)))
     realized = int(cut_metrics(h, cut).size)
     if realized * 27 != expected:
         raise CertificateError("lift bookkeeping mismatch")

@@ -6,10 +6,11 @@ package's own enumeration or probability code, so they can check it.
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
-from hypercut.core import Hypergraph, build
+from hypercut.core import Hypergraph, Multigraph, build
 
 FANO_LINES = [
     [0, 1, 2],
@@ -59,3 +60,29 @@ def brute_expected_size(h: Hypergraph, fixed: dict, r: int, free_parts=None) -> 
         total += sum(1 for e in h.edges if {assign[v] for v in e} == full)
         count += 1
     return Fraction(total, count)
+
+
+def plain_edges(h) -> list[tuple[int, ...]]:
+    """Edges of a Hypergraph, or a Multigraph's pairs repeated by multiplicity."""
+    if isinstance(h, Multigraph):
+        return [(u, v) for u, v, mult in h.pairs for _ in range(mult)]
+    return list(h.edges)
+
+
+def plain_cut_size(h, assignment, r: int) -> int:
+    """Edges meeting all r parts, counted with a Python set per edge."""
+    full = set(range(1, r + 1))
+    return sum(1 for e in plain_edges(h) if {assignment[v] for v in e} == full)
+
+
+def stirling_expected_size(h, r: int) -> Fraction:
+    """Uniform r-cut expectation: r! S(s, r) / r^s per edge of size s."""
+    total = Fraction(0)
+    for e in plain_edges(h):
+        s = len(e)
+        # row[j] = S(i, j) after i rounds of S(i, j) = j S(i-1, j) + S(i-1, j-1)
+        row = [1] + [0] * r
+        for _ in range(s):
+            row = [0] + [j * row[j] + row[j - 1] for j in range(1, r + 1)]
+        total += Fraction(row[r] * factorial(r), r**s)
+    return total

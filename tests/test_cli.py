@@ -15,6 +15,8 @@ from hypercut.errors import (
     InvalidParams,
 )
 
+from conftest import FANO_LINES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -154,6 +156,41 @@ def test_check_monotonicity(tmp_path, capsys):
     )
     assert code == 0
     assert "verdict=STRICT" in out
+
+
+_CHECK = ("check", "{inst}")
+_MONO = (*_CHECK, "--kind", "monotonicity", "--r", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        pytest.param((*_MONO, "--edge", "0,0,1"), "InvalidEdge", id="repeated-id"),
+        pytest.param((*_MONO, "--edge", "0,1,9"), "InvalidVertex", id="id-out-of-range"),
+        pytest.param((*_MONO, "--edge", ""), "InvalidEdge", id="empty-edge"),
+        pytest.param((*_MONO, "--edge", "a"), "InvalidParams", id="edge-not-int"),
+        pytest.param((*_MONO, "--edge", "0,1,2", "--constraint", "1,2"), "InvalidParams",
+                     id="constraint-without-level"),
+        pytest.param((*_MONO, "--edge", "0,1,2", "--constraint", "1,2:x"), "InvalidParams",
+                     id="constraint-level-not-int"),
+        pytest.param((*_CHECK, "--kind", "goodness", "--parts", "0,x"), "InvalidParams",
+                     id="parts-not-int"),
+        pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1", "--pair", "1"), "InvalidParams",
+                     id="pair-one-id"),
+        pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1"), "InvalidParams",
+                     id="pair-missing"),
+        pytest.param(("sweep", "--families", "sts", "--sizes", "9,x", "-o", "{out}"),
+                     "InvalidParams", id="sweep-sizes-not-int"),
+    ],
+)
+def test_check_and_sweep_reject_bad_vertex_lists(tmp_path, capsys, argv, error):
+    inst = tmp_path / "fano.hg"
+    inst.write_text(serialize(build(7, FANO_LINES)))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, *(a.format(inst=inst, out=out) for a in argv))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {error}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_check_goodness(tmp_path, capsys):

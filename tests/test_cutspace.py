@@ -4,9 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hypercut.core import build
+from hypercut.core import build, multigraph_from_pairs
 from hypercut.cutspace import (
     Cut,
     PartialCut,
@@ -24,7 +24,12 @@ from hypercut.cutspace import (
 )
 from hypercut.errors import InvalidCut, InvalidParams
 
-from conftest import brute_expected_size, brute_force_maxcut
+from conftest import (
+    brute_expected_size,
+    brute_force_maxcut,
+    plain_cut_size,
+    stirling_expected_size,
+)
 
 
 def test_expected_fraction_known_values():
@@ -297,16 +302,41 @@ def test_partial_average_excesses_rejects_overlap():
         partial_average_excesses(h, 2, [{0: 1}, {0: 2}])
 
 
-def test_weighted_cut_metrics():
-    from hypercut.core import WeightedGraph
-    from hypercut.cutspace import weighted_cut_metrics
+@st.composite
+def scored_instances(draw):
+    """A mixed instance (or a multigraph) with one random cut per r in 2..k."""
+    n = draw(st.integers(0, 9))  # vertices beyond the drawn edges stay isolated
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
+    edges = draw(st.lists(ids, max_size=12)) if n else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))  # repeated edges
+    if n >= 2 and draw(st.booleans()):
+        pairs = [e[:2] for e in edges if len(e) >= 2]
+        h, k = multigraph_from_pairs(n, pairs), 2
+    else:
+        realized = max(map(len, edges), default=0)
+        k = draw(st.integers(max(2, realized), max(2, realized) + 2))
+        h = build(n, edges, max_arity=k)
+    cuts = [Cut(r, tuple(draw(st.integers(1, r)) for _ in range(n))) for r in range(2, k + 1)]
+    return h, cuts
 
-    wg = WeightedGraph(
-        3, ((0, 1, Fraction(1, 4)), (0, 2, Fraction(1, 2)), (1, 2, Fraction(1)))
-    )
-    got = weighted_cut_metrics(wg, Cut(2, (1, 2, 2)))
-    assert got.size == Fraction(3, 4)
-    assert got.expected == Fraction(7, 8)
-    assert got.excess == Fraction(-1, 8)
-    with pytest.raises(InvalidCut):
-        weighted_cut_metrics(wg, Cut(3, (1, 2, 3)))
+
+# 70-vertex edges at r = 70: the count must stay exact past a 64-bit mask
+_WIDE = build(71, [range(70), range(1, 71), range(70)])
+_WIDE_CUTS = [
+    Cut(70, tuple(range(1, 71)) + (1,)),  # every edge rainbow
+    Cut(70, tuple(range(1, 71)) + (2,)),  # the edge without vertex 0 misses part 1
+    Cut(70, tuple(range(1, 70)) + (1, 70)),  # the two edges without vertex 70 miss part 70
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_instances())
+@example((_WIDE, _WIDE_CUTS))
+def test_cut_metrics_matches_plain_loop_and_stirling_property(data):
+    h, cuts = data
+    for cut in cuts:
+        size = plain_cut_size(h, cut.assignment, cut.r)
+        expected = stirling_expected_size(h, cut.r)
+        got = cut_metrics(h, cut)
+        assert (got.size, got.expected, got.excess) == (size, expected, size - expected)

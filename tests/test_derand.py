@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from hypercut.core import build, clique_expand, multigraph_from_pairs, WeightedGraph
-from hypercut.cutspace import Cut, cut_metrics, is_dyadic
+from hypercut.cutspace import Cut, cut_metrics
 from hypercut.derand import (
     combine_partial_cuts,
     conditional_rcut,
@@ -20,6 +20,11 @@ from hypercut.derand import (
 from hypercut.errors import PlanInvalid
 
 from conftest import brute_expected_size, brute_force_maxcut
+
+
+def is_dyadic(x: Fraction) -> bool:
+    d = x.denominator
+    return d & (d - 1) == 0
 
 
 def random_mixed(rng, n_hi=10, m_hi=20, k_hi=5):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from hypercut.errors import (
     InvalidReduction,
 )
 from hypercut.reductions import (
+    _rainbow_table,
     dense_subset_cut,
     expand_3graph,
     exposure_average_excess,
@@ -347,6 +349,78 @@ def test_lift_beats_guarantee_random():
         z2 = cut_metrics(h, c2).size
         c3 = lift_2cut_to_3cut(h, c2)
         assert cut_metrics(h, c3).size >= Fraction(8, 27) * z2
+
+
+def rainbow27(e, moved: dict, side) -> int:
+    """27 * Pr(e ends rainbow) by literal enumeration: each vertex not in
+    ``moved`` stays in its 2-cut part w.p. 2/3 or moves to part 3 w.p. 1/3."""
+    free = [v for v in e if v not in moved]
+    base = 3 ** (3 - len(free))
+    total = 0
+    for bits in range(1 << len(free)):
+        weight = base
+        parts = 0
+        for i, v in enumerate(free):
+            if bits >> i & 1:
+                parts |= 4
+            else:
+                weight *= 2
+                parts |= 1 << (side[v] - 1)
+        for v in e:
+            if v in moved:
+                parts |= 4 if moved[v] else 1 << (side[v] - 1)
+        if parts == 7:
+            total += weight
+    return total
+
+
+def lift_by_enumeration(h, c2) -> tuple[int, ...]:
+    """The lift's vertex-by-vertex pass, re-enumerating every incident edge."""
+    side = c2.assignment
+    inc = h.incidence()
+    prob = [rainbow27(e, {}, side) for e in h.edges]
+    moved: dict[int, bool] = {}
+    for v in range(h.n_vertices):
+        deltas = []
+        for mv in (False, True):
+            d = 0
+            for ei in inc[v]:
+                trial = {u: moved[u] for u in h.edges[ei] if u in moved}
+                trial[v] = mv
+                d += rainbow27(h.edges[ei], trial, side) - prob[ei]
+            deltas.append(d)
+        moved[v] = deltas[1] > deltas[0]  # tie keeps the vertex in its 2-cut part
+        for ei in inc[v]:
+            trial = {u: moved[u] for u in h.edges[ei] if u in moved}
+            prob[ei] = rainbow27(h.edges[ei], trial, side)
+    return tuple(3 if moved[v] else side[v] for v in range(h.n_vertices))
+
+
+def test_rainbow_table_matches_enumeration():
+    table = _rainbow_table()
+    checked = 0
+    for a in range(4):
+        for b in range(4 - a):
+            decided = 3 - a - b
+            for hit in product((1, 2, 3), repeat=decided):
+                # vertices a+b.. are decided; a decided part-3 vertex has moved
+                moved = {a + b + i: p == 3 for i, p in enumerate(hit)}
+                side = (1,) * a + (2,) * b + tuple(p if p < 3 else 1 for p in hit)
+                mask = sum({1: 1, 2: 2, 3: 4}[p] for p in set(hit))
+                assert table[mask << 4 | a << 2 | b] == rainbow27((0, 1, 2), moved, side)
+                checked += 1
+    assert checked == 58  # every state the lift can reach, 3^(3-a-b) per (a, b)
+
+
+def test_lift_matches_enumeration_random():
+    rng = random.Random(27)
+    for _ in range(60):
+        n = rng.randint(3, 14)  # vertices outside every edge stay isolated
+        edges = [rng.sample(range(n), 3) for _ in range(rng.randint(0, 16))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 4))] if edges else []
+        h = build(n, edges, max_arity=3)
+        c2 = Cut(2, tuple(rng.choice((1, 2)) for _ in range(n)))
+        assert lift_2cut_to_3cut(h, c2).assignment == lift_by_enumeration(h, c2)
 
 
 # --------------------------------------------------------------- dense subset
