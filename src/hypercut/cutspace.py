@@ -7,13 +7,17 @@ big-integer numerator; floats appear only at the reporting boundary.
 ``multicolour_table`` carries the uniform-completion probabilities as
 integers scaled by r^(k-1), the one form the derandomization engines use.
 ``cut_metrics`` counts multicoloured edges with numpy over the instance's
-padded edge array, an exact integer count.
+padded edge array, an exact integer count.  The partial-cut oracles
+``partial_average_size`` and ``partial_average_excesses`` count each
+edge's (missing-part, free-vertex) key with numpy over the same array;
+their sums stay exact, integer numerators built from
+``_inclusion_exclusion`` over one power of the base.  They never read
+``multicolour_table``, so they stay independent of the engines they audit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,22 +140,6 @@ def multicolour_probability(
     return _inclusion_exclusion(len(missing), free_count, base)
 
 
-def _edge_probability_key(edge, assigned: dict, r: int, base: int):
-    """(missing-part count, free count) term key, or None for probability 0."""
-    hit = set()
-    free = 0
-    for v in edge:
-        p = assigned.get(v)
-        if p is None:
-            free += 1
-        else:
-            hit.add(p)
-    missing = r - len(hit)
-    if base < r and any(p > base for p in range(1, r + 1) if p not in hit):
-        return None
-    return missing, free
-
-
 def _as_hypergraph(h) -> Hypergraph:
     if isinstance(h, Multigraph):
         return multigraph_as_hypergraph(h)
@@ -201,24 +189,77 @@ def best_cut(h, cuts) -> Cut | None:
     return best
 
 
+@lru_cache(maxsize=None)
+def _covering_count(missing: int, free_count: int, base: int) -> int:
+    """Maps of ``free_count`` vertices into {1..base} hitting all ``missing`` parts."""
+    value = base**free_count * _inclusion_exclusion(missing, free_count, base)
+    assert value.denominator == 1
+    return value.numerator
+
+
+def _scaled_key_sums(counts: np.ndarray, base: int) -> list[int]:
+    """Per row i, sum of counts[i, missing, free] * Pr(missing, free) * base^width.
+
+    ``counts`` has shape (rows, missing, width + 1); the width is the
+    largest free count, so every term is an integer.
+    """
+    width = counts.shape[2] - 1
+    totals = [0] * counts.shape[0]
+    for i, missing, free in zip(*(idx.tolist() for idx in np.nonzero(counts))):
+        totals[i] += (
+            int(counts[i, missing, free])
+            * _covering_count(missing, free, base)
+            * base ** (width - free)
+        )
+    return totals
+
+
+def _vertex_codes(h: Hypergraph, assignments, r: int, fill: int, sentinel: int) -> np.ndarray:
+    """Per-vertex array: i*(r+1) + part on assignment i's vertices, ``fill``
+    elsewhere, ``sentinel`` on the padding vertex n."""
+    n = h.n_vertices
+    values = np.full(n + 1, fill, dtype=np.intp)
+    values[n] = sentinel
+    for i, assigned in enumerate(assignments):
+        for v, p in assigned.items():
+            if p < 1 or p > r:
+                raise InvalidCut("part labels must lie in {1..r}")
+            if not 0 <= v < n:
+                raise InvalidParams(f"vertex {v} outside the instance (n={n})")
+            if values[v] != fill:
+                raise InvalidParams("partial cuts must have disjoint domains")
+            values[v] = i * (r + 1) + p
+    return values
+
+
 def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fraction:
     """Expected cut size after completing ``pc`` uniformly at random.
 
     ``free_parts`` restricts the uniform completion to parts
     {1..free_parts} (used by partial-exposure reductions); by default the
-    completion is uniform over all r parts.
+    completion is uniform over all r parts.  Each edge's term is keyed by
+    its (missing-part, free-vertex) counts, read off its sorted row of
+    labels (0 free, r+1 the padding sentinel); an edge that leaves a part
+    above ``free_parts`` unhit has probability 0.
     """
     hh = _as_hypergraph(h)
-    base = pc.r if free_parts is None else free_parts
-    terms: Counter = Counter()
-    for e in hh.edges:
-        key = _edge_probability_key(e, pc.assigned, pc.r, base)
-        if key is not None:
-            terms[key] += 1
-    return sum(
-        (cnt * _inclusion_exclusion(missing, free, base) for (missing, free), cnt in terms.items()),
-        Fraction(0),
-    )
+    r = pc.r
+    base = r if free_parts is None else free_parts
+    arr = hh.edge_array
+    width = arr.shape[1]
+    labels = _vertex_codes(hh, [pc.assigned], r, 0, r + 1)
+    rows = np.sort(labels[arr], axis=1)
+    # a part label opens a new value where it differs from its left neighbour
+    new = (rows != 0) & (rows <= r)
+    new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    missing = r - new.sum(axis=1)
+    free = (rows == 0).sum(axis=1)
+    if base < r:
+        keep = (new & (rows > base)).sum(axis=1) == r - base
+        missing, free = missing[keep], free[keep]
+    counts = np.bincount(missing * (width + 1) + free, minlength=(r + 1) * (width + 1))
+    (total,) = _scaled_key_sums(counts.reshape(1, r + 1, width + 1), base)
+    return Fraction(total, base**width)
 
 
 def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
@@ -227,35 +268,44 @@ def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
     ``assignments`` is a sequence of mappings vertex -> part in {1..r}.
     Entry i is the expected size after completing assignment i alone
     uniformly at random, minus the uniform-cut expectation.  Only edges
-    meeting an assignment's domain can shift its average, so one pass over
-    the edges, visiting each edge once per assignment it meets, gives
-    every value.
+    meeting an assignment's domain can shift its average.  A vertex of
+    assignment i carries the code i*(r+1) + part; sorting an edge's codes
+    groups its vertices by assignment, so every (edge, assignment) pair
+    gets its own (missing-part, free-vertex) key in one pass.
     """
     hh = _as_hypergraph(h)
-    owner: dict[int, int] = {}
-    for i, assigned in enumerate(assignments):
-        for v, p in assigned.items():
-            if p < 1 or p > r:
-                raise InvalidCut("part labels must lie in {1..r}")
-            if v in owner:
-                raise InvalidParams("partial cuts must have disjoint domains")
-            owner[v] = i
-    cond: list[Counter] = [Counter() for _ in assignments]
-    uncond: list[Counter] = [Counter() for _ in assignments]
-    for e in hh.edges:
-        for i in {owner[v] for v in e if v in owner}:
-            key = _edge_probability_key(e, assignments[i], r, r)
-            if key is not None:
-                cond[i][key] += 1
-            uncond[i][len(e)] += 1
-    return tuple(
-        sum(
-            (cnt * _inclusion_exclusion(missing, free, r) for (missing, free), cnt in c.items()),
-            Fraction(0),
-        )
-        - sum((cnt * _inclusion_exclusion(r, s, r) for s, cnt in u.items()), Fraction(0))
-        for c, u in zip(cond, uncond)
-    )
+    n_parts = len(assignments)
+    unowned = n_parts * (r + 1)
+    codes = _vertex_codes(hh, assignments, r, unowned, unowned + 1)
+    arr = hh.edge_array
+    width = arr.shape[1]
+    sizes = (arr != hh.n_vertices).sum(axis=1)
+    rows = np.sort(codes[arr], axis=1)
+    owned = rows < unowned
+    owner = rows // (r + 1)
+    new = owned.copy()  # a new (assignment, part) code
+    new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    start = owned.copy()  # the first vertex of an assignment's group
+    start[:, 1:] &= owner[:, 1:] != owner[:, :-1]
+    # one group per (edge, assignment) pair, numbered in row-major order
+    group = np.cumsum(start[owned]) - 1
+    n_groups = int(group[-1]) + 1 if group.size else 0
+    members = np.bincount(group, minlength=n_groups)
+    hits = np.bincount(group, weights=new[owned], minlength=n_groups).astype(np.intp)
+    edge_of = np.nonzero(start)[0]
+    part_of = owner[start]
+    cell = (r + 1) * (width + 1)
+    counts = np.bincount(
+        part_of * cell + (r - hits) * (width + 1) + sizes[edge_of] - members,
+        minlength=n_parts * cell,
+    ).reshape(n_parts, r + 1, width + 1)
+    # A met edge has a hit part, so row ``missing = r`` is free for the
+    # uniform term: the size-s edges met by the assignment, subtracted.
+    counts[:, r] = -np.bincount(
+        part_of * (width + 1) + sizes[edge_of], minlength=n_parts * (width + 1)
+    ).reshape(n_parts, width + 1)
+    scale = r**width
+    return tuple(Fraction(t, scale) for t in _scaled_key_sums(counts, r))
 
 
 def partial_average_excess(h, pc: PartialCut) -> Fraction:

@@ -16,9 +16,10 @@ the integer running expectation, and raises ``GuaranteeViolation`` /
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import Hypergraph, Multigraph, WeightedGraph, multigraph_as_hypergraph
 from .cutspace import (
@@ -360,28 +361,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
         if any(c not in (1, 2) for c in pc.values()):
             raise InvalidCut("partial cuts are 2-cuts")
 
-    part_index = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            part_index[v] = i
-    offenders = [
-        i
-        for i, e in enumerate(hh.edges)
-        if sum(
-            c - 1
-            for c in Counter(part_index[v] for v in e if v in part_index).values()
-            if c >= 2
-        )
-        > 1
-    ]
-    if offenders:
-        raise PlanInvalid(
-            f"{len(offenders)} edges collapse into a single part twice", offenders
-        )
-
-    x_values = partial_average_excesses(hh, 2, partial_cuts)
-
-    # Singleton parts for every remaining vertex, pinned to colour 1.
+    # Singleton blocks for every remaining vertex, pinned to colour 1.
     blocks: list[tuple[frozenset, dict]] = [
         (p, dict(pc)) for p, pc in zip(parts, partial_cuts)
     ]
@@ -389,10 +369,26 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
         if v not in seen:
             blocks.append((frozenset([v]), {v: 1}))
 
-    block_of = {}
-    for b, (vs, _) in enumerate(blocks):
+    # Per vertex, code 3*block + colour; the padding sentinel n sorts last.
+    sentinel = 3 * len(blocks)
+    codes = np.full(n + 1, sentinel, dtype=np.intp)
+    for b, (vs, colours) in enumerate(blocks):
         for v in vs:
-            block_of[v] = b
+            codes[v] = 3 * b + colours[v]
+    arr = hh.edge_array
+    rows = np.sort(codes[arr], axis=1)
+    real = rows != sentinel
+    block = rows // 3
+    same_block = np.zeros_like(real)  # same block as the left neighbour
+    same_block[:, 1:] = real[:, 1:] & (block[:, 1:] == block[:, :-1])
+    # an edge meeting a part c >= 2 times adds c - 1 repeats to its count
+    offenders = np.flatnonzero(same_block.sum(axis=1) > 1).tolist()
+    if offenders:
+        raise PlanInvalid(
+            f"{len(offenders)} edges collapse into a single part twice", offenders
+        )
+
+    x_values = partial_average_excesses(hh, 2, partial_cuts)
 
     k_eff = max((len(e) for e in hh.edges), default=2)
     table = multicolour_table(2, k_eff)
@@ -400,28 +396,21 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
 
     # Per edge: fixed colour mask from bicolour blocks, plus per-block
     # single-colour contributions that a swap may flip; each pending block
-    # is a uniform unit while its swap is undecided.
-    edge_mask = []
-    edge_pending: list[dict] = []  # block -> colour (1/2) still undecided
-    touching: list[list[int]] = [[] for _ in range(len(blocks))]
-    for i, e in enumerate(hh.edges):
-        per_block: dict[int, set] = {}
-        for v in e:
-            per_block.setdefault(block_of[v], set()).add(blocks[block_of[v]][1][v])
-        mask = 0
-        pending = {}
-        for b, colours in per_block.items():
-            if len(colours) == 2:
-                mask |= 3
-            else:
-                pending[b] = next(iter(colours))
-                touching[b].append(i)
-        edge_mask.append(mask)
-        edge_pending.append(pending)
+    # is a uniform unit while its swap is undecided.  A block meets an edge
+    # in at most 2 vertices, so it is bicolour iff its two codes differ.
+    bicolour = same_block.copy()
+    bicolour[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    edge_mask = np.where(bicolour.any(axis=1), 3, 0).tolist()
+    single = real & ~same_block  # the first vertex of each (edge, block) group
+    single[:, :-1] &= ~bicolour[:, 1:]
+    n_pending = [0] * len(arr)
+    touching: list[list] = [[] for _ in blocks]  # block -> (edge, colour), edges ascending
+    for i, code in zip(np.nonzero(single)[0].tolist(), rows[single].tolist()):
+        n_pending[i] += 1
+        touching[code // 3].append((i, code % 3))
 
     prob = [
-        table[2 - mask.bit_count()][len(pending)]
-        for mask, pending in zip(edge_mask, edge_pending)
+        table[2 - mask.bit_count()][u] for mask, u in zip(edge_mask, n_pending)
     ]
     expected_sigma = sum(prob)
 
@@ -433,20 +422,19 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     swaps = []
     for b in range(len(blocks)):
         deltas = [0, 0]
-        for i in touching[b]:
-            colour = edge_pending[i][b]
-            u = len(edge_pending[i]) - 1
+        for i, colour in touching[b]:
+            u = n_pending[i] - 1
             for s, c in ((0, colour), (1, 3 - colour)):
                 mask = edge_mask[i] | 1 << (c - 1)
                 deltas[s] += table[2 - mask.bit_count()][u] - prob[i]
         s_star = 0 if deltas[0] >= deltas[1] else 1
         swaps.append(s_star)
-        for i in touching[b]:
-            colour = edge_pending[i].pop(b)
+        for i, colour in touching[b]:
             if s_star == 1:
                 colour = 3 - colour
+            n_pending[i] -= 1
             edge_mask[i] |= 1 << (colour - 1)
-            prob[i] = table[2 - edge_mask[i].bit_count()][len(edge_pending[i])]
+            prob[i] = table[2 - edge_mask[i].bit_count()][n_pending[i]]
         running += deltas[s_star]
 
     assignment = [1] * n
@@ -458,7 +446,8 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
             assignment[v] = colour
     cut = Cut(2, tuple(assignment))
 
-    realized = sum(1 for e in hh.edges if len({assignment[v] for v in e}) == 2)
+    sides = np.array((*assignment, 0))[arr]
+    realized = int(np.count_nonzero((sides == 1).any(axis=1) & (sides == 2).any(axis=1)))
     if realized * scale != running:
         raise CertificateError("combined realized size differs from final expectation")
     realized_excess = realized - base

@@ -433,6 +433,8 @@ def driver_3cut(
     h: Hypergraph, u_set, params: PipelineParams
 ) -> tuple[Cut, GuaranteeLedger]:
     """3-cut via part-3 exposure, per-part greedy cuts, and swap combination."""
+    if params.trials < 1:
+        raise InvalidParams("trials must be >= 1")
     if any(len(e) > 3 for e in h.edges):
         raise DriverInapplicable("driver_3cut needs edge sizes at most 3")
     u_set = set(u_set)
@@ -487,6 +489,8 @@ def driver_2cut(
     h: Hypergraph, params: PipelineParams, u_set=None
 ) -> tuple[Cut, GuaranteeLedger]:
     """2-cut via the doubled-exposure construction and weighted greedy parts."""
+    if params.trials < 1:
+        raise InvalidParams("trials must be >= 1")
     n = h.n_vertices
     k = max(h.max_arity, 2)
     if u_set is not None and set(u_set) != set(range(n)):

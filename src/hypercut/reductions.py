@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
+import numpy as np
+
 from .core import Hypergraph, Multigraph, WeightedGraph, clique_expand
 from .cutspace import (
     Cut,
@@ -101,6 +103,18 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     return Reduction("rgraph-expand", forward, back_map)
 
 
+def _unexposed_tuples(h: Hypergraph, labels, kept, counts) -> list[tuple[int, ...]]:
+    """The vertices rho leaves free (label 0) of each kept edge, as tuples.
+
+    A stable sort moves them ahead of the rest, so each row starts with
+    its ``counts[j]`` free vertices in increasing order.
+    """
+    sub = h.edge_array[kept]
+    order = np.argsort(labels[sub] != 0, axis=1, kind="stable")
+    rows = np.take_along_axis(sub, order, axis=1).tolist()
+    return [tuple(row[:c]) for row, c in zip(rows, counts.tolist())]
+
+
 def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
     """Partial exposure of the top parts; the rest becomes a smaller cut problem.
 
@@ -119,16 +133,14 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
     if any(p not in exposed for p in rho.values()):
         raise InvalidExposure(f"rho must assign parts {sorted(exposed)} only")
 
-    fwd_edges = []
-    for e in h.edges:
-        image = {rho[v] for v in e if v in rho}
-        if not image >= exposed:
-            continue
-        star = tuple(v for v in e if v not in rho)
-        if keep == 2 and len(star) >= 2:
-            fwd_edges.append(star)
-        elif keep == 3 and len(star) == 3:
-            fwd_edges.append(star)
+    labels = np.zeros(h.n_vertices + 1, dtype=np.intp)  # 0 = starred
+    labels[h.n_vertices] = r + 1  # padding sentinel
+    labels[list(rho)] = list(rho.values())
+    image = labels[h.edge_array]
+    covered = np.logical_and.reduce([(image == p).any(axis=1) for p in range(keep + 1, r + 1)])
+    n_star = (image == 0).sum(axis=1)
+    kept = np.flatnonzero(covered & ((n_star >= 2) if keep == 2 else (n_star == 3)))
+    fwd_edges = _unexposed_tuples(h, labels, kept, n_star[kept])
     arity = (h.max_arity - r + 2) if keep == 2 else 3
     forward = Hypergraph(h.n_vertices, arity, tuple(fwd_edges))
 
@@ -183,21 +195,24 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     if any(p not in (1, 2) for p in rho.values()):
         raise InvalidExposure("rho assigns parts {1,2}")
 
-    fwd_edges: list[tuple[int, ...]] = []
-    n_multi = 0
-    n_undet = 0
-    for e in h.edges:
-        inside = tuple(v for v in e if v in w)
-        if len(inside) == len(e):
-            fwd_edges.append(inside)
-            fwd_edges.append(inside)
-            continue
-        image = {rho[v] for v in e if v not in w}
-        if len(image) == 2:
-            n_multi += 1
-        elif inside:
-            fwd_edges.append(inside)
-            n_undet += 1
+    labels = np.zeros(h.n_vertices + 1, dtype=np.intp)  # 0 = inside W
+    labels[h.n_vertices] = 3  # padding sentinel
+    labels[list(rho)] = list(rho.values())
+    sides = labels[h.edge_array]
+    has1, has2 = (sides == 1).any(axis=1), (sides == 2).any(axis=1)
+    n_inside = (sides == 0).sum(axis=1)
+    multi = has1 & has2
+    doubled = ~(has1 | has2)
+    stub = ~multi & ~doubled & (n_inside > 0)
+    n_multi = int(np.count_nonzero(multi))
+    n_undet = int(np.count_nonzero(stub))
+    kept = np.flatnonzero(doubled | stub)
+    inside = _unexposed_tuples(h, labels, kept, n_inside[kept])
+    fwd_edges = []
+    for e, twice in zip(inside, doubled[kept].tolist()):
+        fwd_edges.append(e)
+        if twice:
+            fwd_edges.append(e)
     forward = Hypergraph(h.n_vertices, h.max_arity, tuple(fwd_edges))
     cond = partial_average_size(h, PartialCut(2, dict(rho)))
     base = uniform_expected_size(h, 2)

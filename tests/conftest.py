@@ -1,12 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here enumerate assignments directly and never call the
-package's own enumeration or probability code, so they can check it.
+The oracles here enumerate assignments directly or loop over the edges
+one at a time, and never call the package's own enumeration or
+probability code, so they can check it.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -86,3 +87,41 @@ def stirling_expected_size(h, r: int) -> Fraction:
             row = [0] + [j * row[j] + row[j - 1] for j in range(1, r + 1)]
         total += Fraction(row[r] * factorial(r), r**s)
     return total
+
+
+def plain_multicolour_probability(missing: int, free: int, base: int) -> Fraction:
+    """Pr(``free`` vertices uniform over {1..base} hit ``missing`` given parts),
+    by inclusion-exclusion over the parts left unhit."""
+    return sum(
+        (
+            Fraction((-1) ** j * comb(missing, j) * (base - j) ** free, base**free)
+            for j in range(missing + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def plain_average_size(h, assigned: dict, r: int, free_parts=None) -> Fraction:
+    """Expected cut size after completing ``assigned``, one edge at a time.
+
+    Free vertices are uniform over {1..free_parts} (default: all r parts).
+    Each edge is keyed by the parts its assigned vertices hit and its
+    free-vertex count; an edge leaving a part above ``free_parts`` unhit
+    can never be multicoloured.
+    """
+    base = r if free_parts is None else free_parts
+    total = Fraction(0)
+    for e in plain_edges(h):
+        hit = {assigned[v] for v in e if v in assigned}
+        free = sum(1 for v in e if v not in assigned)
+        missing = [p for p in range(1, r + 1) if p not in hit]
+        if any(p > base for p in missing):
+            continue
+        total += plain_multicolour_probability(len(missing), free, base)
+    return total
+
+
+def plain_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
+    """Each assignment's completed average size minus the uniform one."""
+    uniform = plain_average_size(h, {}, r)
+    return tuple(plain_average_size(h, a, r) - uniform for a in assignments)

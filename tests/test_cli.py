@@ -345,3 +345,19 @@ def test_pipeline_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", "3")
     assert code == 2
     assert "CertificateError" in err
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (GenSpec(family="sts", n=99), 3),  # driver_3cut
+        (GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),  # driver_2cut
+    ],
+)
+def test_pipeline_rejects_zero_trials(tmp_path, capsys, spec, r):
+    # no trial means no candidate cut: an input error, not a crash or a fallback
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize(generate(spec)))
+    code, out, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", str(r), "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: InvalidParams: trials must be >= 1"]

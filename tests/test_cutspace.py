@@ -18,6 +18,7 @@ from hypercut.cutspace import (
     multicolour_table,
     partial_average_excess,
     partial_average_excesses,
+    partial_average_size,
     stirling2,
     theorem_bound,
     theorem_bound_claim,
@@ -27,6 +28,8 @@ from hypercut.errors import InvalidCut, InvalidParams
 from conftest import (
     brute_expected_size,
     brute_force_maxcut,
+    plain_average_excesses,
+    plain_average_size,
     plain_cut_size,
     stirling_expected_size,
 )
@@ -300,6 +303,40 @@ def test_partial_average_excesses_rejects_overlap():
     h = build(3, [[0, 1, 2]])
     with pytest.raises(InvalidParams):
         partial_average_excesses(h, 2, [{0: 1}, {0: 2}])
+    with pytest.raises(InvalidParams):  # a vertex outside the instance
+        partial_average_excesses(h, 2, [{0: 1}, {3: 2}])
+
+
+@st.composite
+def averaged_families(draw):
+    """A mixed instance (or a multigraph), r, free_parts, and 0-4 disjoint partial r-cuts."""
+    n = draw(st.integers(0, 9))  # vertices beyond the drawn edges stay isolated
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 7), unique=True)
+    edges = draw(st.lists(ids, max_size=12)) if n else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))  # repeated edges
+    if n >= 2 and draw(st.booleans()):
+        h = multigraph_from_pairs(n, [e[:2] for e in edges if len(e) >= 2])
+    else:
+        h = build(n, edges)
+    r = draw(st.integers(2, 6))  # edges smaller than r never become multicoloured
+    free_parts = draw(st.one_of(st.none(), st.integers(1, r)))
+    t = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(0, t), min_size=n, max_size=n))  # t = unassigned
+    labels = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    family = [{v: labels[v] for v in range(n) if owner[v] == i} for i in range(t)]
+    return h, r, free_parts, family
+
+
+@settings(max_examples=300, deadline=None)
+@given(averaged_families())
+def test_partial_averages_match_plain_loop_property(data):
+    h, r, free_parts, family = data
+    merged = {v: p for assigned in family for v, p in assigned.items()}
+    for assigned in (merged, *family):
+        got = partial_average_size(h, PartialCut(r, assigned), free_parts)
+        assert got == plain_average_size(h, assigned, r, free_parts)
+    assert partial_average_excesses(h, r, family) == plain_average_excesses(h, r, family)
 
 
 @st.composite

@@ -295,6 +295,56 @@ def test_combine_random_plans():
             assert x == brute_expected_size(h2, pc, 2) - base
 
 
+def old_offenders(h, parts):
+    """The Counter scan combine_partial_cuts used to find collapsed edges with."""
+    part_index = {v: i for i, p in enumerate(parts) for v in p}
+    return [
+        i
+        for i, e in enumerate(h.edges)
+        if sum(
+            c - 1
+            for c in Counter(part_index[v] for v in e if v in part_index).values()
+            if c >= 2
+        )
+        > 1
+    ]
+
+
+def test_combine_offenders_match_old_scan():
+    rng = random.Random(19)
+    raised = 0
+    for _ in range(200):
+        n = rng.randint(6, 14)
+        vertices = list(range(n))
+        rng.shuffle(vertices)
+        t = rng.randint(1, 4)
+        parts = [set() for _ in range(t)]
+        for v in vertices[: rng.randint(t, n)]:
+            parts[rng.randrange(t)].add(v)
+        parts = [p for p in parts if p]
+        edges = [rng.sample(range(n), rng.randint(1, 6)) for _ in range(rng.randint(1, 12))]
+        big = [sorted(p) for p in parts if len(p) >= 3]
+        pairs = [sorted(p) for p in parts if len(p) >= 2]
+        for _ in range(rng.randint(0, 2)):
+            if big:  # meets one part three times
+                edges.append(rng.sample(rng.choice(big), 3))
+            if len(pairs) >= 2:  # meets two parts twice each
+                a, b = rng.sample(pairs, 2)
+                edges.append(rng.sample(a, 2) + rng.sample(b, 2))
+        rng.shuffle(edges)
+        h = build(n, edges)
+        partials = [{v: rng.choice((1, 2)) for v in p} for p in parts]
+        want = old_offenders(h, parts)
+        if want:
+            with pytest.raises(PlanInvalid) as err:
+                combine_partial_cuts(h, parts, partials)
+            assert err.value.offending_edges == want
+            raised += 1
+        else:
+            combine_partial_cuts(h, parts, partials)
+    assert 50 <= raised <= 150
+
+
 # ---------------------------------------------------------------- baselines
 
 

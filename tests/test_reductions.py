@@ -161,6 +161,42 @@ def test_hpart_expose_same_size_random():
         red.back_map(cut)  # certificate asserts the same-size relation
 
 
+def old_hpart_expose_edges(h, r, rho, keep):
+    """The per-edge loop hpart_expose used to filter with."""
+    exposed = set(range(keep + 1, r + 1))
+    fwd_edges = []
+    for e in h.edges:
+        image = {rho[v] for v in e if v in rho}
+        if not image >= exposed:
+            continue
+        star = tuple(v for v in e if v not in rho)
+        if keep == 2 and len(star) >= 2:
+            fwd_edges.append(star)
+        elif keep == 3 and len(star) == 3:
+            fwd_edges.append(star)
+    return tuple(fwd_edges)
+
+
+@pytest.mark.parametrize("keep", [2, 3])
+def test_hpart_expose_matches_old_loop(keep):
+    rng = random.Random(30 + keep)
+    checked = 0
+    while checked < 150:
+        h = random_mixed(rng, n_hi=10, m_hi=16, k_hi=6)
+        h = build(h.n_vertices, [*h.edges, *h.edges[: rng.randint(0, 3)]])  # repeats
+        if h.max_arity < keep + 1:
+            continue
+        r = rng.randint(keep + 1, h.max_arity)
+        rho = {
+            v: rng.randint(keep + 1, r)
+            for v in range(h.n_vertices)
+            if rng.random() < (r - keep) / r
+        }
+        red = hpart_expose(h, r, rho, keep=keep)
+        assert red.forward.edges == old_hpart_expose_edges(h, r, rho, keep)
+        checked += 1
+
+
 def test_exposure_average_excess_unbiased():
     # averaged over exposures, conditional expectation reproduces E Z (3 sigma)
     rng = random.Random(10)
@@ -190,6 +226,37 @@ def test_hpart_double_shapes():
     assert sorted(red.forward.edges) == [(0, 1), (0, 1, 2), (0, 1, 2)]
     assert red.n_multi == 2
     assert red.n_undetermined == 1
+
+
+def old_hpart_double_edges(h, w, rho):
+    """The per-edge loop hpart_double used to build with: (edges, n_multi, n_undetermined)."""
+    fwd_edges = []
+    n_multi = n_undet = 0
+    for e in h.edges:
+        inside = tuple(v for v in e if v in w)
+        if len(inside) == len(e):
+            fwd_edges.append(inside)
+            fwd_edges.append(inside)
+            continue
+        image = {rho[v] for v in e if v not in w}
+        if len(image) == 2:
+            n_multi += 1
+        elif inside:
+            fwd_edges.append(inside)
+            n_undet += 1
+    return tuple(fwd_edges), n_multi, n_undet
+
+
+def test_hpart_double_matches_old_loop():
+    rng = random.Random(33)
+    for _ in range(150):
+        h = random_mixed(rng, n_hi=10, m_hi=16, k_hi=6)
+        h = build(h.n_vertices, [*h.edges, *h.edges[: rng.randint(0, 3)]])  # repeats
+        w = {v for v in range(h.n_vertices) if rng.random() < rng.random()}
+        rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
+        red = hpart_double(h, w, rho)
+        got = (red.forward.edges, red.n_multi, red.n_undetermined)
+        assert got == old_hpart_double_edges(h, w, rho)
 
 
 def test_hpart_double_rejects_partial_rho():
