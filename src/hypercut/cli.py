@@ -26,6 +26,7 @@ from .errors import (
     GuaranteeViolation,
     HypercutError,
     InvalidParams,
+    InvalidVertex,
     SearchFailed,
 )
 from .instances import (
@@ -137,7 +138,7 @@ def run_report(h: Hypergraph, algo: str, r: int, trials: int, seed: int) -> RunR
         r=r,
         algorithm=algo,
         seed=seed,
-        size=int(metrics.size),
+        size=metrics.size,
         expected=metrics.expected,
         excess=metrics.excess,
         ledger=ledger,
@@ -148,16 +149,16 @@ def run_report(h: Hypergraph, algo: str, r: int, trials: int, seed: int) -> RunR
 # ----------------------------------------------------------------- commands
 
 
+def _edge_probability(p, n: int, k: int):
+    """``p``, or by default n^(3-k): about n^3/k! expected edges."""
+    if p is not None:
+        return p
+    return n ** (3 - k) if n else 0.0
+
+
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=args.family,
-        n=args.n,
-        k=args.k,
-        p=args.p if args.p is not None else (args.n ** (3 - args.k) if args.n else 0.0),
-        m_target=args.m_target,
-        seed=args.seed,
-    )
-    h = generate(spec)
+    p = _edge_probability(args.p, args.n, args.k)
+    h = generate(GenSpec(args.family, args.n, args.k, p, args.m_target, args.seed))
     text = hgio.serialize(h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -245,6 +246,15 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InvalidParams(f"{what} must be integers, got {text!r}") from None
 
 
+def _parse_vertices(text: str, what: str, h: Hypergraph) -> list[int]:
+    """``_parse_ints``, with ``InvalidVertex`` for an id outside [0, n)."""
+    ids = _parse_ints(text, what)
+    bad = [v for v in ids if not 0 <= v < h.n_vertices]
+    if bad:
+        raise InvalidVertex(f"{what} vertex id {bad[0]} out of range (n={h.n_vertices})")
+    return ids
+
+
 def _cmd_check(args) -> int:
     h = hgio.load(args.instance)
     if args.kind == "monotonicity":
@@ -260,8 +270,8 @@ def _cmd_check(args) -> int:
         print(f"conditional={res.conditional} base={res.base} verdict={res.verdict}")
         return 0 if res.verdict != "FAIL" else 1
     if args.kind == "moments":
-        w = _parse_ints(args.w, "--w")
-        pair = _parse_ints(args.pair, "--pair")
+        w = _parse_vertices(args.w, "--w", h)
+        pair = _parse_vertices(args.pair, "--pair", h)
         if len(pair) != 2:
             raise InvalidParams(f"--pair needs two vertex ids, got {args.pair!r}")
         res = moment_audit(h, w, tuple(pair), args.samples, args.seed)
@@ -271,8 +281,10 @@ def _cmd_check(args) -> int:
         )
         return 0 if res.verdict != "FAIL" else 1
     if args.kind == "goodness":
-        parts = [set(_parse_ints(p, "--parts")) for p in args.parts.split(";") if p.strip()]
-        covered = set().union(*parts) if parts else set()
+        parts = [set(_parse_vertices(p, "--parts", h)) for p in args.parts.split(";") if p.strip()]
+        covered = set().union(*parts)
+        if len(covered) != sum(map(len, parts)):
+            raise InvalidParams("--parts must be disjoint")
         rep = goodness_audit(h, h, parts, covered)
         print(
             f"within_pair_edges={rep.within_pair_edges} "
@@ -288,19 +300,9 @@ def _cmd_check(args) -> int:
 
 
 def _sweep_instance(family: str, n: int, k: int, p, m_target, seed: int) -> Hypergraph:
-    if family == "sts":
-        return generate(GenSpec(family="sts", n=n))
-    if family == "matching":
-        return generate(GenSpec(family="matching", n=n, k=k))
-    if family == "complete":
-        return generate(GenSpec(family="complete", n=n, k=k))
-    if family == "random":
-        prob = p if p is not None else n ** (3 - k)
-        return generate(GenSpec(family="random", n=n, k=k, p=prob, seed=seed))
-    if family == "linear-random":
-        target = m_target if m_target else 2 * n
-        return generate(GenSpec(family="linear-random", n=n, k=k, m_target=target, seed=seed))
-    raise HypercutError(f"unknown family {family!r}")
+    """One sweep row's instance: ``gen``'s default p, and 2n target edges by default."""
+    p = _edge_probability(p, n, k)
+    return generate(GenSpec(family, n, k, p, m_target or 2 * n, seed))
 
 
 def experiment_sweep(config: dict) -> list[dict]:

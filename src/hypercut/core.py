@@ -1,11 +1,13 @@
-"""Immutable mixed multihypergraph data model.
+"""Immutable mixed multihypergraph and pair-graph data model.
 
 Vertices are dense 0-based integers.  Edges are stored as strictly
 increasing tuples; coincident edges are kept as distinct entries, so
-multiplicity is a first-class concept.  Instances never change their
-value after construction and every operation here is pure; a
-``Hypergraph`` builds its padded edge array and edge-size histogram on
-first use and keeps them, outside its equality and hash.
+multiplicity is a first-class concept.  A multigraph is a
+``WeightedGraph`` with integer weights, the pair multiplicities.
+Instances never change their value after construction and every
+operation here is pure; a ``Hypergraph`` builds its padded edge array
+and edge-size histogram on first use and keeps them, outside its
+equality and hash.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import InvalidEdge, InvalidParams, InvalidVertex
 
 Edge = tuple[int, ...]
+Weight = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -78,38 +81,26 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class Multigraph:
-    """Multiset of unordered vertex pairs with integer multiplicities."""
-
-    n_vertices: int
-    pairs: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity), u < v
-
-    @property
-    def m(self) -> int:
-        return sum(mult for _, _, mult in self.pairs)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbour, multiplicity)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for u, v, mult in self.pairs:
-            adj[u].append((v, mult))
-            adj[v].append((u, mult))
-        return adj
-
-
-@dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative rational edge weights over vertex pairs."""
+    """Symmetric nonnegative edge weights over vertex pairs.
+
+    Weights are exact: ints (a multigraph's multiplicities) or
+    ``Fraction``s.  Sums over them stay in the weights' own type.
+    """
 
     n_vertices: int
-    weights: tuple[tuple[int, int, Fraction], ...]  # (u, v, weight), u < v
+    weights: tuple[tuple[int, int, Weight], ...]  # (u, v, weight), u < v
 
     @property
-    def total_weight(self) -> Fraction:
-        return sum((w for _, _, w in self.weights), Fraction(0))
+    def total_weight(self) -> Weight:
+        return sum(w for _, _, w in self.weights)
 
-    def adjacency(self) -> list[list[tuple[int, Fraction]]]:
-        adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n_vertices)]
+    def crossing_weight(self, side) -> Weight:
+        """Weight of the pairs whose ends ``side`` (vertex -> part) separates."""
+        return sum(w for u, v, w in self.weights if side[u] != side[v])
+
+    def adjacency(self) -> list[list[tuple[int, Weight]]]:
+        adj: list[list[tuple[int, Weight]]] = [[] for _ in range(self.n_vertices)]
         for u, v, w in self.weights:
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -170,58 +161,25 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     return DegreeProfile(tuple(deg), dict(codeg), max(deg, default=0))
 
 
-def induce(h: Hypergraph, u_set, min_inside: int | None = None, mode: str = "restrict") -> Hypergraph:
-    """Sub-multihypergraph of edges meeting ``u_set`` in >= min_inside vertices.
+def induce(h: Hypergraph, u_set) -> Hypergraph:
+    """The induced sub-multihypergraph H[U]: the edges lying fully inside ``u_set``.
 
-    ``min_inside=None`` keeps only edges fully inside ``u_set`` (the induced
-    subgraph H[U]).  ``mode="restrict"`` replaces each kept edge by its
-    intersection with U (empty intersections are dropped); ``mode="keep"``
-    retains full edges.  Vertex ids are preserved; the result lives on the
-    same [0, n) id space.
+    Vertex ids are preserved; the result lives on the same [0, n) id space.
     """
-    if mode not in ("restrict", "keep"):
-        raise ValueError(f"unknown induce mode {mode!r}")
     u = frozenset(u_set)
-    kept: list[Edge] = []
-    for e in h.edges:
-        inside = tuple(v for v in e if v in u)
-        need = len(e) if min_inside is None else min_inside
-        if len(inside) < need:
-            continue
-        out = inside if mode == "restrict" else e
-        if out:
-            kept.append(out)
-    return Hypergraph(h.n_vertices, h.max_arity, tuple(kept))
+    kept = tuple(e for e in h.edges if all(v in u for v in e))
+    return Hypergraph(h.n_vertices, h.max_arity, kept)
 
 
-def clique_expand(h: Hypergraph) -> Multigraph:
-    """Replace each size-s edge by its s-clique of pairs; multiplicities add."""
+def clique_expand(h: Hypergraph) -> WeightedGraph:
+    """Replace each size-s edge by its s-clique of pairs; multiplicities add.
+
+    The result is a multigraph: integer weights, one per distinct pair.
+    """
     counts: Counter = Counter()
     for e in h.edges:
         for i in range(len(e)):
             for j in range(i + 1, len(e)):
                 counts[(e[i], e[j])] += 1
     pairs = tuple((u, v, mult) for (u, v), mult in sorted(counts.items()))
-    return Multigraph(h.n_vertices, pairs)
-
-
-def multigraph_from_pairs(n: int, pair_list) -> Multigraph:
-    """Multigraph from an iterable of (u, v) pairs; repeats add multiplicity."""
-    counts: Counter = Counter()
-    for u, v in pair_list:
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidVertex(f"pair ({u},{v}) out of range (n={n})")
-        if u > v:
-            u, v = v, u
-        counts[(u, v)] += 1
-    return Multigraph(n, tuple((u, v, c) for (u, v), c in sorted(counts.items())))
-
-
-def multigraph_as_hypergraph(g: Multigraph) -> Hypergraph:
-    """View a multigraph as a 2-uniform multihypergraph (pairs repeated)."""
-    edges: list[Edge] = []
-    for u, v, mult in g.pairs:
-        edges.extend([(u, v)] * mult)
-    return Hypergraph(g.n_vertices, 2, tuple(edges))
+    return WeightedGraph(h.n_vertices, pairs)

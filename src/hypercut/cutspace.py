@@ -6,7 +6,9 @@ probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
 ``multicolour_table`` carries the uniform-completion probabilities as
 integers scaled by r^(k-1), the one form the derandomization engines use.
-``cut_metrics`` counts multicoloured edges with numpy over the instance's
+Every function here takes a ``Hypergraph``; a multigraph is a 2-uniform
+one with repeated edges.  ``cut_metrics`` is the one hypergraph cut
+scorer: it counts multicoloured edges with numpy over the instance's
 padded edge array, an exact integer count.  The partial-cut oracles
 ``partial_average_size`` and ``partial_average_excesses`` count each
 edge's (missing-part, free-vertex) key with numpy over the same array;
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Hypergraph, Multigraph, multigraph_as_hypergraph
+from .core import Hypergraph
 from .errors import InvalidCut, InvalidParams
 
 
@@ -56,7 +58,7 @@ class PartialCut:
 
 @dataclass(frozen=True)
 class CutMetrics:
-    size: Fraction  # integral for unweighted instances
+    size: int
     expected: Fraction
     excess: Fraction
 
@@ -140,46 +142,40 @@ def multicolour_probability(
     return _inclusion_exclusion(len(missing), free_count, base)
 
 
-def _as_hypergraph(h) -> Hypergraph:
-    if isinstance(h, Multigraph):
-        return multigraph_as_hypergraph(h)
-    return h
-
-
-def uniform_expected_size(h, r: int) -> Fraction:
+def uniform_expected_size(h: Hypergraph, r: int) -> Fraction:
     """Exact expected size of a uniformly random r-cut."""
-    hist = _as_hypergraph(h).size_histogram
+    hist = h.size_histogram
     return sum(
         (cnt * _inclusion_exclusion(r, s, r) for s, cnt in enumerate(hist) if cnt),
         Fraction(0),
     )
 
 
-def cut_metrics(h, c: Cut) -> CutMetrics:
+def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     """Size, exact expected size, and excess of a cut of h.
 
-    Accepts a Hypergraph or a Multigraph.  Edges smaller than r
-    contribute probability 0 to the expectation, so mixed instances are
-    handled exactly.  The size counts the rows of the padded edge array
-    whose part labels, sorted, show r distinct nonzero values; the
-    sentinel vertex carries label 0.
+    The one hypergraph cut scorer: every engine and certificate takes a
+    realized size from here.  Edges smaller than r contribute probability
+    0 to the expectation, so mixed instances are handled exactly.  The
+    size counts the rows of the padded edge array whose part labels,
+    sorted, show r distinct nonzero values; the sentinel vertex carries
+    label 0.
     """
-    hh = _as_hypergraph(h)
-    if len(c.assignment) != hh.n_vertices:
+    if len(c.assignment) != h.n_vertices:
         raise InvalidCut(
-            f"assignment length {len(c.assignment)} != n_vertices {hh.n_vertices}"
+            f"assignment length {len(c.assignment)} != n_vertices {h.n_vertices}"
         )
     labels = np.array((*c.assignment, 0), dtype=np.min_scalar_type(c.r))
-    rows = np.sort(labels[hh.edge_array], axis=1)
+    rows = np.sort(labels[h.edge_array], axis=1)
     # a nonzero label opens a new value where it differs from its left neighbour
     new = rows != 0
     new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
     size = int(np.count_nonzero(new.sum(axis=1) == c.r))
-    expected = uniform_expected_size(hh, c.r)
-    return CutMetrics(Fraction(size), expected, size - expected)
+    expected = uniform_expected_size(h, c.r)
+    return CutMetrics(size, expected, size - expected)
 
 
-def best_cut(h, cuts) -> Cut | None:
+def best_cut(h: Hypergraph, cuts) -> Cut | None:
     """First cut of largest size among ``cuts``, an iterable of cuts of h."""
     best = best_size = None
     for cut in cuts:
@@ -232,7 +228,7 @@ def _vertex_codes(h: Hypergraph, assignments, r: int, fill: int, sentinel: int) 
     return values
 
 
-def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fraction:
+def partial_average_size(h: Hypergraph, pc: PartialCut, free_parts: int | None = None) -> Fraction:
     """Expected cut size after completing ``pc`` uniformly at random.
 
     ``free_parts`` restricts the uniform completion to parts
@@ -242,12 +238,11 @@ def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fr
     labels (0 free, r+1 the padding sentinel); an edge that leaves a part
     above ``free_parts`` unhit has probability 0.
     """
-    hh = _as_hypergraph(h)
     r = pc.r
     base = r if free_parts is None else free_parts
-    arr = hh.edge_array
+    arr = h.edge_array
     width = arr.shape[1]
-    labels = _vertex_codes(hh, [pc.assigned], r, 0, r + 1)
+    labels = _vertex_codes(h, [pc.assigned], r, 0, r + 1)
     rows = np.sort(labels[arr], axis=1)
     # a part label opens a new value where it differs from its left neighbour
     new = (rows != 0) & (rows <= r)
@@ -262,7 +257,7 @@ def partial_average_size(h, pc: PartialCut, free_parts: int | None = None) -> Fr
     return Fraction(total, base**width)
 
 
-def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
+def partial_average_excesses(h: Hypergraph, r: int, assignments) -> tuple[Fraction, ...]:
     """Average excess of each of several partial r-cuts with disjoint domains.
 
     ``assignments`` is a sequence of mappings vertex -> part in {1..r}.
@@ -273,13 +268,12 @@ def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
     groups its vertices by assignment, so every (edge, assignment) pair
     gets its own (missing-part, free-vertex) key in one pass.
     """
-    hh = _as_hypergraph(h)
     n_parts = len(assignments)
     unowned = n_parts * (r + 1)
-    codes = _vertex_codes(hh, assignments, r, unowned, unowned + 1)
-    arr = hh.edge_array
+    codes = _vertex_codes(h, assignments, r, unowned, unowned + 1)
+    arr = h.edge_array
     width = arr.shape[1]
-    sizes = (arr != hh.n_vertices).sum(axis=1)
+    sizes = (arr != h.n_vertices).sum(axis=1)
     rows = np.sort(codes[arr], axis=1)
     owned = rows < unowned
     owner = rows // (r + 1)
@@ -308,7 +302,7 @@ def partial_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
     return tuple(Fraction(t, scale) for t in _scaled_key_sums(counts, r))
 
 
-def partial_average_excess(h, pc: PartialCut) -> Fraction:
+def partial_average_excess(h: Hypergraph, pc: PartialCut) -> Fraction:
     """Average size of the partial cut minus the uniform-cut expectation."""
     return partial_average_excesses(h, pc.r, [pc.assigned])[0]
 

@@ -4,13 +4,16 @@ Conditional expectations with deferred (undetermined) vertices, greedy
 cuts over vertex orderings, flip local search, and derandomized
 combination of per-part partial cuts.  The three conditional-expectation
 engines (``erdos_selfridge_2cut``, ``combine_partial_cuts``,
-``conditional_rcut``) keep per edge the mask of parts already hit (part p
-is bit p-1) and the number of units still uniform, and read the edge's
-multicolour probability from ``cutspace.multicolour_table``, an integer
-table scaled by r^(k-1); the arithmetic stays exact.  Each engine
-cross-checks its own bookkeeping, realized size times the scale against
-the integer running expectation, and raises ``GuaranteeViolation`` /
-``CertificateError`` on any mismatch.
+``conditional_rcut``) take a ``Hypergraph``, keep per edge the mask of
+parts already hit (part p is bit p-1) and the number of units still
+uniform, and read the edge's multicolour probability from
+``cutspace.multicolour_table``, an integer table scaled by r^(k-1); the
+arithmetic stays exact.  Each engine cross-checks its own bookkeeping:
+the realized size, counted by ``cutspace.cut_metrics`` and not by the
+engine, times the scale against the integer running expectation; it
+raises ``GuaranteeViolation`` / ``CertificateError`` on any mismatch.
+The greedy and flip engines take a ``WeightedGraph`` (a multigraph has
+integer weights) and read its cut weight from ``crossing_weight``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Hypergraph, Multigraph, WeightedGraph, multigraph_as_hypergraph
+from .core import Hypergraph, WeightedGraph
 from .cutspace import (
     Cut,
+    cut_metrics,
     multicolour_table,
     partial_average_excesses,
     uniform_expected_size,
@@ -202,7 +206,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
         part[w] = 1
 
     cut = Cut(2, tuple(part))
-    realized = sum(1 for e in edges if len({part[v] for v in e}) == 2)
+    realized = cut_metrics(h, cut).size
     if realized * scale != ez:
         raise CertificateError("realized size differs from final conditional expectation")
 
@@ -257,12 +261,6 @@ def order_for_W(h: Hypergraph, trials: int, seed) -> list[int]:
             raise SearchFailed("order search exhausted its cap", best=best_order)
 
 
-def _pair_adjacency(g):
-    if isinstance(g, (Multigraph, WeightedGraph)):
-        return g.adjacency(), g.n_vertices
-    raise InvalidParams(f"expected Multigraph or WeightedGraph, got {type(g).__name__}")
-
-
 def greedy_on_adjacency(adj: dict, order) -> tuple[dict, list, list]:
     """Greedy 2-cut over an adjacency mapping restricted to ``order``.
 
@@ -287,40 +285,31 @@ def greedy_on_adjacency(adj: dict, order) -> tuple[dict, list, list]:
     return part, backs, gains
 
 
-def greedy_order_cut(g, order) -> tuple[Cut, GreedyLedger]:
+def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, GreedyLedger]:
     """One-pass greedy 2-cut: each vertex joins the side cutting more weight.
 
     Ties go to part 1 (the side the first vertex lands on).  The realized
     size is exactly total/2 + sum |e_1(v) - e_2(v)|/2.
     """
-    adj, n = _pair_adjacency(g)
+    n = g.n_vertices
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
-    assigned, backs, gains = greedy_on_adjacency(
-        {v: adj[v] for v in range(n)}, list(order)
-    )
-    part = [assigned[v] for v in range(n)]
-    cut = Cut(2, tuple(part))
-    if isinstance(g, Multigraph):
-        total = Fraction(g.m)
-        size = Fraction(sum(mult for u, v, mult in g.pairs if part[u] != part[v]))
-    else:
-        total = g.total_weight
-        size = sum((w for u, v, w in g.weights if part[u] != part[v]), Fraction(0))
+    assigned, backs, gains = greedy_on_adjacency(dict(enumerate(g.adjacency())), list(order))
+    cut = Cut(2, tuple(assigned[v] for v in range(n)))
     excess = sum(gains, Fraction(0))
-    if size != total / 2 + excess:
+    if 2 * g.crossing_weight(cut.assignment) != g.total_weight + 2 * excess:
         raise CertificateError("greedy size does not match total/2 + gains")
     ledger = GreedyLedger(tuple(order), tuple(backs), tuple(gains), excess)
     return cut, ledger
 
 
-def flip_local_search(g, start: Cut) -> Cut:
+def flip_local_search(g: WeightedGraph, start: Cut) -> Cut:
     """Single-vertex flips until no flip increases the 2-cut weight.
 
     Terminates because the cut weight strictly increases with each flip
     and is bounded by the total weight.
     """
-    adj, n = _pair_adjacency(g)
+    adj, n = g.adjacency(), g.n_vertices
     if start.r != 2 or len(start.assignment) != n:
         raise InvalidCut("flip search needs a 2-cut on the instance's vertex set")
     part = list(start.assignment)
@@ -336,7 +325,7 @@ def flip_local_search(g, start: Cut) -> Cut:
     return Cut(2, tuple(part))
 
 
-def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
+def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     """Merge disjoint partial 2-cuts into one cut keeping their total excess.
 
     Each listed part carries a partial cut on exactly its vertices;
@@ -346,8 +335,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     every edge to spread over at least |e ∩ (union of parts)| - 1 distinct
     parts; offending edges are reported, the caller removes them first.
     """
-    hh = multigraph_as_hypergraph(h) if isinstance(h, Multigraph) else h
-    n = hh.n_vertices
+    n = h.n_vertices
     parts = [frozenset(p) for p in parts]
     if len(parts) != len(partial_cuts):
         raise InvalidParams("parts and partial cuts must align")
@@ -375,7 +363,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     for b, (vs, colours) in enumerate(blocks):
         for v in vs:
             codes[v] = 3 * b + colours[v]
-    arr = hh.edge_array
+    arr = h.edge_array
     rows = np.sort(codes[arr], axis=1)
     real = rows != sentinel
     block = rows // 3
@@ -388,9 +376,9 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
             f"{len(offenders)} edges collapse into a single part twice", offenders
         )
 
-    x_values = partial_average_excesses(hh, 2, partial_cuts)
+    x_values = partial_average_excesses(h, 2, partial_cuts)
 
-    k_eff = max((len(e) for e in hh.edges), default=2)
+    k_eff = max((len(e) for e in h.edges), default=2)
     table = multicolour_table(2, k_eff)
     scale = table[0][0]  # probability 1
 
@@ -414,7 +402,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     ]
     expected_sigma = sum(prob)
 
-    base = uniform_expected_size(hh, 2)
+    base = uniform_expected_size(h, 2)
     if Fraction(expected_sigma, scale) != base + sum(x_values, Fraction(0)):
         raise CertificateError("swap-uniform expectation != base + sum of average excesses")
 
@@ -446,8 +434,7 @@ def combine_partial_cuts(h, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
             assignment[v] = colour
     cut = Cut(2, tuple(assignment))
 
-    sides = np.array((*assignment, 0))[arr]
-    realized = int(np.count_nonzero((sides == 1).any(axis=1) & (sides == 2).any(axis=1)))
+    realized = cut_metrics(h, cut).size
     if realized * scale != running:
         raise CertificateError("combined realized size differs from final expectation")
     realized_excess = realized - base
@@ -503,9 +490,7 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
             prob[ei] = table[r - hit[ei].bit_count()][freec[ei]]
             expected += prob[ei]
     cut = Cut(r, tuple(assignment))
-    realized = sum(
-        1 for e in h.edges if {assignment[v] for v in e} == set(range(1, r + 1))
-    )
+    realized = cut_metrics(h, cut).size
     if realized * scale != expected:
         raise CertificateError("conditional r-cut bookkeeping mismatch")
     if realized * scale < base:

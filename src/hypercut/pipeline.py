@@ -53,12 +53,17 @@ from .reductions import (
 )
 
 
+#: Good-partition constants: a sample splits the vertices into about
+#: 1/(C_PRIME p) parts, and deletes at most C m'/(2 sqrt(Delta')) offending
+#: edges of each kind.
+C = 0.25
+C_PRIME = 0.125
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    """Tunable constants; the defaults clear the desk-scale corpus with margin."""
+    """Tunable budgets; the defaults clear the desk-scale corpus with margin."""
 
-    c: float = 0.25
-    c_prime: float = 0.125
     retry_budget: int = 50
     trials: int = 32
     seed: int = 0
@@ -74,13 +79,13 @@ class DerivedParams:
     t: int
 
 
-def derive_params(m: int, params: PipelineParams) -> DerivedParams:
+def derive_params(m: int) -> DerivedParams:
     m = max(m, 1)
     delta = m ** (5 / 9)
     g = m ** (7 / 45)
     q = m ** (19 / 45)
     p = min(delta ** (-3 / 5), g ** (-2 / 3) * delta ** (-1 / 3))
-    p_prime = params.c_prime * p
+    p_prime = C_PRIME * p
     t = max(1, round(1 / p_prime))
     return DerivedParams(delta, g, q, p, p_prime, t)
 
@@ -171,9 +176,10 @@ def codegree_structure(h: Hypergraph, params: PipelineParams) -> StructureReport
     """Greedy matching on high-codegree pairs, else the low-degree core U.
 
     With fewer than q matched pairs, U keeps every unmatched vertex of
-    degree at most Delta, so |U| >= n - 2q - km/Delta.
+    degree at most Delta, so |U| >= n - 2q - km/Delta.  The thresholds
+    depend on m alone; ``params`` sets nothing here.
     """
-    d = derive_params(h.m, params)
+    d = derive_params(h.m)
     prof = degree_profile(h)
     heavy = sorted(
         (pair for pair, cd in prof.codegree.items() if cd > d.g),
@@ -318,13 +324,13 @@ def good_partition_search(
     has zero spread/witness violations, at least m' within-part pair
     edges of the sub-hypergraph, and within-part degree at most Delta'.
     """
-    d = derive_params(h.m, params)
+    d = derive_params(h.m)
     vset = sorted(set(vertex_set))
     rng = random.Random(f"good-partition:{params.seed if seed is None else seed}")
     k = max(h.max_arity, 2)
     m1 = d.p_prime * h_sub.m / 2
     delta_prime = 2 * d.p_prime * k * d.delta
-    y = params.c * m1 / math.sqrt(delta_prime) if delta_prime > 0 else 0.0
+    y = C * m1 / math.sqrt(delta_prime) if delta_prime > 0 else 0.0
 
     best_report = None
     for _ in range(params.retry_budget):
@@ -438,7 +444,7 @@ def driver_3cut(
     if any(len(e) > 3 for e in h.edges):
         raise DriverInapplicable("driver_3cut needs edge sizes at most 3")
     u_set = set(u_set)
-    h_u = induce(h, u_set, min_inside=None)
+    h_u = induce(h, u_set)
     k = max(h.max_arity, 1)
     if h_u.m < h.m / (4 * k):
         raise DriverInapplicable("induced core holds too few edges")
@@ -476,7 +482,7 @@ def driver_3cut(
         if metrics.excess != fwd_excess + pae:
             raise CertificateError("3-cut exposure transfer identity failed")
         promise_hd = promise_fwd + pae
-        cand = (int(metrics.size), c3, promise_fwd, fwd_excess, promise_hd, metrics.excess)
+        cand = (metrics.size, c3, promise_fwd, fwd_excess, promise_hd, metrics.excess)
         if best is None or cand[0] > best[0]:
             best = cand
 
@@ -551,7 +557,7 @@ def driver_2cut(
         promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
         if metrics.excess < promise_hd:
             raise GuaranteeViolation("doubled-exposure promise missed")
-        cand = (int(metrics.size), c2, promise_fwd, fwd_excess, promise_hd, metrics.excess)
+        cand = (metrics.size, c2, promise_fwd, fwd_excess, promise_hd, metrics.excess)
         if best is None or cand[0] > best[0]:
             best = cand
 
@@ -587,7 +593,7 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
         raise InvalidParams("trials must be >= 1")
     g = clique_expand(h)
     neighbours: list[set] = [set() for _ in range(h.n_vertices)]
-    for u, v, _ in g.pairs:
+    for u, v, _ in g.weights:
         neighbours[u].add(v)
         neighbours[v].add(u)
     order = sorted(range(h.n_vertices), key=lambda v: (-len(neighbours[v]), v))
@@ -728,9 +734,7 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     except (SearchFailed, DriverInapplicable):
         pass
 
-    scored = [
-        (int(cut_metrics(h, cut).size), name, cut) for name, cut in candidates
-    ]
+    scored = [(cut_metrics(h, cut).size, name, cut) for name, cut in candidates]
     scored.sort(key=lambda x: (-x[0], x[1]))
     best = point_local_search(h, scored[0][2])
     final = cut_metrics(h, best)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Hypergraph, Multigraph, WeightedGraph, clique_expand
+from .core import Hypergraph, WeightedGraph, clique_expand
 from .cutspace import (
     Cut,
     PartialCut,
@@ -46,15 +46,12 @@ class Reduction:
     back_map: Callable[[Cut], Cut]
 
 
-def _multigraph_cut_size(g: Multigraph, cut: Cut) -> int:
-    return sum(m for u, v, m in g.pairs if cut.assignment[u] != cut.assignment[v])
-
-
 def expand_3graph(h: Hypergraph) -> Reduction:
     """3-graph 2-cuts as multigraph cuts on the triangle expansion.
 
     A 2-cut of size z in h is a cut of size exactly 2z in the 3m-edge
-    multigraph; the assignment is shared.
+    multigraph, a ``WeightedGraph`` whose integer weights are the pair
+    multiplicities; the assignment is shared.
     """
     if any(len(e) != 3 for e in h.edges):
         raise InvalidArity("expand_3graph needs a 3-uniform hypergraph")
@@ -63,8 +60,8 @@ def expand_3graph(h: Hypergraph) -> Reduction:
     def back_map(cut: Cut) -> Cut:
         if cut.r != 2 or len(cut.assignment) != h.n_vertices:
             raise InvalidParams("expected a 2-cut on the shared vertex set")
-        z_graph = _multigraph_cut_size(forward, cut)
-        z_hyper = int(cut_metrics(h, cut).size)
+        z_graph = forward.crossing_weight(cut.assignment)
+        z_hyper = cut_metrics(h, cut).size
         if z_graph != 2 * z_hyper:
             raise CertificateError(
                 f"triangle expansion: multigraph size {z_graph} != 2*{z_hyper}"
@@ -92,8 +89,8 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     def back_map(cut: Cut) -> Cut:
         if cut.r != r or len(cut.assignment) != h.n_vertices:
             raise InvalidParams("expected an r-cut on the shared vertex set")
-        z_fwd = int(cut_metrics(forward, cut).size)
-        z_orig = int(cut_metrics(h, cut).size)
+        z_fwd = cut_metrics(forward, cut).size
+        z_orig = cut_metrics(h, cut).size
         if z_fwd != 2 * z_orig:
             raise CertificateError(
                 f"subset expansion: forward size {z_fwd} != 2*{z_orig}"
@@ -151,8 +148,8 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
             rho.get(v, cut.assignment[v]) for v in range(h.n_vertices)
         )
         out = Cut(r, merged)
-        z_fwd = int(cut_metrics(forward, cut).size)
-        z_orig = int(cut_metrics(h, out).size)
+        z_fwd = cut_metrics(forward, cut).size
+        z_orig = cut_metrics(h, out).size
         if z_fwd != z_orig:
             raise CertificateError(
                 f"partial exposure: forward size {z_fwd} != original size {z_orig}"
@@ -228,10 +225,10 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
             for v in range(h.n_vertices)
         )
         omega, omega_bar = Cut(2, merged), Cut(2, flipped)
-        z1 = int(cut_metrics(h, omega).size)
-        z2 = int(cut_metrics(h, omega_bar).size)
+        z1 = cut_metrics(h, omega).size
+        z2 = cut_metrics(h, omega_bar).size
         fwd_metrics = cut_metrics(forward, phi)
-        z_part = int(fwd_metrics.size)
+        z_part = fwd_metrics.size
         if z1 + z2 != z_part + n_undet + 2 * n_multi:
             raise CertificateError(
                 "averaging identity failed: "
@@ -315,11 +312,7 @@ def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
         raise InvalidParams("need one assignment per weighted graph")
     averages = partial_average_excesses(h, 2, omegas)
     for i, (wg, omega, avg) in enumerate(zip(wgs, omegas, averages)):
-        crossing = sum(
-            (w for u, v, w in wg.weights if omega.get(u, 1) != omega.get(v, 1)),
-            Fraction(0),
-        )
-        weighted_excess = crossing - wg.total_weight / 2
+        weighted_excess = wg.crossing_weight(omega) - Fraction(wg.total_weight, 2)
         if weighted_excess != avg:
             raise CertificateError(
                 f"part {i}: weighted excess {weighted_excess} != average excess "
@@ -374,7 +367,7 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     if c2.r != 2 or len(c2.assignment) != h.n_vertices:
         raise InvalidParams("expected a 2-cut of h")
     n = h.n_vertices
-    z2 = int(cut_metrics(h, c2).size)
+    z2 = cut_metrics(h, c2).size
     side = c2.assignment
 
     # probabilities carried as integers scaled by 27 (denominators are 3^u)
@@ -400,7 +393,7 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
         for ei in inc[v]:
             state[ei] = (state[ei] | bit) - free
     cut = Cut(3, tuple(3 if moved[v] else side[v] for v in range(n)))
-    realized = int(cut_metrics(h, cut).size)
+    realized = cut_metrics(h, cut).size
     if realized * 27 != expected:
         raise CertificateError("lift bookkeeping mismatch")
     if realized * 27 < 8 * z2:

@@ -11,7 +11,7 @@ from math import comb, factorial
 
 import pytest
 
-from hypercut.core import Hypergraph, Multigraph, build
+from hypercut.core import Hypergraph, build
 
 FANO_LINES = [
     [0, 1, 2],
@@ -63,23 +63,16 @@ def brute_expected_size(h: Hypergraph, fixed: dict, r: int, free_parts=None) -> 
     return Fraction(total, count)
 
 
-def plain_edges(h) -> list[tuple[int, ...]]:
-    """Edges of a Hypergraph, or a Multigraph's pairs repeated by multiplicity."""
-    if isinstance(h, Multigraph):
-        return [(u, v) for u, v, mult in h.pairs for _ in range(mult)]
-    return list(h.edges)
-
-
 def plain_cut_size(h, assignment, r: int) -> int:
     """Edges meeting all r parts, counted with a Python set per edge."""
     full = set(range(1, r + 1))
-    return sum(1 for e in plain_edges(h) if {assignment[v] for v in e} == full)
+    return sum(1 for e in h.edges if {assignment[v] for v in e} == full)
 
 
 def stirling_expected_size(h, r: int) -> Fraction:
     """Uniform r-cut expectation: r! S(s, r) / r^s per edge of size s."""
     total = Fraction(0)
-    for e in plain_edges(h):
+    for e in h.edges:
         s = len(e)
         # row[j] = S(i, j) after i rounds of S(i, j) = j S(i-1, j) + S(i-1, j-1)
         row = [1] + [0] * r
@@ -111,7 +104,7 @@ def plain_average_size(h, assigned: dict, r: int, free_parts=None) -> Fraction:
     """
     base = r if free_parts is None else free_parts
     total = Fraction(0)
-    for e in plain_edges(h):
+    for e in h.edges:
         hit = {assigned[v] for v in e if v in assigned}
         free = sum(1 for v in e if v not in assigned)
         missing = [p for p in range(1, r + 1) if p not in hit]

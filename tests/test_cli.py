@@ -175,6 +175,16 @@ _MONO = (*_CHECK, "--kind", "monotonicity", "--r", "3")
                      id="constraint-level-not-int"),
         pytest.param((*_CHECK, "--kind", "goodness", "--parts", "0,x"), "InvalidParams",
                      id="parts-not-int"),
+        pytest.param((*_CHECK, "--kind", "goodness", "--parts", "0,1;1,2"), "InvalidParams",
+                     id="parts-overlap"),
+        pytest.param((*_CHECK, "--kind", "goodness", "--parts", "0,1;7,9"), "InvalidVertex",
+                     id="parts-id-out-of-range"),
+        pytest.param((*_CHECK, "--kind", "goodness", "--parts", "0,1;-1,2"), "InvalidVertex",
+                     id="parts-negative-id"),
+        pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1,99", "--pair", "0,99"),
+                     "InvalidVertex", id="moments-id-out-of-range"),
+        pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1", "--pair", "0,-1"),
+                     "InvalidVertex", id="pair-negative-id"),
         pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1", "--pair", "1"), "InvalidParams",
                      id="pair-one-id"),
         pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1"), "InvalidParams",

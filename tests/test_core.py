@@ -8,7 +8,6 @@ from hypercut.core import (
     clique_expand,
     degree_profile,
     induce,
-    multigraph_from_pairs,
 )
 from hypercut.errors import InvalidEdge, InvalidParams, InvalidVertex
 
@@ -101,49 +100,42 @@ def test_degree_profile_doubled_edge():
 
 
 def test_induce_fano_line(fano):
-    sub = induce(fano, {0, 1, 2}, min_inside=None)
+    sub = induce(fano, {0, 1, 2})
     assert sub.edges == ((0, 1, 2),)
 
 
-def test_induce_restrict_intersection():
+def test_induce_drops_edges_leaving_the_set():
     h = build(4, [[1, 2, 3]])
-    sub = induce(h, {1, 2}, min_inside=2, mode="restrict")
-    assert sub.edges == ((1, 2),)
-    kept = induce(h, {1, 2}, min_inside=2, mode="keep")
-    assert kept.edges == ((1, 2, 3),)
+    assert induce(h, {1, 2}).m == 0
 
 
 def test_induce_empty_and_identity(fano):
-    assert induce(fano, set(), min_inside=None).m == 0
-    assert induce(fano, range(7), min_inside=0) == fano
+    assert induce(fano, set()).m == 0
+    assert induce(fano, range(7)) == fano
 
 
 def test_clique_expand_triangle():
     g = clique_expand(build(3, [[0, 1, 2]]))
-    assert g.pairs == ((0, 1, 1), (0, 2, 1), (1, 2, 1))
+    assert g.weights == ((0, 1, 1), (0, 2, 1), (1, 2, 1))
 
 
 def test_clique_expand_fano_is_complete(fano):
     g = clique_expand(fano)
-    assert g.m == 21
-    assert all(mult == 1 for _, _, mult in g.pairs)
-    assert len(g.pairs) == 21
+    assert g.total_weight == 21
+    assert all(mult == 1 for _, _, mult in g.weights)
+    assert len(g.weights) == 21
 
 
 def test_clique_expand_4edge():
     g = clique_expand(build(4, [[0, 1, 2, 3]]))
-    assert g.m == 6
-
-
-def test_multigraph_from_pairs_rejects_loops():
-    with pytest.raises(InvalidEdge):
-        multigraph_from_pairs(3, [(1, 1)])
+    assert g.total_weight == 6
 
 
 @given(small_hypergraphs())
 def test_clique_expand_pair_count(h):
     expect = sum(len(e) * (len(e) - 1) // 2 for e in h.edges)
-    assert clique_expand(h).m == expect
+    total = clique_expand(h).total_weight
+    assert type(total) is int and total == expect
 
 
 @given(small_hypergraphs())
@@ -154,4 +146,4 @@ def test_degree_totals(h):
 
 @given(small_hypergraphs())
 def test_induce_identity(h):
-    assert induce(h, range(h.n_vertices), min_inside=0) == h
+    assert induce(h, range(h.n_vertices)) == h

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from hypercut.core import build, clique_expand, multigraph_from_pairs, WeightedGraph
+from hypercut.core import build, clique_expand, WeightedGraph
 from hypercut.cutspace import Cut, cut_metrics
 from hypercut.derand import (
     combine_partial_cuts,
@@ -41,16 +41,16 @@ def random_mixed(rng, n_hi=10, m_hi=20, k_hi=5):
 
 
 def test_greedy_triangle_every_order():
-    g = multigraph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    g = clique_expand(build(3, [(0, 1), (1, 2), (0, 2)]))
     for order in permutations(range(3)):
         cut, ledger = greedy_order_cut(g, list(order))
-        size = sum(m for u, v, m in g.pairs if cut.assignment[u] != cut.assignment[v])
+        size = sum(m for u, v, m in g.weights if cut.assignment[u] != cut.assignment[v])
         assert size == 2
         assert ledger.realized_excess == Fraction(1, 2)
 
 
 def test_greedy_star_center_last():
-    g = multigraph_from_pairs(4, [(3, 0), (3, 1), (3, 2)])
+    g = clique_expand(build(4, [(3, 0), (3, 1), (3, 2)]))
     cut, ledger = greedy_order_cut(g, [0, 1, 2, 3])
     # leaves tie into part 1, center then cuts all three edges
     assert cut.assignment[:3] == (1, 1, 1) and cut.assignment[3] == 2
@@ -58,7 +58,7 @@ def test_greedy_star_center_last():
 
 
 def test_greedy_empty_graph():
-    g = multigraph_from_pairs(4, [])
+    g = clique_expand(build(4, []))
     _, ledger = greedy_order_cut(g, [2, 0, 3, 1])
     assert ledger.realized_excess == 0
 
@@ -86,24 +86,24 @@ def test_greedy_random_ledger_identity():
 
 
 def test_flip_c5():
-    g = multigraph_from_pairs(5, [(i, (i + 1) % 5) for i in range(5)])
+    g = clique_expand(build(5, [(i, (i + 1) % 5) for i in range(5)]))
     cut = flip_local_search(g, Cut(2, (1,) * 5))
-    size = sum(m for u, v, m in g.pairs if cut.assignment[u] != cut.assignment[v])
+    size = sum(m for u, v, m in g.weights if cut.assignment[u] != cut.assignment[v])
     assert size >= 3
 
 
 def test_flip_fixed_point_k33():
     pairs = [(a, b) for a in range(3) for b in range(3, 6)]
-    g = multigraph_from_pairs(6, pairs)
+    g = clique_expand(build(6, pairs))
     start = Cut(2, (1, 1, 1, 2, 2, 2))
     assert flip_local_search(g, start) == start
 
 
 def test_flip_k4_reaches_optimum():
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    g = multigraph_from_pairs(4, pairs)
+    g = clique_expand(build(4, pairs))
     cut = flip_local_search(g, Cut(2, (1, 1, 1, 1)))
-    size = sum(m for u, v, m in g.pairs if cut.assignment[u] != cut.assignment[v])
+    size = sum(m for u, v, m in g.weights if cut.assignment[u] != cut.assignment[v])
     assert size == 4 == brute_force_maxcut(build(4, [list(p) for p in pairs]), 2)
 
 
@@ -160,7 +160,7 @@ def test_es_two_overlapping_triples():
     cut, ledger = erdos_selfridge_2cut(h, range(5))
     assert ledger.w_set == {0, 1, 2, 3}
     assert ledger.guaranteed_excess == Fraction(1, 2)
-    size = int(cut_metrics(h, cut).size)
+    size = cut_metrics(h, cut).size
     assert size == 2 == brute_force_maxcut(h, 2)
     assert ledger.realized_excess == Fraction(1, 2)
 

@@ -196,7 +196,7 @@ def test_driver_2cut_rejects_3graphs():
 
 def test_solve_fano_reaches_optimum(fano):
     cut, ledger = solve(fano, 2, PipelineParams(trials=16, seed=1))
-    assert int(cut_metrics(fano, cut).size) == 6
+    assert cut_metrics(fano, cut).size == 6
     assert not ledger.violations()
 
 
@@ -269,7 +269,7 @@ def test_solve_r3_k4_subset_expansion():
 
 
 def test_derive_params_matches_formulas():
-    d = derive_params(1000, PARAMS)
+    d = derive_params(1000)
     assert d.delta == pytest.approx(1000 ** (5 / 9))
     assert d.g == pytest.approx(1000 ** (7 / 45))
     assert d.q == pytest.approx(1000 ** (19 / 45))
@@ -299,7 +299,7 @@ def test_codegree_structure_core_size_bound():
         sr = codegree_structure(h, PARAMS)
         if sr.branch == "matching-cut":
             continue
-        d = derive_params(h.m, PARAMS)
+        d = derive_params(h.m)
         k = max(h.max_arity, 1)
         assert len(sr.u_set) >= h.n_vertices - 2 * d.q - k * h.m / d.delta - 1e-9
 
