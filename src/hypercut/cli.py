@@ -150,10 +150,10 @@ def run_report(h: Hypergraph, algo: str, r: int, trials: int, seed: int) -> RunR
 
 
 def _edge_probability(p, n: int, k: int):
-    """``p``, or by default n^(3-k): about n^3/k! expected edges."""
+    """``p``, or by default n^(3-k), at most 1: about n^3/k! expected edges."""
     if p is not None:
         return p
-    return n ** (3 - k) if n else 0.0
+    return min(n ** (3 - k), 1.0) if n else 0.0
 
 
 def _cmd_gen(args) -> int:

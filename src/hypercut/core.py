@@ -6,8 +6,10 @@ multiplicity is a first-class concept.  A multigraph is a
 ``WeightedGraph`` with integer weights, the pair multiplicities.
 Instances never change their value after construction and every
 operation here is pure; a ``Hypergraph`` builds its padded edge array
-and edge-size histogram on first use and keeps them, outside its
-equality and hash.
+and its row sizes on first use and keeps them, outside its equality and
+hash.  Every pass that only counts (degrees, codegrees, clique weights,
+incidences, size histograms, induced edges) is whole-array numpy work
+over that edge array, and returns exact Python ints.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -49,30 +52,44 @@ class Hypergraph:
         return arr
 
     @cached_property
+    def edge_sizes(self) -> np.ndarray:
+        """Read-only per-edge sizes: each row's count of non-sentinel entries."""
+        arr = self.edge_array
+        sizes = (arr != self.n_vertices).sum(axis=1, dtype=np.min_scalar_type(arr.shape[1]))
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
     def size_histogram(self) -> tuple[int, ...]:
         """Entry s is the number of edges of size s, for s up to the largest."""
-        counts = [0] * (max((len(e) for e in self.edges), default=0) + 1)
-        for e in self.edges:
-            counts[len(e)] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.edge_sizes, minlength=self.edge_array.shape[1] + 1).tolist())
 
     def edge_multiset(self) -> Counter:
         return Counter(self.edges)
 
     def incidence(self) -> list[list[int]]:
-        """Per-vertex list of incident edge indices."""
-        inc: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        return inc
+        """Per-vertex list of incident edge indices, ascending."""
+        n, arr = self.n_vertices, self.edge_array
+        flat = arr.ravel().astype(np.min_scalar_type(n))
+        ends = np.cumsum(np.bincount(flat, minlength=n + 1)[:n]).tolist()
+        # a stable sort keeps each vertex's entries in row order, the sentinel last
+        rows = np.argsort(flat, kind="stable")
+        rows //= max(arr.shape[1], 1)
+        edge_ids = np.arange(self.m).astype(object)  # shared by each edge's vertices
+        return [edge_ids[rows[a:b]].tolist() for a, b in zip([0, *ends], ends)]
 
     def vertices_in_edges_of_size_at_least(self, s: int) -> set[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            if len(e) >= s:
-                out.update(e)
-        return out
+        seen = np.zeros(self.n_vertices + 1, dtype=bool)
+        seen[self.edge_array[self.edge_sizes >= s]] = True
+        return set(np.flatnonzero(seen[: self.n_vertices]).tolist())
+
+    def inside_rows(self, u_set) -> np.ndarray:
+        """Boolean mask of the edges lying fully inside ``u_set``."""
+        n = self.n_vertices
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[[v for v in u_set if 0 <= v < n]] = True
+        inside[n] = True  # padding never takes an edge outside
+        return inside[self.edge_array].all(axis=1)
 
     def without_edges(self, drop: set[int]) -> "Hypergraph":
         """Copy with the edges at the given indices removed."""
@@ -148,17 +165,33 @@ def build(n: int, raw_edges, max_arity: int | None = None) -> Hypergraph:
     return Hypergraph(n, k, tuple(edges))
 
 
+@lru_cache(maxsize=None)
+def _column_pairs(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices (i, j), i < j, of every pair of the w columns, read-only."""
+    i, j = np.triu_indices(w, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _pair_counts(h: Hypergraph) -> tuple[list[int], list[int], list[int]]:
+    """Each vertex pair u < v sharing an edge, ascending by (u, v), with the
+    number of edges it shares, as three aligned lists (us, vs, counts)."""
+    n1 = h.n_vertices + 1
+    arr = h.edge_array.astype(np.min_scalar_type(n1 * n1))  # u * n1 + v < n1^2
+    i, j = _column_pairs(arr.shape[1])
+    # rows are increasing with the sentinel last, so only v can be padding
+    real = arr[:, j] != h.n_vertices
+    keys = (arr[:, i] * n1 + arr[:, j])[real]
+    keys, counts = np.unique(keys, return_counts=True)
+    return (keys // n1).tolist(), (keys % n1).tolist(), counts.tolist()
+
+
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Exact per-vertex degrees and per-pair joint degrees (codegrees)."""
-    deg = [0] * h.n_vertices
-    codeg: Counter = Counter()
-    for e in h.edges:
-        for v in e:
-            deg[v] += 1
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                codeg[(e[i], e[j])] += 1
-    return DegreeProfile(tuple(deg), dict(codeg), max(deg, default=0))
+    deg = np.bincount(h.edge_array.ravel(), minlength=h.n_vertices + 1)[: h.n_vertices]
+    us, vs, counts = _pair_counts(h)
+    codeg = dict(zip(zip(us, vs), counts))
+    return DegreeProfile(tuple(deg.tolist()), codeg, int(deg.max(initial=0)))
 
 
 def induce(h: Hypergraph, u_set) -> Hypergraph:
@@ -166,8 +199,7 @@ def induce(h: Hypergraph, u_set) -> Hypergraph:
 
     Vertex ids are preserved; the result lives on the same [0, n) id space.
     """
-    u = frozenset(u_set)
-    kept = tuple(e for e in h.edges if all(v in u for v in e))
+    kept = tuple(compress(h.edges, h.inside_rows(u_set).tolist()))
     return Hypergraph(h.n_vertices, h.max_arity, kept)
 
 
@@ -176,10 +208,4 @@ def clique_expand(h: Hypergraph) -> WeightedGraph:
 
     The result is a multigraph: integer weights, one per distinct pair.
     """
-    counts: Counter = Counter()
-    for e in h.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                counts[(e[i], e[j])] += 1
-    pairs = tuple((u, v, mult) for (u, v), mult in sorted(counts.items()))
-    return WeightedGraph(h.n_vertices, pairs)
+    return WeightedGraph(h.n_vertices, tuple(zip(*_pair_counts(h))))

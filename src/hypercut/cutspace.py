@@ -158,8 +158,8 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     realized size from here.  Edges smaller than r contribute probability
     0 to the expectation, so mixed instances are handled exactly.  The
     size counts the rows of the padded edge array whose part labels,
-    sorted, show r distinct nonzero values; the sentinel vertex carries
-    label 0.
+    sorted, show r distinct nonzero values, found by comparing neighbouring
+    columns; the sentinel vertex carries label 0.
     """
     if len(c.assignment) != h.n_vertices:
         raise InvalidCut(
@@ -167,10 +167,14 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
         )
     labels = np.array((*c.assignment, 0), dtype=np.min_scalar_type(c.r))
     rows = np.sort(labels[h.edge_array], axis=1)
-    # a nonzero label opens a new value where it differs from its left neighbour
-    new = rows != 0
-    new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    size = int(np.count_nonzero(new.sum(axis=1) == c.r))
+    m, w = rows.shape
+    # zeros sort first, so each change between neighbours opens a new nonzero value
+    distinct = np.zeros(m, dtype=np.min_scalar_type(w))
+    if w:
+        distinct += rows[:, 0] != 0
+    for j in range(1, w):
+        distinct += rows[:, j] != rows[:, j - 1]
+    size = int(np.count_nonzero(distinct == c.r))
     expected = uniform_expected_size(h, c.r)
     return CutMetrics(size, expected, size - expected)
 

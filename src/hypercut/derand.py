@@ -74,12 +74,18 @@ class CombinePlan:
 
 def first_two_vertex_set(h: Hypergraph, order) -> frozenset:
     """Vertices among the first two, in the order, of some edge of size >= 3."""
-    pos = {v: i for i, v in enumerate(order)}
-    w: set[int] = set()
-    for e in h.edges:
-        if len(e) >= 3:
-            w.update(sorted(e, key=pos.__getitem__)[:2])
-    return frozenset(w)
+    n = h.n_vertices
+    by_rank = np.array(order, dtype=np.intp)
+    pos = np.empty(n + 1, dtype=np.min_scalar_type(n))
+    pos[by_rank] = np.arange(n)
+    pos[n] = n  # the padding sentinel comes after every vertex
+    ranks = pos[h.edge_array][h.edge_sizes >= 3]
+    if not len(ranks):
+        return frozenset()
+    # each row's two smallest positions; at least three are real vertices
+    chosen = np.zeros(n, dtype=bool)
+    chosen[np.partition(ranks, 1, axis=1)[:, :2]] = True
+    return frozenset(by_rank[chosen].tolist())
 
 
 def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLedger]:
@@ -104,15 +110,14 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     n = h.n_vertices
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
-    k_eff = max((len(e) for e in h.edges), default=2)
-    k_eff = max(k_eff, 2)
+    k_eff = max(h.edge_array.shape[1], 2)
     scale = 1 << (k_eff - 1)
     table = multicolour_table(2, k_eff)
 
     edges = h.edges
     inc = h.incidence()
     hit = [0] * len(edges)
-    free = [len(e) for e in edges]
+    free = h.edge_sizes.tolist()
     prob = [table[2][f] for f in free]
 
     part = [0] * n  # 0 = unassigned
@@ -243,7 +248,7 @@ def order_for_W(h: Hypergraph, trials: int, seed) -> list[int]:
         raise InvalidParams("trials must be >= 1")
     rng = random.Random(f"order-w:{seed}")
     n_prime = len(h.vertices_in_edges_of_size_at_least(3))
-    k_eff = max((len(e) for e in h.edges), default=2)
+    k_eff = h.edge_array.shape[1] or 2
     best_order: list[int] = list(range(h.n_vertices))
     best_w = len(first_two_vertex_set(h, best_order))
     attempts = 0
@@ -378,7 +383,7 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
 
     x_values = partial_average_excesses(h, 2, partial_cuts)
 
-    k_eff = max((len(e) for e in h.edges), default=2)
+    k_eff = h.edge_array.shape[1] or 2
     table = multicolour_table(2, k_eff)
     scale = table[0][0]  # probability 1
 
@@ -465,11 +470,11 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
     n = h.n_vertices
     seq = list(range(n)) if order is None else list(order)
     inc = h.incidence()
-    k = max((len(e) for e in h.edges), default=1)
+    k = h.edge_array.shape[1] or 1
     table = multicolour_table(r, k)
     scale = table[0][0]  # probability 1
     hit = [0] * len(h.edges)
-    freec = [len(e) for e in h.edges]
+    freec = h.edge_sizes.tolist()
     prob = [table[r][f] for f in freec]
     expected = sum(prob)
     base = expected
@@ -506,11 +511,13 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
         raise InvalidCut("assignment length mismatch")
     inc = h.incidence()
     part = list(cut.assignment)
-    counts = [[0] * (r + 1) for _ in h.edges]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            counts[i][part[v]] += 1
-    covered = [sum(1 for p in range(1, r + 1) if c[p]) for c in counts]
+    # per edge, its vertex count in each part; column 0 stays 0
+    labels = np.array((*part, 0), dtype=np.min_scalar_type(r))[h.edge_array]
+    cells = np.zeros((h.m, r + 1), dtype=np.min_scalar_type(labels.shape[1]))
+    for p in range(1, r + 1):
+        cells[:, p] = np.count_nonzero(labels == p, axis=1)
+    counts = cells.tolist()
+    covered = np.count_nonzero(cells, axis=1).tolist()
 
     def move_gain(v: int, q: int) -> int:
         p = part[v]

@@ -127,23 +127,55 @@ def generate(spec: GenSpec) -> Hypergraph:
 
 
 def _linear_random(spec: GenSpec) -> Hypergraph:
-    """Random greedy partial design: add edges keeping all codegrees <= 1."""
+    """Random greedy partial design: add edges keeping all codegrees <= 1.
+
+    Draws stop after 200 (m_target + 1) rejections in a row, or as soon as
+    no k-set with all its pairs unused is left, when no draw can succeed
+    any more.  That test runs only at stalls of (m_target + 1) 2^j, so it
+    costs nothing while draws keep succeeding.
+    """
     if spec.m_target < 0 or not (2 <= spec.k <= spec.n):
         raise InvalidParams("linear-random needs 2 <= k <= n and m_target >= 0")
     rng = random.Random(f"linear:{spec.seed}")
     used_pairs: set[tuple[int, int]] = set()
     edges: list[list[int]] = []
     stall = 0
+    check_at = spec.m_target + 1
     while len(edges) < spec.m_target and stall < 200 * (spec.m_target + 1):
         e = sorted(rng.sample(range(spec.n), spec.k))
         pairs = list(combinations(e, 2))
         if any(p in used_pairs for p in pairs):
             stall += 1
+            if stall == check_at:
+                if not _unused_clique_exists(spec.n, spec.k, used_pairs):
+                    break
+                check_at *= 2
             continue
         used_pairs.update(pairs)
         edges.append(e)
         stall = 0
+        check_at = spec.m_target + 1
     return build(spec.n, edges, max_arity=spec.k)
+
+
+def _unused_clique_exists(n: int, k: int, used_pairs) -> bool:
+    """Whether some k of the n vertices have no pair in ``used_pairs``."""
+    # later[u]: bitmask of the vertices v > u with (u, v) unused
+    later = [((1 << n) - 1) ^ ((2 << u) - 1) for u in range(n)]
+    for u, v in used_pairs:
+        later[u] &= ~(1 << v)
+
+    def extend(cand: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if extend(cand & later[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return extend((1 << n) - 1, k)
 
 
 def _exact_maxcut_2(h: Hypergraph) -> tuple[int, Cut]:

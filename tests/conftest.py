@@ -118,3 +118,63 @@ def plain_average_excesses(h, r: int, assignments) -> tuple[Fraction, ...]:
     """Each assignment's completed average size minus the uniform one."""
     uniform = plain_average_size(h, {}, r)
     return tuple(plain_average_size(h, a, r) - uniform for a in assignments)
+
+
+# Plain-loop oracles for the array counters in ``core`` and ``derand``:
+# each walks the edge tuples one at a time.
+
+
+def plain_degree_profile(h) -> tuple[list[int], dict, int]:
+    """Degrees, codegrees of the pairs that share an edge, and the max degree."""
+    deg = [0] * h.n_vertices
+    codeg: dict = {}
+    for e in h.edges:
+        for v in e:
+            deg[v] += 1
+        for i in range(len(e)):
+            for j in range(i + 1, len(e)):
+                codeg[(e[i], e[j])] = codeg.get((e[i], e[j]), 0) + 1
+    return deg, codeg, max(deg, default=0)
+
+
+def plain_clique_weights(h) -> tuple:
+    """(u, v, multiplicity) of every pair sharing an edge, sorted by (u, v)."""
+    _, codeg, _ = plain_degree_profile(h)
+    return tuple((u, v, mult) for (u, v), mult in sorted(codeg.items()))
+
+
+def plain_incidence(h) -> list[list[int]]:
+    inc: list[list[int]] = [[] for _ in range(h.n_vertices)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[v].append(i)
+    return inc
+
+
+def plain_size_histogram(h) -> tuple[int, ...]:
+    counts = [0] * (max((len(e) for e in h.edges), default=0) + 1)
+    for e in h.edges:
+        counts[len(e)] += 1
+    return tuple(counts)
+
+
+def plain_vertices_in_edges_of_size_at_least(h, s: int) -> set[int]:
+    out: set[int] = set()
+    for e in h.edges:
+        if len(e) >= s:
+            out.update(e)
+    return out
+
+
+def plain_induced_edges(h, u_set) -> tuple:
+    return tuple(e for e in h.edges if all(v in u_set for v in e))
+
+
+def plain_first_two_vertex_set(h, order) -> frozenset:
+    """The first two vertices, by position in ``order``, of each edge of size >= 3."""
+    pos = {v: i for i, v in enumerate(order)}
+    w: set[int] = set()
+    for e in h.edges:
+        if len(e) >= 3:
+            w.update(sorted(e, key=pos.__getitem__)[:2])
+    return frozenset(w)

@@ -251,6 +251,13 @@ def test_gen_infeasible_exit_code(capsys):
     assert "error:" in err
 
 
+def test_gen_random_graph_default_p_is_capped_at_one(capsys):
+    # the default n^(3-k) is 10 here; capped at 1 every pair becomes an edge
+    code, out, _ = run(capsys, "gen", "--family", "random", "--n", "10", "--k", "2")
+    assert code == 0
+    assert parse(out).m == 45
+
+
 # ------------------------------------------------------------- sweep
 
 

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypercut.core import (
     build,
@@ -9,9 +9,21 @@ from hypercut.core import (
     degree_profile,
     induce,
 )
+from hypercut.cutspace import Cut
+from hypercut.derand import first_two_vertex_set, point_local_search
 from hypercut.errors import InvalidEdge, InvalidParams, InvalidVertex
 
-from conftest import FANO_LINES
+from conftest import (
+    FANO_LINES,
+    plain_clique_weights,
+    plain_degree_profile,
+    plain_first_two_vertex_set,
+    plain_incidence,
+    plain_induced_edges,
+    plain_size_histogram,
+    plain_vertices_in_edges_of_size_at_least,
+)
+from test_derand import plain_point_local_search
 
 
 def small_hypergraphs():
@@ -147,3 +159,57 @@ def test_degree_totals(h):
 @given(small_hypergraphs())
 def test_induce_identity(h):
     assert induce(h, range(h.n_vertices)) == h
+
+
+@st.composite
+def mixed_instances(draw):
+    """Mixed arity with size-1 edges, repeated edges, isolated vertices,
+    m = 0 and a declared max_arity above the realized size."""
+    used = draw(st.integers(min_value=0, max_value=9))
+    n = used + draw(st.integers(min_value=0, max_value=2))  # isolated vertices
+    edges: list[list[int]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14)) if used else 0):
+        if edges and draw(st.booleans()):
+            edges.append(draw(st.sampled_from(edges)))  # a repeated edge
+            continue
+        size = draw(st.integers(min_value=1, max_value=min(6, used)))
+        vertices = st.integers(min_value=0, max_value=used - 1)
+        edges.append(draw(st.lists(vertices, min_size=size, max_size=size, unique=True)))
+    realized = max(map(len, edges), default=0)
+    return build(n, edges, max_arity=realized + draw(st.integers(min_value=0, max_value=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_counters_match_plain_loops(data):
+    h = data.draw(mixed_instances())
+    n = h.n_vertices
+    all_ints = lambda xs: all(type(x) is int for x in xs)
+
+    deg, codeg, max_deg = plain_degree_profile(h)
+    prof = degree_profile(h)
+    assert prof.degree == tuple(deg) and all_ints(prof.degree)
+    assert prof.codegree == codeg and all_ints(prof.codegree.values())
+    assert prof.max_degree == max_deg and type(prof.max_degree) is int
+
+    weights = clique_expand(h).weights
+    assert weights == plain_clique_weights(h)
+    assert all(all_ints(w) for w in weights)
+
+    inc = h.incidence()
+    assert inc == plain_incidence(h) and all(all_ints(row) for row in inc)
+    assert h.size_histogram == plain_size_histogram(h) and all_ints(h.size_histogram)
+    for s in range(h.edge_array.shape[1] + 2):
+        got = h.vertices_in_edges_of_size_at_least(s)
+        assert got == plain_vertices_in_edges_of_size_at_least(h, s) and all_ints(got)
+
+    u_set = data.draw(st.frozensets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+    assert induce(h, u_set).edges == plain_induced_edges(h, u_set)
+
+    order = data.draw(st.permutations(range(n)))
+    w_set = first_two_vertex_set(h, order)
+    assert w_set == plain_first_two_vertex_set(h, order) and all_ints(w_set)
+
+    r = data.draw(st.integers(min_value=2, max_value=4))
+    start = Cut(r, tuple(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))))
+    assert point_local_search(h, start) == plain_point_local_search(h, start)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from hypercut.core import build, degree_profile
 from hypercut.cutspace import Cut, cut_metrics, equitable_complete_value
+from hypercut import instances
 from hypercut.errors import InvalidParams, OracleInfeasible
 from hypercut.instances import (
     GenSpec,
@@ -64,6 +66,73 @@ def test_linear_random_codegrees():
     h = generate(GenSpec(family="linear-random", n=30, k=3, m_target=25, seed=4))
     assert h.m == 25
     assert all(c <= 1 for c in degree_profile(h).codegree.values())
+
+
+def plain_linear_random(rng, n: int, k: int, m_target: int) -> tuple:
+    """The greedy linear generator with no saturation test: it draws until
+    m_target edges or 200 (m_target + 1) rejections in a row."""
+    used_pairs: set = set()
+    edges = []
+    stall = 0
+    while len(edges) < m_target and stall < 200 * (m_target + 1):
+        e = tuple(sorted(rng.sample(range(n), k)))
+        pairs = list(combinations(e, 2))
+        if any(p in used_pairs for p in pairs):
+            stall += 1
+            continue
+        used_pairs.update(pairs)
+        edges.append(e)
+        stall = 0
+    return tuple(edges)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``sample`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.samples = 0
+
+    def sample(self, population, k, **kwargs):
+        self.samples += 1
+        return super().sample(population, k, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n,k,m_target",
+    [
+        (6, 2, 10),  # capacity 15 pairs
+        (6, 2, 30),
+        (9, 3, 18),  # at most 12 triples
+        (13, 3, 60),
+        (20, 3, 100),
+        (40, 3, 60),
+        (12, 4, 40),
+        (16, 4, 5),
+        (15, 5, 30),
+        (40, 5, 20),
+    ],
+)
+def test_linear_random_matches_the_loop_without_saturation_test(n, k, m_target):
+    for seed in range(4):
+        h = generate(GenSpec(family="linear-random", n=n, k=k, m_target=m_target, seed=seed))
+        want = plain_linear_random(random.Random(f"linear:{seed}"), n, k, m_target)
+        assert h.edges == want
+
+
+def test_linear_random_stops_drawing_once_saturated(monkeypatch):
+    made = []
+
+    def counting(seed):
+        made.append(CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(instances, "random", SimpleNamespace(Random=counting))
+    for seed in range(3):
+        h = generate(GenSpec(family="linear-random", n=9, k=3, m_target=18, seed=seed))
+        old = CountingRandom(f"linear:{seed}")
+        assert h.edges == plain_linear_random(old, 9, 3, 18)
+        assert made[-1].samples * 10 < old.samples
 
 
 # ------------------------------------------------------------- exact oracle
