@@ -94,7 +94,8 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         route = es_route(h, r, clamped, ledger)
         if route is None:
             raise HypercutError("--algo es supports r=2, or r=3 on 3-uniform instances")
-        return route[1], ledger
+        _, cut, _, _ = route
+        return cut, ledger
     if algo == "greedy":
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
@@ -110,9 +111,10 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         )
         return cut, ledger
     if algo == "chromatic":
-        return chromatic_route(h, r, clamped, ledger), ledger
+        cut, _ = chromatic_route(h, r, clamped, ledger)
+        return cut, ledger
     if algo == "pipeline":
-        sr = codegree_structure(h, params)
+        sr = codegree_structure(h)
         try:
             cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         except (SearchFailed, DriverInapplicable):
@@ -149,16 +151,8 @@ def run_report(h: Hypergraph, algo: str, r: int, trials: int, seed: int) -> RunR
 # ----------------------------------------------------------------- commands
 
 
-def _edge_probability(p, n: int, k: int):
-    """``p``, or by default n^(3-k), at most 1: about n^3/k! expected edges."""
-    if p is not None:
-        return p
-    return min(n ** (3 - k), 1.0) if n else 0.0
-
-
 def _cmd_gen(args) -> int:
-    p = _edge_probability(args.p, args.n, args.k)
-    h = generate(GenSpec(args.family, args.n, args.k, p, args.m_target, args.seed))
+    h = _sweep_instance(args.family, args.n, args.k, args.p, args.m_target, args.seed)
     text = hgio.serialize(h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -300,8 +294,13 @@ def _cmd_check(args) -> int:
 
 
 def _sweep_instance(family: str, n: int, k: int, p, m_target, seed: int) -> Hypergraph:
-    """One sweep row's instance: ``gen``'s default p, and 2n target edges by default."""
-    p = _edge_probability(p, n, k)
+    """The instance of ``gen`` and of one sweep row.
+
+    By default p is n^(3-k), at most 1 (about n^3/k! expected edges), and
+    linear-random, the one family that reads ``m_target``, aims at 2n edges.
+    """
+    if p is None:
+        p = min(n ** (3 - k), 1.0) if n else 0.0
     return generate(GenSpec(family, n, k, p, m_target or 2 * n, seed))
 
 

@@ -46,9 +46,6 @@ from .errors import (
 class EsLedger:
     """Per-run record of the deferred conditional-expectations engine."""
 
-    order: tuple[int, ...]
-    determined_at_own_step: tuple[int, ...]
-    deferred_counts: tuple[int, ...]  # |U_v| per step, aligned with order
     w_set: frozenset
     guaranteed_excess: Fraction
     realized_excess: Fraction
@@ -57,18 +54,12 @@ class EsLedger:
 
 @dataclass(frozen=True)
 class GreedyLedger:
-    order: tuple[int, ...]
-    back_degrees: tuple
-    gains: tuple
     realized_excess: Fraction
 
 
 @dataclass(frozen=True)
 class CombinePlan:
-    parts: tuple
-    partial_cuts: tuple
     average_excesses: tuple
-    swaps: tuple  # 0 = identity, 1 = transposition, per listed part
     realized_excess: Fraction
 
 
@@ -124,8 +115,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     deferred: set[int] = set()
     ez = sum(prob)
     trace = [ez]
-    determined: list[int] = []
-    deferred_counts: list[int] = []
+    credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
     def snapshot(v):
         if on_step is not None:
@@ -193,10 +183,8 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             if u_v:
                 raise CertificateError("zero-gain step with nonempty deferred neighbourhood")
             deferred.add(v)
-            deferred_counts.append(0)
         else:
-            deferred_counts.append(len(u_v))
-            determined.append(v)
+            credit += 1 + len(u_v)
             before = ez
             assign(v, best_cv)
             for u in sorted(u_v):
@@ -216,7 +204,6 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
         raise CertificateError("realized size differs from final conditional expectation")
 
     w_set = first_two_vertex_set(h, order)
-    credit = len(determined) + sum(deferred_counts)
     if credit < len(w_set):
         raise GuaranteeViolation("determined-vertex credit fell below |W|")
     guaranteed = Fraction(credit, 2**k_eff)
@@ -226,9 +213,6 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             f"realized excess {realized_excess} below guarantee {guaranteed}"
         )
     ledger = EsLedger(
-        order=tuple(order),
-        determined_at_own_step=tuple(determined),
-        deferred_counts=tuple(deferred_counts),
         w_set=w_set,
         guaranteed_excess=guaranteed,
         realized_excess=realized_excess,
@@ -263,19 +247,18 @@ def order_for_W(h: Hypergraph, trials: int, seed) -> list[int]:
         if attempts >= trials and best_w * k_eff >= 2 * n_prime:
             return best_order
         if attempts >= cap:
-            raise SearchFailed("order search exhausted its cap", best=best_order)
+            raise SearchFailed("order search exhausted its cap")
 
 
-def greedy_on_adjacency(adj: dict, order) -> tuple[dict, list, list]:
+def greedy_on_adjacency(adj: dict, order) -> tuple[dict, Fraction]:
     """Greedy 2-cut over an adjacency mapping restricted to ``order``.
 
     ``adj[v]`` lists (neighbour, weight) with neighbours inside ``order``.
-    Returns (assignment, per-step back weights, per-step gains); the rule
+    Returns (assignment, sum of the per-step gains |w1 - w2|/2); the rule
     and tie-handling match ``greedy_order_cut``.
     """
     part: dict = {}
-    backs = []
-    gains = []
+    gain = 0
     for v in order:
         w1 = w2 = 0
         for nb, w in adj.get(v, ()):
@@ -285,9 +268,8 @@ def greedy_on_adjacency(adj: dict, order) -> tuple[dict, list, list]:
             elif side == 2:
                 w2 += w
         part[v] = 1 if w2 >= w1 else 2
-        backs.append(w1 + w2)
-        gains.append(Fraction(abs(w1 - w2), 2))
-    return part, backs, gains
+        gain += abs(w1 - w2)
+    return part, Fraction(gain, 2)
 
 
 def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, GreedyLedger]:
@@ -299,13 +281,11 @@ def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, GreedyLedger]:
     n = g.n_vertices
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
-    assigned, backs, gains = greedy_on_adjacency(dict(enumerate(g.adjacency())), list(order))
+    assigned, excess = greedy_on_adjacency(dict(enumerate(g.adjacency())), list(order))
     cut = Cut(2, tuple(assigned[v] for v in range(n)))
-    excess = sum(gains, Fraction(0))
     if 2 * g.crossing_weight(cut.assignment) != g.total_weight + 2 * excess:
         raise CertificateError("greedy size does not match total/2 + gains")
-    ledger = GreedyLedger(tuple(order), tuple(backs), tuple(gains), excess)
-    return cut, ledger
+    return cut, GreedyLedger(excess)
 
 
 def flip_local_search(g: WeightedGraph, start: Cut) -> Cut:
@@ -448,14 +428,7 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
         raise GuaranteeViolation(
             f"combined excess {realized_excess} below promised {promised}"
         )
-    plan = CombinePlan(
-        parts=tuple(parts),
-        partial_cuts=tuple(dict(pc) for pc in partial_cuts),
-        average_excesses=x_values,
-        swaps=tuple(swaps[: len(parts)]),
-        realized_excess=realized_excess,
-    )
-    return cut, plan
+    return cut, CombinePlan(average_excesses=x_values, realized_excess=realized_excess)
 
 
 def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:

@@ -44,10 +44,6 @@ class PlanInvalid(HypercutError):
 class SearchFailed(HypercutError):
     """A randomized search exhausted its retry budget."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class DriverInapplicable(HypercutError):
     """Instance does not meet a driver's structural precondition."""

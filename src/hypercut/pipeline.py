@@ -172,12 +172,12 @@ class StructureReport:
     q: float
 
 
-def codegree_structure(h: Hypergraph, params: PipelineParams) -> StructureReport:
+def codegree_structure(h: Hypergraph) -> StructureReport:
     """Greedy matching on high-codegree pairs, else the low-degree core U.
 
     With fewer than q matched pairs, U keeps every unmatched vertex of
     degree at most Delta, so |U| >= n - 2q - km/Delta.  The thresholds
-    depend on m alone; ``params`` sets nothing here.
+    depend on m alone.
     """
     d = derive_params(h.m)
     prof = degree_profile(h)
@@ -304,11 +304,8 @@ def goodness_audit(h: Hypergraph, h_sub: Hypergraph, partition, vertex_set) -> G
 class GoodPartition:
     parts: tuple
     m_prime: int  # realized within-part pair-edge count after deletion
-    delta_prime: float  # within-degree bound the partition honours
     m_target: float
     deleted_edges: tuple  # h-edge indices removed to reach full goodness
-    violations_spread: tuple
-    violations_witness: tuple
 
 
 def good_partition_search(
@@ -332,16 +329,11 @@ def good_partition_search(
     delta_prime = 2 * d.p_prime * k * d.delta
     y = C * m1 / math.sqrt(delta_prime) if delta_prime > 0 else 0.0
 
-    best_report = None
     for _ in range(params.retry_budget):
         parts = [set() for _ in range(d.t)]
         for v in vset:
             parts[rng.randrange(d.t)].add(v)
         report = goodness_audit(h, h_sub, parts, vset)
-        if best_report is None or len(report.violations_spread) + len(
-            report.violations_witness
-        ) < len(best_report.violations_spread) + len(best_report.violations_witness):
-            best_report = report
         if report.within_pair_edges < 2 * m1 or report.max_within_degree > delta_prime:
             continue
         if len(report.violations_spread) > y / 2 or len(report.violations_witness) > y / 2:
@@ -367,15 +359,10 @@ def good_partition_search(
         return GoodPartition(
             parts=tuple(frozenset(p) for p in parts),
             m_prime=post.within_pair_edges,
-            delta_prime=delta_prime,
             m_target=m1,
             deleted_edges=tuple(sorted(drop)),
-            violations_spread=report.violations_spread,
-            violations_witness=report.violations_witness,
         )
-    raise SearchFailed(
-        f"no good partition within {params.retry_budget} samples", best=best_report
-    )
+    raise SearchFailed(f"no good partition within {params.retry_budget} samples")
 
 
 # --------------------------------------------------------------- drivers
@@ -389,7 +376,7 @@ def _greedy_part(vs, weighted_pairs, rng) -> dict:
         local[v].append((u, wt))
     order = sorted(vs)
     rng.shuffle(order)
-    assigned, _, _ = greedy_on_adjacency(local, order)
+    assigned, _ = greedy_on_adjacency(local, order)
     return assigned
 
 
@@ -476,8 +463,7 @@ def driver_3cut(
             partials.append(_greedy_part(star, internal.get(i, ()), rng))
 
         c2, promise_fwd, fwd_excess = _combine_or_baseline(gpart, part_sets, partials)
-        c3 = red.back_map(c2)
-        metrics = cut_metrics(hd, c3)
+        c3, metrics = red.back_map(c2)
         pae = exposure_average_excess(hd, 3, rho, keep=2)
         if metrics.excess != fwd_excess + pae:
             raise CertificateError("3-cut exposure transfer identity failed")
@@ -552,8 +538,7 @@ def driver_2cut(
         weighted_identity_check(hpart, wgs, partials)
 
         phi, promise_fwd, fwd_excess = _combine_or_baseline(hpart, part_sets, partials)
-        c2 = red.back_map(phi)
-        metrics = cut_metrics(hd, c2)
+        c2, metrics = red.back_map(phi)
         promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
         if metrics.excess < promise_hd:
             raise GuaranteeViolation("doubled-exposure promise missed")
@@ -573,13 +558,14 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
     red = _double_exposure(h, u_set, random.Random(f"nobad:{params.seed}"), params)
     if red is None:
         raise SearchFailed("no exposure of the bad vertices met the bar")
-    inner_cut, inner_ledger = driver_2cut(red.forward, params, u_set=None)
-    best = red.back_map(inner_cut)
-    ledger = GuaranteeLedger()
-    ledger.extend(inner_ledger, prefix="inner ", demote=True)
-    inner_promise = inner_ledger.instance_promise()
-    promise = inner_promise / 2 + (red.conditional_size - red.base_size)
-    ledger.add("bad-vertex exposure transfer", promise, cut_metrics(h, best).excess)
+    gain = red.conditional_size - red.base_size
+    best, ledger = _carry_back(
+        red,
+        driver_2cut(red.forward, params, u_set=None),
+        "inner ",
+        "bad-vertex exposure transfer",
+        lambda inner_promise: inner_promise / 2 + gain,
+    )
     ledger.assert_ok()
     return best, ledger
 
@@ -619,20 +605,21 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
     return best_cut(h, (draw() for _ in range(trials))), chi
 
 
-def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger) -> Cut:
-    """``solve``'s chromatic entry: the cut, with its advisory line added to ``ledger``."""
+def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
+    """``solve``'s chromatic entry: (cut, metrics), its advisory line added to ``ledger``."""
     cut, chi = chromatic_cut(h, r, params.trials, params.seed)
-    ledger.add(f"chromatic balance (chi={chi})", None, cut_metrics(h, cut).excess, deterministic=False)
-    return cut
+    metrics = cut_metrics(h, cut)
+    ledger.add(f"chromatic balance (chi={chi})", None, metrics.excess, deterministic=False)
+    return cut, metrics
 
 
 def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
     """``solve``'s deferred-engine entry, with its promise added to ``ledger``.
 
     At r = 2 the engine's 2-cut; at r = 3 on a 3-uniform instance that
-    2-cut lifted by opening a third part.  Returns (name, cut, order),
-    ``order`` being the vertex order the engine ran on, or None when
-    neither case applies.
+    2-cut lifted by opening a third part.  Returns (name, cut, metrics,
+    order), ``order`` being the vertex order the engine ran on, or None
+    when neither case applies.
     """
     if r != 2 and not (r == 3 and all(len(e) == 3 for e in h.edges)):
         return None
@@ -642,14 +629,15 @@ def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
         ledger.add(
             "deferred conditional expectations", es_ledger.guaranteed_excess, es_ledger.realized_excess
         )
-        return "es", c2, order
+        return "es", c2, cut_metrics(h, c2), order
     lifted = lift_2cut_to_3cut(h, c2)
+    metrics = cut_metrics(h, lifted)
     ledger.add(
         "third-part lift of the deferred engine",
         Fraction(8, 27) * es_ledger.realized_excess,
-        cut_metrics(h, lifted).excess,
+        metrics.excess,
     )
-    return "es-lift", lifted, order
+    return "es-lift", lifted, metrics, order
 
 
 # --------------------------------------------------------------- solve
@@ -668,75 +656,74 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     k = check_parts(h, r)
     n = h.n_vertices
     ledger = GuaranteeLedger()
-    candidates: list[tuple[str, Cut]] = []
+    scored: list[tuple[int, str, Cut]] = []
 
-    base_cut = conditional_rcut(h, r)
-    ledger.add("conditional-expectations baseline", Fraction(0), cut_metrics(h, base_cut).excess)
-    candidates.append(("cond-exp", base_cut))
+    def enter(name, cut, claim=None, promised=None, metrics=None):
+        """Score a route's cut once (unless ``metrics`` already holds it),
+        write its ledger line from that score, and rank it."""
+        if metrics is None:
+            metrics = cut_metrics(h, cut)
+        if claim is not None:
+            ledger.add(claim, promised, metrics.excess, deterministic=promised is not None)
+        scored.append((metrics.size, name, cut))
 
-    candidates.append(("chromatic", chromatic_route(h, r, params, ledger)))
+    enter("cond-exp", conditional_rcut(h, r), "conditional-expectations baseline", Fraction(0))
+
+    cut, metrics = chromatic_route(h, r, params, ledger)
+    enter("chromatic", cut, metrics=metrics)
 
     es = es_route(h, r, params, ledger)
     if es is not None:
-        name, es_cut, order = es
-        candidates.append((name, es_cut))
+        name, cut, metrics, order = es
+        enter(name, cut, metrics=metrics)
     else:  # r >= 3, and not a 3-uniform instance at r = 3
         merged = _es_exposure_baseline(h, r, params)
         if merged is not None:
-            cut, promise = merged
-            ledger.add("exposure + deferred engine", promise, cut_metrics(h, cut).excess)
-            candidates.append(("es-expose", cut))
+            cut, metrics, promise = merged
+            enter("es-expose", cut, "exposure + deferred engine", promise, metrics)
     if r == 2:
         if all(len(e) == 2 for e in h.edges):
             mg = clique_expand(h)
             greedy, _ = greedy_order_cut(mg, order)
-            polished = flip_local_search(mg, greedy)
-            candidates.append(("greedy-flip", polished))
+            enter("greedy-flip", flip_local_search(mg, greedy))
         elif all(len(e) == 3 for e in h.edges):
             red = expand_3graph(h)
             greedy, gl = greedy_order_cut(red.forward, order)
-            polished = flip_local_search(red.forward, greedy)
-            back = red.back_map(polished)
-            ledger.add(
+            back, metrics = red.back_map(flip_local_search(red.forward, greedy))
+            enter(
+                "expand-greedy",
+                back,
                 "triangle-expansion greedy gains (halved)",
                 gl.realized_excess / 2,
-                cut_metrics(h, back).excess,
+                metrics,
             )
-            candidates.append(("expand-greedy", back))
 
-    sr = codegree_structure(h, params)
+    sr = codegree_structure(h)
     if sr.branch == "matching-cut":
-        cmc = conditioned_matching_cut(h, sr.matching, r, params.trials, params.seed)
-        ledger.add(
+        enter(
+            "matching-cut",
+            conditioned_matching_cut(h, sr.matching, r, params.trials, params.seed),
             f"conditioned matching cut ({len(sr.matching)} pairs)",
-            None,
-            cut_metrics(h, cmc).excess,
-            deterministic=False,
         )
-        candidates.append(("matching-cut", cmc))
 
     complement = sorted(set(range(n)) - sr.u_set)
     if len(complement) >= r:
-        dsc = dense_subset_cut(h, complement, r, params.trials, params.seed)
-        ledger.add(
+        enter(
+            "dense-subset",
+            dense_subset_cut(h, complement, r, params.trials, params.seed),
             "equitable cut of the heavy complement",
-            None,
-            cut_metrics(h, dsc).excess,
-            deterministic=False,
         )
-        candidates.append(("dense-subset", dsc))
 
     try:
         driver_cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         if driver_cut is not None:
             ledger.extend(driver_ledger, prefix="pipeline: ")
-            candidates.append(("pipeline", driver_cut))
+            enter("pipeline", driver_cut)
     except (SearchFailed, DriverInapplicable):
         pass
 
-    scored = [(cut_metrics(h, cut).size, name, cut) for name, cut in candidates]
-    scored.sort(key=lambda x: (-x[0], x[1]))
-    best = point_local_search(h, scored[0][2])
+    _, _, top = min(scored, key=lambda s: (-s[0], s[1]))
+    best = point_local_search(h, top)
     final = cut_metrics(h, best)
     ledger.add("best-of selection with local moves", ledger.instance_promise(), final.excess)
     ledger.assert_ok()
@@ -774,25 +761,33 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
         yield rho, pae, red
 
 
-def _exposure_transfer(h: Hypergraph, red, pae, sub_cut, sub_ledger):
-    """Merge a cut of an exposure's forward instance back, promise carried over."""
-    merged = red.back_map(sub_cut)
+def _carry_back(red, sub, prefix: str, claim: str, promise_of):
+    """Map a (cut, ledger) of ``red.forward`` back to the original instance.
+
+    The sub-ledger's entries are kept as stage claims under ``prefix``;
+    one instance line ``claim`` promises ``promise_of`` of the sub-ledger's
+    instance promise and realizes the excess the back-map certified.
+    """
+    sub_cut, sub_ledger = sub
+    cut, metrics = red.back_map(sub_cut)
     ledger = GuaranteeLedger()
-    ledger.extend(sub_ledger, prefix="exposed ", demote=True)
-    sub_promise = sub_ledger.instance_promise()
-    ledger.add("exposure transfer", sub_promise + pae, cut_metrics(h, merged).excess)
-    return merged, ledger
+    ledger.extend(sub_ledger, prefix=prefix, demote=True)
+    ledger.add(claim, promise_of(sub_ledger.instance_promise()), metrics.excess)
+    return cut, ledger
 
 
 def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
-    """Expose parts {3..r} at random, run the deferred engine, merge back."""
+    """Expose parts {3..r} at random, run the deferred engine, merge back.
+
+    Returns (cut, metrics, promise), or None when no exposure is viable.
+    """
     for _, pae, red in _exposures(h, r, 2, "es-expose", params):
         order = order_for_W(red.forward, 4, params.seed)
         c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
-        merged = red.back_map(c2)
-        if cut_metrics(h, merged).excess != cut_metrics(red.forward, c2).excess + pae:
+        merged, metrics = red.back_map(c2)
+        if metrics.excess != cut_metrics(red.forward, c2).excess + pae:
             raise CertificateError("exposure baseline transfer identity failed")
-        return merged, es_ledger.guaranteed_excess + pae
+        return merged, metrics, es_ledger.guaranteed_excess + pae
     return None
 
 
@@ -811,13 +806,13 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
         if any(len(e) != k for e in h.edges):
             return None, None  # subset expansion needs a uniform instance
         red = rgraph_expand(h, r)
-        sub_cut, sub_ledger = solve(red.forward, r, params)
-        best = red.back_map(sub_cut)
-        ledger = GuaranteeLedger()
-        ledger.extend(sub_ledger, prefix="subset-expansion ", demote=True)
-        sub_promise = sub_ledger.instance_promise()
-        ledger.add("subset-expansion halving", sub_promise / 2, cut_metrics(h, best).excess)
-        return best, ledger
+        return _carry_back(
+            red,
+            solve(red.forward, r, params),
+            "subset-expansion ",
+            "subset-expansion halving",
+            lambda sub_promise: sub_promise / 2,
+        )
     if r == k and k > 3:
         return _driver_expose_3(h, r, sr, params)
     return None, None
@@ -832,12 +827,13 @@ def _driver_expose_2(h, r, sr, params):
             sub = driver_2cut(red.forward, params, u_set=None if u == stars else u)
         except (SearchFailed, DriverInapplicable):
             continue
-        return _exposure_transfer(h, red, pae, *sub)
+        return _carry_back(red, sub, "exposed ", "exposure transfer", lambda p: p + pae)
     raise SearchFailed("no viable exposure for the 2-cut driver")
 
 
 def _driver_expose_3(h, r, sr, params):
     """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
     for _, pae, red in _exposures(h, r, 3, "expose3", params):
-        return _exposure_transfer(h, red, pae, *solve(red.forward, 3, params))
+        sub = solve(red.forward, 3, params)
+        return _carry_back(red, sub, "exposed ", "exposure transfer", lambda p: p + pae)
     raise SearchFailed("no viable exposure for the 3-cut reduction")

@@ -3,8 +3,10 @@
 Every reduction carries a ``back_map`` that converts a cut of the
 forward instance into a cut of the original and verifies the exact size
 relation on the spot; a mismatch raises ``CertificateError`` and means a
-bug, never bad input.  The proofs chain several of these reductions, so
-this per-run checking is the artifact's central safety mechanism.
+bug, never bad input.  It returns the original cut together with the
+``CutMetrics`` its certificate computed for it, so callers never score
+that cut again.  The proofs chain several of these reductions, so this
+per-run checking is the artifact's central safety mechanism.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .core import Hypergraph, WeightedGraph, clique_expand
 from .cutspace import (
     Cut,
+    CutMetrics,
     PartialCut,
     best_cut,
     cut_metrics,
@@ -39,11 +42,14 @@ from .errors import (
 
 @dataclass
 class Reduction:
-    """A forward instance plus a certified map back to the original."""
+    """A forward instance plus a certified map back to the original.
 
-    kind: str
+    ``back_map(cut)`` returns (cut of the original, its ``CutMetrics`` on
+    the original), the metrics being the ones the certificate computed.
+    """
+
     forward: object
-    back_map: Callable[[Cut], Cut]
+    back_map: Callable[[Cut], tuple[Cut, CutMetrics]]
 
 
 def expand_3graph(h: Hypergraph) -> Reduction:
@@ -57,18 +63,18 @@ def expand_3graph(h: Hypergraph) -> Reduction:
         raise InvalidArity("expand_3graph needs a 3-uniform hypergraph")
     forward = clique_expand(h)
 
-    def back_map(cut: Cut) -> Cut:
+    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != 2 or len(cut.assignment) != h.n_vertices:
             raise InvalidParams("expected a 2-cut on the shared vertex set")
         z_graph = forward.crossing_weight(cut.assignment)
-        z_hyper = cut_metrics(h, cut).size
-        if z_graph != 2 * z_hyper:
+        metrics = cut_metrics(h, cut)
+        if z_graph != 2 * metrics.size:
             raise CertificateError(
-                f"triangle expansion: multigraph size {z_graph} != 2*{z_hyper}"
+                f"triangle expansion: multigraph size {z_graph} != 2*{metrics.size}"
             )
-        return cut
+        return cut, metrics
 
-    return Reduction("expand-3graph", forward, back_map)
+    return Reduction(forward, back_map)
 
 
 def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
@@ -86,18 +92,18 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     sub_edges = [c for e in h.edges for c in combinations(e, r)]
     forward = Hypergraph(h.n_vertices, r, tuple(sub_edges))
 
-    def back_map(cut: Cut) -> Cut:
+    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != r or len(cut.assignment) != h.n_vertices:
             raise InvalidParams("expected an r-cut on the shared vertex set")
         z_fwd = cut_metrics(forward, cut).size
-        z_orig = cut_metrics(h, cut).size
-        if z_fwd != 2 * z_orig:
+        metrics = cut_metrics(h, cut)
+        if z_fwd != 2 * metrics.size:
             raise CertificateError(
-                f"subset expansion: forward size {z_fwd} != 2*{z_orig}"
+                f"subset expansion: forward size {z_fwd} != 2*{metrics.size}"
             )
-        return cut
+        return cut, metrics
 
-    return Reduction("rgraph-expand", forward, back_map)
+    return Reduction(forward, back_map)
 
 
 def _unexposed_tuples(h: Hypergraph, labels, kept, counts) -> list[tuple[int, ...]]:
@@ -141,7 +147,7 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
     arity = (h.max_arity - r + 2) if keep == 2 else 3
     forward = Hypergraph(h.n_vertices, arity, tuple(fwd_edges))
 
-    def back_map(cut: Cut) -> Cut:
+    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != keep or len(cut.assignment) != h.n_vertices:
             raise InvalidParams(f"expected a {keep}-cut on the shared vertex set")
         merged = tuple(
@@ -149,14 +155,14 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
         )
         out = Cut(r, merged)
         z_fwd = cut_metrics(forward, cut).size
-        z_orig = cut_metrics(h, out).size
-        if z_fwd != z_orig:
+        metrics = cut_metrics(h, out)
+        if z_fwd != metrics.size:
             raise CertificateError(
-                f"partial exposure: forward size {z_fwd} != original size {z_orig}"
+                f"partial exposure: forward size {z_fwd} != original size {metrics.size}"
             )
-        return out
+        return out, metrics
 
-    return Reduction("hpart-expose", forward, back_map)
+    return Reduction(forward, back_map)
 
 
 def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Fraction:
@@ -183,7 +189,8 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     Completing a 2-cut phi of the forward instance with rho, the better
     of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]) where
     x' is phi's forward excess; the underlying average-size identity is
-    checked exactly on every back-map.
+    checked exactly on every back-map, which returns the better side with
+    its metrics.
     """
     w = frozenset(w_set)
     outside = set(range(h.n_vertices)) - w
@@ -214,7 +221,7 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     cond = partial_average_size(h, PartialCut(2, dict(rho)))
     base = uniform_expected_size(h, 2)
 
-    def back_map(phi: Cut) -> Cut:
+    def back_map(phi: Cut) -> tuple[Cut, CutMetrics]:
         if phi.r != 2 or len(phi.assignment) != h.n_vertices:
             raise InvalidParams("expected a 2-cut on the shared vertex set")
         merged = tuple(
@@ -225,8 +232,8 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
             for v in range(h.n_vertices)
         )
         omega, omega_bar = Cut(2, merged), Cut(2, flipped)
-        z1 = cut_metrics(h, omega).size
-        z2 = cut_metrics(h, omega_bar).size
+        m1, m2 = cut_metrics(h, omega), cut_metrics(h, omega_bar)
+        z1, z2 = m1.size, m2.size
         fwd_metrics = cut_metrics(forward, phi)
         z_part = fwd_metrics.size
         if z1 + z2 != z_part + n_undet + 2 * n_multi:
@@ -236,15 +243,12 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
             )
         if cond != fwd_metrics.expected / 2 + Fraction(n_undet, 2) + n_multi:
             raise CertificateError("conditional-size identity failed")
-        x_fwd = fwd_metrics.excess
-        best = omega if z1 >= z2 else omega_bar
-        realized_excess = max(z1, z2) - base
-        if realized_excess < x_fwd / 2 + (cond - base):
+        best = (omega, m1) if z1 >= z2 else (omega_bar, m2)
+        if max(z1, z2) - base < fwd_metrics.excess / 2 + (cond - base):
             raise CertificateError("excess-transfer inequality failed")
         return best
 
-    red = DoubleExposure(
-        kind="hpart-double",
+    return DoubleExposure(
         forward=forward,
         back_map=back_map,
         n_multi=n_multi,
@@ -252,7 +256,6 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
         conditional_size=cond,
         base_size=base,
     )
-    return red
 
 
 def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:

@@ -133,6 +133,12 @@ def test_criterion_3_conditional_expectation_exactness():
     report(3, f"{checked} internal conditional expectations equal brute-force enumeration")
 
 
+def back_map_checked(h, red, cut):
+    """Map ``cut`` back; the returned metrics must be those of the returned cut."""
+    back, metrics = red.back_map(cut)
+    assert metrics == cut_metrics(h, back)
+
+
 def test_criterion_4_reduction_certificates():
     rng = random.Random("acceptance-4")
     runs = 0
@@ -145,7 +151,7 @@ def test_criterion_4_reduction_certificates():
     ):
         red = expand_3graph(h)
         for _ in range(20):
-            red.back_map(Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))))
+            back_map_checked(h, red, Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))))
             runs += 1
 
     # subset expansion: z/2 relation
@@ -154,7 +160,7 @@ def test_criterion_4_reduction_certificates():
         k = rng.choice((4, 5))
         h = build(n, [rng.sample(range(n), k) for _ in range(rng.randint(1, 10))])
         red = rgraph_expand(h, k - 1)
-        red.back_map(Cut(k - 1, tuple(rng.randint(1, k - 1) for _ in range(n))))
+        back_map_checked(h, red, Cut(k - 1, tuple(rng.randint(1, k - 1) for _ in range(n))))
         runs += 1
 
     # partial exposures: same-size relation, both keep modes
@@ -163,15 +169,19 @@ def test_criterion_4_reduction_certificates():
         k = h.max_arity
         r = rng.randint(3, k)
         rho = {v: rng.randint(3, r) for v in range(h.n_vertices) if rng.random() < 0.4}
-        hpart_expose(h, r, rho, keep=2).back_map(
-            Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices)))
+        back_map_checked(
+            h,
+            hpart_expose(h, r, rho, keep=2),
+            Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))),
         )
         runs += 1
         if k >= 4:
             r3 = rng.randint(4, k)
             rho3 = {v: rng.randint(4, r3) for v in range(h.n_vertices) if rng.random() < 0.4}
-            hpart_expose(h, r3, rho3, keep=3).back_map(
-                Cut(3, tuple(rng.randint(1, 3) for _ in range(h.n_vertices)))
+            back_map_checked(
+                h,
+                hpart_expose(h, r3, rho3, keep=3),
+                Cut(3, tuple(rng.randint(1, 3) for _ in range(h.n_vertices))),
             )
             runs += 1
 
@@ -181,7 +191,7 @@ def test_criterion_4_reduction_certificates():
         w = {v for v in range(h.n_vertices) if rng.random() < 0.6}
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
         red = hpart_double(h, w, rho)
-        red.back_map(Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))))
+        back_map_checked(h, red, Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))))
         runs += 1
 
     # weighted reduction: exact identity on 1000 random (h, V', omega) triples

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut.cli import experiment_sweep, main
+from hypercut.cli import _sweep_instance, experiment_sweep, main
 from hypercut.core import build
 from hypercut.hgio import load, parse, serialize
 from hypercut.instances import GenSpec, generate
@@ -256,6 +256,20 @@ def test_gen_random_graph_default_p_is_capped_at_one(capsys):
     code, out, _ = run(capsys, "gen", "--family", "random", "--n", "10", "--k", "2")
     assert code == 0
     assert parse(out).m == 45
+
+
+def test_gen_linear_random_without_m_target_writes_the_sweep_instance(capsys):
+    # gen and sweep share one edge target (2n), so gen no longer writes m = 0
+    (row, _) = experiment_sweep(
+        {"families": ["linear-random"], "sizes": [30], "algos": ["es"], "r": 2, "k": 3}
+    )
+    code, out, _ = run(
+        capsys, "gen", "--family", "linear-random", "--n", "30", "--k", "3", "--seed", row["seed"]
+    )
+    assert code == 0
+    h = parse(out)
+    assert h.m > 0 and str(h.m) == row["m"]
+    assert out == serialize(_sweep_instance("linear-random", 30, 3, None, None, int(row["seed"])))
 
 
 # ------------------------------------------------------------- sweep

@@ -34,7 +34,7 @@ PARAMS = PipelineParams(seed=7)
 def test_codegree_structure_heavy_pairs():
     edges = [[0, 1, 2]] * 20
     h = build(4, edges)
-    sr = codegree_structure(h, PARAMS)
+    sr = codegree_structure(h)
     # g = 20^(7/45) < 2 < 20, so some pair of {0,1,2} is matched
     assert sr.matching
     u, v = sr.matching[0]
@@ -43,7 +43,7 @@ def test_codegree_structure_heavy_pairs():
 
 def test_codegree_structure_sts():
     h = generate(GenSpec(family="sts", n=15))
-    sr = codegree_structure(h, PARAMS)
+    sr = codegree_structure(h)
     assert sr.matching == ()
     assert sr.u_set == frozenset(range(15))  # all codegrees 1, degrees 7 <= 35^(5/9)
     assert sr.branch == "dense-induced"
@@ -51,7 +51,7 @@ def test_codegree_structure_sts():
 
 def test_codegree_structure_low_everything():
     h = build(8, [[0, 1, 2], [3, 4, 5]])
-    sr = codegree_structure(h, PARAMS)
+    sr = codegree_structure(h)
     assert sr.u_set == frozenset(range(8))  # all degrees 1 <= 2^(5/9)
     assert sr.induced_edges == 2
     assert sr.branch == "dense-induced"
@@ -296,7 +296,7 @@ def test_codegree_structure_core_size_bound():
     rng = random.Random(61)
     for _ in range(25):
         h = random_mixed(rng, n_hi=14, m_hi=30, k_hi=5)
-        sr = codegree_structure(h, PARAMS)
+        sr = codegree_structure(h)
         if sr.branch == "matching-cut":
             continue
         d = derive_params(h.m)

@@ -37,8 +37,9 @@ from test_derand import random_mixed
 def test_expand_matching(matching12):
     red = expand_3graph(matching12)
     assert red.forward.total_weight == 12  # four disjoint triangles
-    cut = red.back_map(Cut(2, (1, 1, 2) * 4))
-    assert cut_metrics(matching12, cut).size == 4
+    cut, metrics = red.back_map(Cut(2, (1, 1, 2) * 4))
+    assert metrics == cut_metrics(matching12, cut)
+    assert metrics.size == 4
     assert sum(m for u, v, m in red.forward.weights if cut.assignment[u] != cut.assignment[v]) == 8
 
 
@@ -51,8 +52,9 @@ def test_expand_fano_complete(fano):
 def test_expand_single_edge():
     h = build(3, [[0, 1, 2]])
     red = expand_3graph(h)
-    cut = red.back_map(Cut(2, (1, 1, 2)))
-    assert cut_metrics(h, cut).size == 1
+    cut, metrics = red.back_map(Cut(2, (1, 1, 2)))
+    assert metrics == cut_metrics(h, cut)
+    assert metrics.size == 1
 
 
 def test_expand_rejects_mixed():
@@ -78,15 +80,17 @@ def test_rgraph_four_edge():
     red = rgraph_expand(h, 3)
     assert red.forward.m == 4
     # parts (2+1+1): exactly two of the four triples are rainbow
-    cut = red.back_map(Cut(3, (1, 1, 2, 3)))
+    cut, metrics = red.back_map(Cut(3, (1, 1, 2, 3)))
+    assert metrics == cut_metrics(h, cut)
     assert cut_metrics(red.forward, cut).size == 2
-    assert cut_metrics(h, cut).size == 1
+    assert metrics.size == 1
 
 
 def test_rgraph_monochromatic():
     h = build(4, [[0, 1, 2, 3]])
     red = rgraph_expand(h, 3)
-    cut = red.back_map(Cut(3, (1, 1, 1, 1)))
+    cut, metrics = red.back_map(Cut(3, (1, 1, 1, 1)))
+    assert metrics == cut_metrics(h, cut)
     assert cut_metrics(red.forward, cut).size == 0
 
 
@@ -114,9 +118,10 @@ def test_hpart_expose_pair_edge():
     h = build(3, [[0, 1, 2]])
     red = hpart_expose(h, 3, {2: 3}, keep=2)
     assert red.forward.edges == ((0, 1),)
-    cut = red.back_map(Cut(2, (1, 2, 1)))
+    cut, metrics = red.back_map(Cut(2, (1, 2, 1)))
     assert cut.assignment == (1, 2, 3)
-    assert cut_metrics(h, cut).size == 1
+    assert metrics == cut_metrics(h, cut)
+    assert metrics.size == 1
 
 
 def test_hpart_expose_mixed_arity():
@@ -142,9 +147,10 @@ def test_hpart_expose_keep3():
     h = build(5, [[0, 1, 2, 3], [1, 2, 3, 4]])
     red = hpart_expose(h, 4, {0: 4, 4: 4}, keep=3)
     assert red.forward.edges == ((1, 2, 3), (1, 2, 3))
-    cut = red.back_map(Cut(3, (1, 1, 2, 3, 1)))
+    cut, metrics = red.back_map(Cut(3, (1, 1, 2, 3, 1)))
     assert cut.assignment == (4, 1, 2, 3, 4)
-    assert cut_metrics(h, cut).size == 2
+    assert metrics == cut_metrics(h, cut)
+    assert metrics.size == 2
 
 
 def test_hpart_expose_same_size_random():
@@ -273,10 +279,12 @@ def test_hpart_double_excess_transfer_random():
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
         red = hpart_double(h, w, rho)
         phi = Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices)))
-        best = red.back_map(phi)  # averaging + transfer certificates run inside
+        best, metrics = red.back_map(phi)  # averaging + transfer certificates run inside
+        assert metrics == cut_metrics(h, best)  # the metrics of the side it chose
+        flipped = Cut(2, tuple(3 - p if v in w else p for v, p in enumerate(best.assignment)))
+        assert metrics.size >= cut_metrics(h, flipped).size
         x_fwd = cut_metrics(red.forward, phi).excess
-        realized = cut_metrics(h, best).excess
-        assert realized >= x_fwd / 2 + (red.conditional_size - red.base_size)
+        assert metrics.excess >= x_fwd / 2 + (red.conditional_size - red.base_size)
 
 
 # --------------------------------------------------------------- weighted
