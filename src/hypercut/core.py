@@ -7,9 +7,11 @@ multiplicity is a first-class concept.  A multigraph is a
 Instances never change their value after construction and every
 operation here is pure; a ``Hypergraph`` builds its padded edge array
 and its row sizes on first use and keeps them, outside its equality and
-hash.  Every pass that only counts (degrees, codegrees, clique weights,
-incidences, size histograms, induced edges) is whole-array numpy work
-over that edge array, and returns exact Python ints.
+hash.  An instance cut out of another's array (``without_edges``, the
+exposure reductions) gets that array when it is built.  Every pass that
+only counts (degrees, codegrees, clique weights, incidences, size
+histograms, induced edges) is whole-array numpy work over that edge
+array, and returns exact Python ints.
 """
 
 from __future__ import annotations
@@ -93,8 +95,25 @@ class Hypergraph:
 
     def without_edges(self, drop: set[int]) -> "Hypergraph":
         """Copy with the edges at the given indices removed."""
-        kept = tuple(e for i, e in enumerate(self.edges) if i not in drop)
-        return Hypergraph(self.n_vertices, self.max_arity, kept)
+        kept = np.ones(self.m, dtype=bool)
+        kept[[i for i in drop if 0 <= i < self.m]] = False
+        return Hypergraph._from_rows(self.n_vertices, self.max_arity, self.edge_array[kept])
+
+    @classmethod
+    def _from_rows(cls, n: int, max_arity: int, rows: np.ndarray) -> "Hypergraph":
+        """The instance whose padded edge array is ``rows`` trimmed to its widest edge.
+
+        Each row holds one edge's vertices in increasing order, then the
+        padding vertex n.  The edges are read off the rows, and the trimmed
+        array fills the ``edge_array`` cache: the very array the edges
+        would build, so no caller rebuilds it from tuples.
+        """
+        sizes = (rows != n).sum(axis=1)
+        arr = np.array(rows[:, : sizes.max(initial=0)], dtype=np.intp)
+        h = cls(n, max_arity, tuple(tuple(row[:s]) for row, s in zip(arr.tolist(), sizes.tolist())))
+        arr.flags.writeable = False
+        h.__dict__["edge_array"] = arr  # where cached_property keeps it
+        return h
 
 
 @dataclass(frozen=True)

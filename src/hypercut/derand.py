@@ -4,14 +4,19 @@ Conditional expectations with deferred (undetermined) vertices, greedy
 cuts over vertex orderings, flip local search, and derandomized
 combination of per-part partial cuts.  The three conditional-expectation
 engines (``erdos_selfridge_2cut``, ``combine_partial_cuts``,
-``conditional_rcut``) take a ``Hypergraph``, keep per edge the mask of
-parts already hit (part p is bit p-1) and the number of units still
-uniform, and read the edge's multicolour probability from
-``cutspace.multicolour_table``, an integer table scaled by r^(k-1); the
-arithmetic stays exact.  Each engine cross-checks its own bookkeeping:
-the realized size, counted by ``cutspace.cut_metrics`` and not by the
-engine, times the scale against the integer running expectation; it
-raises ``GuaranteeViolation`` / ``CertificateError`` on any mismatch.
+``conditional_rcut``) take a ``Hypergraph`` and read multicolour
+probabilities from ``cutspace.multicolour_table``, an integer table
+scaled by r^(k-1); the arithmetic stays exact.  The vertex-by-vertex
+engines keep per edge the mask of parts already hit (part p is bit p-1)
+and the number of vertices still uniform.  ``combine_partial_cuts`` needs
+no mask: an edge's first pending block moves it the same way under either
+swap, and each later one adds one of two table differences while the
+edge shows a single colour, so its swap pass visits only those later
+(edge, block) units, set up with numpy.  Each engine cross-checks its
+own bookkeeping: the realized size, counted by ``cutspace.cut_metrics``
+and not by the engine, times the scale against the integer running
+expectation; it raises ``GuaranteeViolation`` / ``CertificateError`` on
+any mismatch.
 The greedy and flip engines take a ``WeightedGraph`` (a multigraph has
 integer weights) and read its cut weight from ``crossing_weight``.
 """
@@ -21,6 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -310,6 +317,33 @@ def flip_local_search(g: WeightedGraph, start: Cut) -> Cut:
     return Cut(2, tuple(part))
 
 
+def _swap_units(rows: np.ndarray, units: np.ndarray, pending: np.ndarray) -> list[list[int]]:
+    """The units a swap choice can weigh on, as records sorted by block.
+
+    ``units`` marks, in the sorted code rows (code 3*block + colour), one
+    vertex per (edge, block) unit of each edge that no bicolour block
+    fixes; ``pending`` is each edge's unit count t.  Listed in block
+    order, unit j of an edge has u = t - j units after it.  Unit 1 sits in
+    column 0 and moves its edge the same way under both swap choices, so
+    only units j >= 2 are returned, each as [block, u, first, x, edge,
+    prev, y]: ``first`` and ``prev`` are the blocks of the edge's unit 1
+    and of unit j-1, and x (y) is 1 when unit j's (unit j-1's) colour
+    differs from unit 1's before any swap.
+    """
+    later = units[:, 1:]
+    edge = np.nonzero(later)[0]
+    if not edge.size:
+        return []
+    # codes of unit j, of unit 1, and of the column left of unit j: that is
+    # unit j-1 or the same-coloured twin that follows it in its block
+    block, colour = np.divmod(np.array([rows[:, 1:][later], rows[edge, 0], rows[:, :-1][later]]), 3)
+    u = (pending[:, None] - np.cumsum(units, axis=1))[:, 1:][later]
+    fields = np.array(
+        [block[0], u, block[1], colour[0] != colour[1], edge, block[2], colour[2] != colour[1]]
+    )
+    return fields[:, np.argsort(block[0], kind="stable")].T.tolist()
+
+
 def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
     """Merge disjoint partial 2-cuts into one cut keeping their total excess.
 
@@ -319,6 +353,10 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
     conditional expectation with the undecided swaps uniform.  Requires
     every edge to spread over at least |e ∩ (union of parts)| - 1 distinct
     parts; offending edges are reported, the caller removes them first.
+
+    A swap changes the expectation only through the edges the part shares
+    with an earlier part, so only those (edge, part) units are visited
+    (``_swap_units``); a part with none keeps its labels, as ties do.
     """
     n = h.n_vertices
     parts = [frozenset(p) for p in parts]
@@ -331,23 +369,20 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
         seen |= p
         if set(pc) != set(p):
             raise InvalidParams("each partial cut must cover exactly its part")
-        if any(c not in (1, 2) for c in pc.values()):
+        if not {*pc.values()} <= {1, 2}:
             raise InvalidCut("partial cuts are 2-cuts")
+        if p and (min(p) < 0 or max(p) >= n):
+            raise InvalidParams(f"partial cut vertex outside the instance (n={n})")
 
-    # Singleton blocks for every remaining vertex, pinned to colour 1.
-    blocks: list[tuple[frozenset, dict]] = [
-        (p, dict(pc)) for p, pc in zip(parts, partial_cuts)
-    ]
-    for v in range(n):
-        if v not in seen:
-            blocks.append((frozenset([v]), {v: 1}))
-
-    # Per vertex, code 3*block + colour; the padding sentinel n sorts last.
-    sentinel = 3 * len(blocks)
+    # Per vertex, code 3*block + colour; each vertex outside the parts is a
+    # singleton block pinned to colour 1; the padding sentinel n sorts last.
+    n_blocks = len(parts) + n - len(seen)
+    sentinel = 3 * n_blocks
     codes = np.full(n + 1, sentinel, dtype=np.intp)
-    for b, (vs, colours) in enumerate(blocks):
-        for v in vs:
-            codes[v] = 3 * b + colours[v]
+    codes[[v for pc in partial_cuts for v in pc]] = [
+        3 * b + c for b, pc in enumerate(partial_cuts) for c in pc.values()
+    ]
+    codes[np.flatnonzero(codes[:n] == sentinel)] = 3 * np.arange(len(parts), n_blocks) + 1
     arr = h.edge_array
     rows = np.sort(codes[arr], axis=1)
     real = rows != sentinel
@@ -363,67 +398,61 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
 
     x_values = partial_average_excesses(h, 2, partial_cuts)
 
-    k_eff = h.edge_array.shape[1] or 2
+    k_eff = arr.shape[1] or 2
     table = multicolour_table(2, k_eff)
     scale = table[0][0]  # probability 1
 
-    # Per edge: fixed colour mask from bicolour blocks, plus per-block
-    # single-colour contributions that a swap may flip; each pending block
-    # is a uniform unit while its swap is undecided.  A block meets an edge
-    # in at most 2 vertices, so it is bicolour iff its two codes differ.
-    bicolour = same_block.copy()
-    bicolour[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    edge_mask = np.where(bicolour.any(axis=1), 3, 0).tolist()
-    single = real & ~same_block  # the first vertex of each (edge, block) group
-    single[:, :-1] &= ~bicolour[:, 1:]
-    n_pending = [0] * len(arr)
-    touching: list[list] = [[] for _ in blocks]  # block -> (edge, colour), edges ascending
-    for i, code in zip(np.nonzero(single)[0].tolist(), rows[single].tolist()):
-        n_pending[i] += 1
-        touching[code // 3].append((i, code % 3))
-
-    prob = [
-        table[2 - mask.bit_count()][u] for mask, u in zip(edge_mask, n_pending)
-    ]
-    expected_sigma = sum(prob)
+    # A block meets an edge in at most 2 vertices, so it is bicolour iff its
+    # two codes differ, and then the edge shows both colours whatever the
+    # swaps.  On any other edge each block is one unit, uniform over the
+    # two colours while its swap is undecided; t = 0 marks a fixed edge.
+    fixed = (same_block[:, 1:] & (rows[:, 1:] != rows[:, :-1])).any(axis=1)
+    units = real & ~same_block & ~fixed[:, None]
+    pending = units.sum(axis=1)
+    counts = np.bincount(pending, minlength=k_eff + 1).tolist()
+    expected_sigma = scale * counts[0] + sum(c * table[2][t] for t, c in enumerate(counts))
 
     base = uniform_expected_size(h, 2)
-    if Fraction(expected_sigma, scale) != base + sum(x_values, Fraction(0)):
+    promised = sum(x_values, Fraction(0))
+    if Fraction(expected_sigma, scale) != base + promised:
         raise CertificateError("swap-uniform expectation != base + sum of average excesses")
 
-    running = expected_sigma
-    swaps = []
-    for b in range(len(blocks)):
-        deltas = [0, 0]
-        for i, colour in touching[b]:
-            u = n_pending[i] - 1
-            for s, c in ((0, colour), (1, 3 - colour)):
-                mask = edge_mask[i] | 1 << (c - 1)
-                deltas[s] += table[2 - mask.bit_count()][u] - prob[i]
-        s_star = 0 if deltas[0] >= deltas[1] else 1
-        swaps.append(s_star)
-        for i, colour in touching[b]:
-            if s_star == 1:
-                colour = 3 - colour
-            n_pending[i] -= 1
-            edge_mask[i] |= 1 << (colour - 1)
-            prob[i] = table[2 - edge_mask[i].bit_count()][n_pending[i]]
-        running += deltas[s_star]
+    # Unit 1 takes its edge from table[2][t] to table[1][t-1] under either
+    # swap.  Unit j >= 2, while units 1..j-1 show one colour, adds agree[u]
+    # if it shows that colour too and dis[u] if not; once both show, 0.
+    running = expected_sigma + sum(
+        c * (table[1][t - 1] - table[2][t]) for t, c in enumerate(counts) if t
+    )
+    agree = [table[1][u] - table[1][u + 1] for u in range(k_eff - 1)]
+    dis = [table[0][u] - table[1][u + 1] for u in range(k_eff - 1)]
+    swaps = [0] * n_blocks
+    dead: set[int] = set()  # edges already showing both colours
+    for b, units_b in groupby(_swap_units(rows, units, pending), itemgetter(0)):
+        keep = swap = 0
+        for _, u, first, x, i, prev, y in units_b:
+            if i in dead or y != swaps[first] ^ swaps[prev]:  # or unit j-1 disagreed
+                dead.add(i)
+                continue
+            if x == swaps[first]:  # kept, the unit shows unit 1's colour
+                keep += agree[u]
+                swap += dis[u]
+            else:
+                keep += dis[u]
+                swap += agree[u]
+        if swap > keep:
+            swaps[b] = 1
+            running += swap
+        else:
+            running += keep
 
-    assignment = [1] * n
-    for b, (vs, pc) in enumerate(blocks):
-        for v in vs:
-            colour = pc[v]
-            if swaps[b] == 1:
-                colour = 3 - colour
-            assignment[v] = colour
-    cut = Cut(2, tuple(assignment))
+    colour = codes[:n] % 3
+    flipped = np.array(swaps, dtype=bool)[codes[:n] // 3]
+    cut = Cut(2, tuple(np.where(flipped, 3 - colour, colour).tolist()))
 
     realized = cut_metrics(h, cut).size
     if realized * scale != running:
         raise CertificateError("combined realized size differs from final expectation")
     realized_excess = realized - base
-    promised = sum(x_values, Fraction(0))
     if realized_excess < promised:
         raise GuaranteeViolation(
             f"combined excess {realized_excess} below promised {promised}"

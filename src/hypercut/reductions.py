@@ -106,16 +106,13 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     return Reduction(forward, back_map)
 
 
-def _unexposed_tuples(h: Hypergraph, labels, kept, counts) -> list[tuple[int, ...]]:
-    """The vertices rho leaves free (label 0) of each kept edge, as tuples.
+def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:
+    """The vertices rho leaves free (label 0) of each kept edge, as padded rows.
 
-    A stable sort moves them ahead of the rest, so each row starts with
-    its ``counts[j]`` free vertices in increasing order.
+    Every other entry becomes the padding vertex n, which sorts last.
     """
     sub = h.edge_array[kept]
-    order = np.argsort(labels[sub] != 0, axis=1, kind="stable")
-    rows = np.take_along_axis(sub, order, axis=1).tolist()
-    return [tuple(row[:c]) for row, c in zip(rows, counts.tolist())]
+    return np.sort(np.where(labels[sub] == 0, sub, h.n_vertices), axis=1)
 
 
 def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
@@ -143,9 +140,8 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
     covered = np.logical_and.reduce([(image == p).any(axis=1) for p in range(keep + 1, r + 1)])
     n_star = (image == 0).sum(axis=1)
     kept = np.flatnonzero(covered & ((n_star >= 2) if keep == 2 else (n_star == 3)))
-    fwd_edges = _unexposed_tuples(h, labels, kept, n_star[kept])
     arity = (h.max_arity - r + 2) if keep == 2 else 3
-    forward = Hypergraph(h.n_vertices, arity, tuple(fwd_edges))
+    forward = Hypergraph._from_rows(h.n_vertices, arity, _unexposed_rows(h, labels, kept))
 
     def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != keep or len(cut.assignment) != h.n_vertices:
@@ -211,13 +207,9 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     n_multi = int(np.count_nonzero(multi))
     n_undet = int(np.count_nonzero(stub))
     kept = np.flatnonzero(doubled | stub)
-    inside = _unexposed_tuples(h, labels, kept, n_inside[kept])
-    fwd_edges = []
-    for e, twice in zip(inside, doubled[kept].tolist()):
-        fwd_edges.append(e)
-        if twice:
-            fwd_edges.append(e)
-    forward = Hypergraph(h.n_vertices, h.max_arity, tuple(fwd_edges))
+    # each doubled edge's two copies sit next to each other
+    rows = np.repeat(_unexposed_rows(h, labels, kept), doubled[kept] + 1, axis=0)
+    forward = Hypergraph._from_rows(h.n_vertices, h.max_arity, rows)
     cond = partial_average_size(h, PartialCut(2, dict(rho)))
     base = uniform_expected_size(h, 2)
 

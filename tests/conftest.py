@@ -12,6 +12,8 @@ from math import comb, factorial
 import pytest
 
 from hypercut.core import Hypergraph, build
+from hypercut.cutspace import Cut
+from hypercut.derand import CombinePlan
 
 FANO_LINES = [
     [0, 1, 2],
@@ -178,3 +180,72 @@ def plain_first_two_vertex_set(h, order) -> frozenset:
         if len(e) >= 3:
             w.update(sorted(e, key=pos.__getitem__)[:2])
     return frozenset(w)
+
+
+def plain_combine_partial_cuts(h, parts, partial_cuts):
+    """The sequential swap pass ``combine_partial_cuts`` ran before it
+    visited only the units that can change a decision.
+
+    Every vertex outside the parts is a singleton block of colour 1.  Per
+    edge: the colour mask (3 once a block shows both colours on it) and
+    the count of single-colour blocks still pending.  For each block in
+    order, both swap choices are scored on every edge the block touches;
+    ties keep.  The table is 2^(k-1) times the inclusion-exclusion
+    probability, as ``Fraction``s.  Assumes a valid plan: disjoint parts
+    and no edge collapsing into one part twice.
+    """
+    n = h.n_vertices
+    blocks = [dict(pc) for pc in partial_cuts]
+    seen = {v for pc in blocks for v in pc}
+    blocks += [{v: 1} for v in range(n) if v not in seen]
+    block_of = {v: b for b, pc in enumerate(blocks) for v in pc}
+    k_eff = max((len(e) for e in h.edges), default=0) or 2
+    scale = 2 ** (k_eff - 1)
+    table = [
+        [scale * plain_multicolour_probability(missing, free, 2) for free in range(k_eff + 1)]
+        for missing in range(3)
+    ]
+
+    edge_mask, n_pending = [], []
+    touching = [[] for _ in blocks]  # block -> (edge, colour), edges ascending
+    for i, e in enumerate(h.edges):
+        shown: dict = {}
+        for v in e:
+            shown.setdefault(block_of[v], set()).add(blocks[block_of[v]][v])
+        edge_mask.append(3 if any(len(cs) == 2 for cs in shown.values()) else 0)
+        single = [(b, min(cs)) for b, cs in sorted(shown.items()) if len(cs) == 1]
+        n_pending.append(len(single))
+        for b, colour in single:
+            touching[b].append((i, colour))
+    prob = [table[2 - mask.bit_count()][u] for mask, u in zip(edge_mask, n_pending)]
+
+    running = sum(prob)
+    swaps = []
+    for b in range(len(blocks)):
+        deltas = [0, 0]
+        for i, colour in touching[b]:
+            u = n_pending[i] - 1
+            for s, c in ((0, colour), (1, 3 - colour)):
+                mask = edge_mask[i] | 1 << (c - 1)
+                deltas[s] += table[2 - mask.bit_count()][u] - prob[i]
+        s_star = 0 if deltas[0] >= deltas[1] else 1
+        swaps.append(s_star)
+        for i, colour in touching[b]:
+            if s_star == 1:
+                colour = 3 - colour
+            n_pending[i] -= 1
+            edge_mask[i] |= 1 << (colour - 1)
+            prob[i] = table[2 - edge_mask[i].bit_count()][n_pending[i]]
+        running += deltas[s_star]
+
+    assignment = [1] * n
+    for b, pc in enumerate(blocks):
+        for v, colour in pc.items():
+            assignment[v] = 3 - colour if swaps[b] else colour
+    realized = plain_cut_size(h, assignment, 2)
+    assert realized * scale == running
+    plan = CombinePlan(
+        average_excesses=plain_average_excesses(h, 2, partial_cuts),
+        realized_excess=realized - stirling_expected_size(h, 2),
+    )
+    return Cut(2, tuple(assignment)), plan

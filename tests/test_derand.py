@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercut.core import build, clique_expand, WeightedGraph
 from hypercut.cutspace import Cut, cut_metrics
@@ -17,9 +18,14 @@ from hypercut.derand import (
     order_for_W,
     point_local_search,
 )
-from hypercut.errors import PlanInvalid
+from hypercut.errors import InvalidParams, PlanInvalid
 
-from conftest import brute_expected_size, brute_force_maxcut, plain_incidence
+from conftest import (
+    brute_expected_size,
+    brute_force_maxcut,
+    plain_combine_partial_cuts,
+    plain_incidence,
+)
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -343,6 +349,52 @@ def test_combine_offenders_match_old_scan():
         else:
             combine_partial_cuts(h, parts, partials)
     assert 50 <= raised <= 150
+
+
+@pytest.mark.parametrize("outside", [-1, 6, 7])
+def test_combine_rejects_vertices_outside_instance(outside):
+    # -1 and n used to land on the padding slot, n + 1 past the code array
+    h = build(6, [[0, 1, 2], [3], [4, 5]], max_arity=3)
+    with pytest.raises(InvalidParams):
+        combine_partial_cuts(h, [{outside, 3}], [{outside: 1, 3: 2}])
+
+
+@st.composite
+def combine_plans(draw):
+    """(n, edges, parts, partial cuts) of a valid plan: mixed arity up to 6,
+    repeated and size-1 edges, isolated vertices, possibly no part at all;
+    edges collapsing into one part twice are left out, as callers do."""
+    n = draw(st.integers(1, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
+    edges = draw(st.lists(edge, max_size=14))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    t = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(-1, t - 1), min_size=n, max_size=n))
+    colour = draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    parts = [p for p in ([v for v in range(n) if owner[v] == i] for i in range(t)) if p]
+    index = {v: i for i, p in enumerate(parts) for v in p}
+    kept = [
+        e
+        for e in edges
+        if sum(c - 1 for c in Counter(index[v] for v in e if v in index).values()) <= 1
+    ]
+    return n, kept, parts, [{v: colour[v] for v in p} for p in parts]
+
+
+# one 70-vertex edge: the table's scale 2^69 is beyond int64; the pair {0, 1}
+# meets it once as a single colour, then as both colours
+WIDE_EDGES = [list(range(70)), [0, 70], [5, 70, 71], [1, 2], [69, 71]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_plans())
+@example((72, WIDE_EDGES, [[0, 1], [2, 70], [5, 71]], [{0: 2, 1: 2}, {2: 1, 70: 2}, {5: 2, 71: 1}]))
+@example((72, WIDE_EDGES, [[0, 1], [2, 70], [5, 71]], [{0: 1, 1: 2}, {2: 2, 70: 2}, {5: 2, 71: 2}]))
+def test_combine_matches_plain_swap_pass(plan):
+    n, edges, parts, partials = plan
+    h = build(n, edges)
+    assert combine_partial_cuts(h, parts, partials) == plain_combine_partial_cuts(h, parts, partials)
 
 
 # ---------------------------------------------------------------- baselines

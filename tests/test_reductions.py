@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from hypercut.core import WeightedGraph, build
+from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import Cut, PartialCut, cut_metrics, partial_average_size
 from hypercut.derand import greedy_order_cut
 from hypercut.errors import (
@@ -263,6 +264,46 @@ def test_hpart_double_matches_old_loop():
         red = hpart_double(h, w, rho)
         got = (red.forward.edges, red.n_multi, red.n_undetermined)
         assert got == old_hpart_double_edges(h, w, rho)
+
+
+def assert_array_given_at_build(forward):
+    """The forward instance holds, from its construction on, exactly the
+    edge array its edge tuples would build."""
+    assert "edge_array" in forward.__dict__  # set by the reduction, not on first use
+    got = forward.edge_array
+    want = Hypergraph(forward.n_vertices, forward.max_arity, forward.edges).edge_array
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+def random_forwards(rng):
+    """Forward instances of every kind that builds one from an edge array."""
+    h = random_mixed(rng, n_hi=10, m_hi=16, k_hi=6)
+    h = build(h.n_vertices, [*h.edges, *h.edges[: rng.randint(0, 3)]])  # repeats
+    n = h.n_vertices
+    for keep in (2, 3):
+        if h.max_arity >= keep + 1:
+            r = rng.randint(keep + 1, h.max_arity)
+            rho = {v: rng.randint(keep + 1, r) for v in range(n) if rng.random() < 0.5}
+            yield hpart_expose(h, r, rho, keep=keep).forward
+    w = {v for v in range(n) if rng.random() < 0.6}
+    yield hpart_double(h, w, {v: rng.choice((1, 2)) for v in range(n) if v not in w}).forward
+    yield h.without_edges({i for i in range(h.m) if rng.random() < 0.3})
+    widest = max(len(e) for e in h.edges)
+    yield h.without_edges({i for i, e in enumerate(h.edges) if len(e) == widest})
+
+
+def test_forward_arrays_equal_rebuilt_ones():
+    rng = random.Random(41)
+    for _ in range(120):
+        for forward in random_forwards(rng):
+            assert_array_given_at_build(forward)
+    h = build(6, [[0, 1, 2], [3, 4, 5], [0, 3]])
+    empty = hpart_expose(h, 3, {}, keep=2).forward  # no edge shows part 3
+    assert_array_given_at_build(empty)
+    assert empty.edge_array.shape == (0, 0)
+    assert h.without_edges({0, 1}).edge_array.shape == (1, 2)
 
 
 def test_hpart_double_rejects_partial_rho():
