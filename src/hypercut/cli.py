@@ -118,8 +118,6 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         try:
             cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         except (SearchFailed, DriverInapplicable):
-            cut, driver_ledger = None, None
-        if cut is None:
             cut = conditional_rcut(h, r)
             ledger.add("conditional-expectations fallback", Fraction(0), cut_metrics(h, cut).excess)
             return cut, ledger

@@ -380,30 +380,43 @@ def _greedy_part(vs, weighted_pairs, rng) -> dict:
     return assigned
 
 
-def _combine_or_baseline(g: Hypergraph, part_sets, partials):
-    """(cut, promised, realized forward excess) of combining the per-part cuts.
+def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams, trial, claims):
+    """The drivers' trial loop: (largest cut over the trials, its ledger).
 
-    With no part left, the conditional-expectations cut of ``g`` stands in
-    with a zero promise.
+    The good partition's offending edges are deleted first, leaving hd.
+    ``trial(hd, rng)`` draws one exposure and returns None, or (reduction,
+    part sets, partial cuts, certify).  The partial cuts are combined on
+    the forward instance (with no part left, its conditional-expectations
+    cut stands in with a zero promise) and mapped back;
+    ``certify(metrics, averages, promise_fwd, fwd_excess)`` runs the
+    driver's own certificates and returns the promise on hd.  ``claims``
+    names the two stage entries of the ledger.
     """
-    if part_sets:
-        cut, plan = combine_partial_cuts(g, part_sets, partials)
-        return cut, sum(plan.average_excesses, Fraction(0)), plan.realized_excess
-    cut = conditional_rcut(g, 2)
-    return cut, Fraction(0), cut_metrics(g, cut).excess
+    hd = h.without_edges(set(gp.deleted_edges))
+    best = None
+    for t in range(params.trials):
+        step = trial(hd, random.Random(f"driver{r}:{params.seed}:{t}"))
+        if step is None:
+            continue
+        red, part_sets, partials, certify = step
+        if part_sets:
+            fwd_cut, plan = combine_partial_cuts(red.forward, part_sets, partials)
+            averages, fwd_excess = plan.average_excesses, plan.realized_excess
+        else:
+            fwd_cut = conditional_rcut(red.forward, 2)
+            averages, fwd_excess = (), cut_metrics(red.forward, fwd_cut).excess
+        promise_fwd = sum(averages, Fraction(0))
+        cut, metrics = red.back_map(fwd_cut)
+        promise_hd = certify(metrics, averages, promise_fwd, fwd_excess)
+        if best is None or metrics.size > best[1].size:
+            best = (cut, metrics, promise_fwd, fwd_excess, promise_hd)
 
-
-def _close_driver_ledger(h: Hypergraph, hd: Hypergraph, r: int, best, claims):
-    """Ledger of a driver's best trial, carried back to the undeleted instance.
-
-    ``best`` is (size, cut, forward promise, forward excess, promise on hd,
-    excess on hd); ``claims`` names the two stage entries.
-    """
-    _, cut, promise_fwd, fwd_excess, promise_hd, excess_hd = best
-    gains_claim, transfer_claim = claims
+    if best is None:
+        raise SearchFailed("no exposure met the conditional-size bar")
+    cut, metrics, promise_fwd, fwd_excess, promise_hd = best
     ledger = GuaranteeLedger()
-    ledger.add(gains_claim, promise_fwd, fwd_excess, scope="stage")
-    ledger.add(transfer_claim, promise_hd, excess_hd, scope="stage")
+    ledger.add(claims[0], promise_fwd, fwd_excess, scope="stage")
+    ledger.add(claims[1], promise_hd, metrics.excess, scope="stage")
     deleted_expectation = uniform_expected_size(h, r) - uniform_expected_size(hd, r)
     ledger.add(
         "deleted-edge restoration", promise_hd - deleted_expectation, cut_metrics(h, cut).excess
@@ -436,44 +449,35 @@ def driver_3cut(
     if h_u.m < h.m / (4 * k):
         raise DriverInapplicable("induced core holds too few edges")
     gp = good_partition_search(h, h_u, u_set, params, seed=f"d3:{params.seed}")
-    hd = h.without_edges(set(gp.deleted_edges))
     part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
 
-    best = None
-    for trial in range(params.trials):
-        rng = random.Random(f"driver3:{params.seed}:{trial}")
+    def trial(hd, rng):
         rho = {v: 3 for v in range(h.n_vertices) if rng.random() < 1 / 3}
         red = hpart_expose(hd, 3, rho, keep=2)
-        gpart: Hypergraph = red.forward
-
+        # forward edges are pairs of starred vertices
         internal = defaultdict(list)
-        for e in gpart.edges:
-            u, v = e
-            pu, pv = part_of.get(u), part_of.get(v)
-            if pu is not None and pu == pv and u not in rho and v not in rho:
+        for u, v in red.forward.edges:
+            pu = part_of.get(u)
+            if pu is not None and pu == part_of.get(v):
                 internal[pu].append((u, v, 1))
-
         part_sets = []
         partials = []
         for i, p in enumerate(gp.parts):
             star = {v for v in p if v not in rho}
-            if not star:
-                continue
-            part_sets.append(star)
-            partials.append(_greedy_part(star, internal.get(i, ()), rng))
+            if star:
+                part_sets.append(star)
+                partials.append(_greedy_part(star, internal.get(i, ()), rng))
 
-        c2, promise_fwd, fwd_excess = _combine_or_baseline(gpart, part_sets, partials)
-        c3, metrics = red.back_map(c2)
-        pae = exposure_average_excess(hd, 3, rho, keep=2)
-        if metrics.excess != fwd_excess + pae:
-            raise CertificateError("3-cut exposure transfer identity failed")
-        promise_hd = promise_fwd + pae
-        cand = (metrics.size, c3, promise_fwd, fwd_excess, promise_hd, metrics.excess)
-        if best is None or cand[0] > best[0]:
-            best = cand
+        def certify(metrics, averages, promise_fwd, fwd_excess):
+            pae = exposure_average_excess(hd, 3, rho, keep=2)
+            if metrics.excess != fwd_excess + pae:
+                raise CertificateError("3-cut exposure transfer identity failed")
+            return promise_fwd + pae
 
-    return _close_driver_ledger(
-        h, hd, 3, best, ("combined per-part greedy gains", "part-3 exposure transfer")
+        return red, part_sets, partials, certify
+
+    return _best_trial(
+        h, gp, 3, params, trial, ("combined per-part greedy gains", "part-3 exposure transfer")
     )
 
 
@@ -494,7 +498,6 @@ def driver_2cut(
     h4 = Hypergraph(n, k, tuple(h.edges[i] for i in big))
     gp = good_partition_search(h, h4, range(n), params, seed=f"d2:{params.seed}")
     dropped = set(gp.deleted_edges)
-    hd = h.without_edges(dropped)
     part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
     # per >=4-edge: its doubled part (if any) with the two inside vertices
     paired = []
@@ -508,10 +511,7 @@ def driver_2cut(
             inside = tuple(v for v in e if part_of.get(v) == doubled[0])
             paired.append((e, inside))
 
-    best = None
-    for trial in range(params.trials):
-        rng = random.Random(f"driver2:{params.seed}:{trial}")
-
+    def trial(hd, rng):
         w_best = None
         for _ in range(params.retry_budget):
             w = {v for v in range(n) if rng.random() < 0.5}
@@ -529,27 +529,22 @@ def driver_2cut(
 
         red = _double_exposure(hd, w, rng, params)
         if red is None:
-            continue
-        hpart: Hypergraph = red.forward
-
+            return None
         part_sets = [vs for vs in ({v for v in p if v in w} for p in gp.parts) if vs]
-        wgs = weighted_reduce(hpart, part_sets)
+        wgs = weighted_reduce(red.forward, part_sets)
         partials = [_greedy_part(vs, wg.weights, rng) for vs, wg in zip(part_sets, wgs)]
-        weighted_identity_check(hpart, wgs, partials)
 
-        phi, promise_fwd, fwd_excess = _combine_or_baseline(hpart, part_sets, partials)
-        c2, metrics = red.back_map(phi)
-        promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
-        if metrics.excess < promise_hd:
-            raise GuaranteeViolation("doubled-exposure promise missed")
-        cand = (metrics.size, c2, promise_fwd, fwd_excess, promise_hd, metrics.excess)
-        if best is None or cand[0] > best[0]:
-            best = cand
+        def certify(metrics, averages, promise_fwd, fwd_excess):
+            weighted_identity_check(wgs, partials, averages)
+            promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
+            if metrics.excess < promise_hd:
+                raise GuaranteeViolation("doubled-exposure promise missed")
+            return promise_hd
 
-    if best is None:
-        raise SearchFailed("no exposure met the conditional-size bar")
-    return _close_driver_ledger(
-        h, hd, 2, best, ("combined weighted greedy gains", "doubled exposure transfer")
+        return red, part_sets, partials, certify
+
+    return _best_trial(
+        h, gp, 2, params, trial, ("combined weighted greedy gains", "doubled exposure transfer")
     )
 
 
@@ -716,9 +711,8 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
 
     try:
         driver_cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
-        if driver_cut is not None:
-            ledger.extend(driver_ledger, prefix="pipeline: ")
-            enter("pipeline", driver_cut)
+        ledger.extend(driver_ledger, prefix="pipeline: ")
+        enter("pipeline", driver_cut)
     except (SearchFailed, DriverInapplicable):
         pass
 
@@ -792,9 +786,12 @@ def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
 
 
 def _dispatch_driver(h, r, k, sr: StructureReport, params):
-    """Route to the structural driver fitting (r, k), certified end to end."""
+    """Route to the structural driver fitting (r, k), certified end to end.
+
+    Raises ``DriverInapplicable`` with the reason when no driver fits.
+    """
     if sr.branch == "matching-cut":
-        return None, None
+        raise DriverInapplicable("no driver on the matching-cut branch")
     if r == 3 and k == 3:
         return driver_3cut(h, sr.u_set, params)
     if r == 2 and k >= 4:
@@ -804,7 +801,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
         return _driver_expose_2(h, r, sr, params)
     if r == k - 1 and k >= 4:
         if any(len(e) != k for e in h.edges):
-            return None, None  # subset expansion needs a uniform instance
+            raise DriverInapplicable("subset expansion needs a k-uniform instance")
         red = rgraph_expand(h, r)
         return _carry_back(
             red,
@@ -815,7 +812,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
         )
     if r == k and k > 3:
         return _driver_expose_3(h, r, sr, params)
-    return None, None
+    raise DriverInapplicable(f"no driver for r={r}, k={k}")
 
 
 def _driver_expose_2(h, r, sr, params):

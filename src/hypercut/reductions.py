@@ -27,7 +27,6 @@ from .cutspace import (
     PartialCut,
     best_cut,
     cut_metrics,
-    partial_average_excesses,
     partial_average_size,
     uniform_expected_size,
 )
@@ -293,19 +292,18 @@ def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:
     ]
 
 
-def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
+def weighted_identity_check(wgs, omegas, averages) -> None:
     """Certify the weighted/average-excess identity for every part at once.
 
-    ``wgs[i]`` is the weighted graph of part i and ``omegas[i]`` a 2-part
-    assignment of that part.  Each weighted excess is compared with the
-    matching entry of one ``partial_average_excesses`` pass, the
-    ``Fraction`` oracle, which shares no code with ``weighted_reduce``.
-    Returns the common values; raises ``CertificateError`` on the first
-    mismatch.
+    ``wgs[i]`` is the weighted graph of part i, ``omegas[i]`` a 2-part
+    assignment of that part, and ``averages[i]`` its average excess from
+    one ``cutspace.partial_average_excesses`` pass (the pass
+    ``combine_partial_cuts`` makes), a ``Fraction`` oracle that shares no
+    code with ``weighted_reduce``.  Raises ``CertificateError`` on the
+    first mismatch.
     """
-    if len(wgs) != len(omegas):
-        raise InvalidParams("need one assignment per weighted graph")
-    averages = partial_average_excesses(h, 2, omegas)
+    if not len(wgs) == len(omegas) == len(averages):
+        raise InvalidParams("need one assignment and one average per weighted graph")
     for i, (wg, omega, avg) in enumerate(zip(wgs, omegas, averages)):
         weighted_excess = wg.crossing_weight(omega) - Fraction(wg.total_weight, 2)
         if weighted_excess != avg:
@@ -313,7 +311,6 @@ def weighted_identity_check(h: Hypergraph, wgs, omegas) -> tuple[Fraction, ...]:
                 f"part {i}: weighted excess {weighted_excess} != average excess "
                 f"{avg} on {sorted(omega)}"
             )
-    return averages
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from hypercut.cutspace import (
     Cut,
     cut_metrics,
     equitable_complete_value,
+    partial_average_excesses,
     theorem_bound,
 )
 from hypercut.derand import (
@@ -202,7 +203,8 @@ def test_criterion_4_reduction_certificates():
         if any(sum(v in vp for v in e) > 2 for e in h.edges):
             continue
         wg = weighted_reduce(h, [vp])[0]
-        weighted_identity_check(h, [wg], [{v: rng.choice((1, 2)) for v in vp}])
+        omega = {v: rng.choice((1, 2)) for v in vp}
+        weighted_identity_check([wg], [omega], partial_average_excesses(h, 2, [omega]))
         checked += 1
         runs += 1
 

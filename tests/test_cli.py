@@ -16,6 +16,7 @@ from hypercut.errors import (
 )
 
 from conftest import FANO_LINES
+from test_pipeline import break_exposure_transfer, break_weighted_graph, inflate_conditional_size
 
 
 def run(capsys, *argv):
@@ -376,6 +377,25 @@ def test_pipeline_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", "3")
     assert code == 2
     assert "CertificateError" in err
+
+
+@pytest.mark.parametrize(
+    "tamper, spec, r",
+    [
+        (break_exposure_transfer, GenSpec(family="sts", n=21), 3),
+        (break_weighted_graph, GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),
+        (inflate_conditional_size, GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),
+    ],
+)
+def test_pipeline_driver_certificates_exit_2(tmp_path, capsys, monkeypatch, tamper, spec, r):
+    # each driver's own certificate reaches the caller through the CLI, never the fallback
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize(generate(spec)))
+    expected = tamper(monkeypatch)
+    code, out, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", str(r))
+    error, message = expected()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error.__name__}: {message}")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from hypercut.core import build, clique_expand
+import hypercut.pipeline as pipeline
+from hypercut.core import WeightedGraph, build, clique_expand
 from hypercut.cutspace import Cut, cut_metrics, theorem_bound
 from hypercut.derand import erdos_selfridge_2cut, order_for_W
-from hypercut.errors import DriverInapplicable, SearchFailed
+from hypercut.errors import (
+    CertificateError,
+    DriverInapplicable,
+    GuaranteeViolation,
+    SearchFailed,
+)
 from hypercut.instances import GenSpec, exact_maxcut, generate
 from hypercut.pipeline import (
     GuaranteeLedger,
@@ -167,22 +174,218 @@ def test_driver_3cut_rejects_big_edges():
         driver_3cut(h, range(5), PARAMS)
 
 
-def test_driver_2cut_linear_4graph():
+def _linear_4graph():
+    """60 pairwise-linear 4-edges on 60 vertices."""
     rng = random.Random(11)
     edges = []
     used = set()
     while len(edges) < 60:
         e = tuple(sorted(rng.sample(range(60), 4)))
-        from itertools import combinations
-
         if any(p in used for p in combinations(e, 2)):
             continue
         used.update(combinations(e, 2))
         edges.append(list(e))
-    h = build(60, edges)
+    return build(60, edges)
+
+
+def test_driver_2cut_linear_4graph():
+    h = _linear_4graph()
     cut, ledger = driver_2cut(h, PipelineParams(trials=6, seed=8))
     assert cut.r == 2
     assert not ledger.violations()
+
+
+def _sts(n):
+    return generate(GenSpec(family="sts", n=n))
+
+
+def _matching12():
+    return build(12, [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(4)])
+
+
+# Each case: the driver call, its cut as a digit string, and every ledger
+# entry as (claim, promised, realized, scope).  STS(9) with the core
+# {0, 1, 2} at seed 4 exposes all three core vertices in its one trial, so
+# no part is left and the conditional-expectations cut stands in.
+PINNED_DRIVER_RUNS = {
+    "3cut-sts21": (
+        lambda: driver_3cut(_sts(21), range(21), PipelineParams(trials=8, seed=5)),
+        "213313133222111123231",
+        [
+            ("combined per-part greedy gains", "1/2", "21/2", "stage"),
+            ("part-3 exposure transfer", "4/9", "94/9", "stage"),
+            ("deleted-edge restoration", "4/9", "94/9", "instance"),
+        ],
+    ),
+    "3cut-matching12": (
+        lambda: driver_3cut(_matching12(), range(12), PipelineParams(trials=6, seed=13)),
+        "213132132213",
+        [
+            ("combined per-part greedy gains", "1/2", "2", "stage"),
+            ("part-3 exposure transfer", "29/18", "28/9", "stage"),
+            ("deleted-edge restoration", "29/18", "28/9", "instance"),
+        ],
+    ),
+    "2cut-linear4": (
+        lambda: driver_2cut(_linear_4graph(), PipelineParams(trials=6, seed=8)),
+        "211221121112212222221221121122111112112121212212121212122211",
+        [
+            ("combined weighted greedy gains", "1/4", "35/4", "stage"),
+            ("doubled exposure transfer", "5/4", "13/2", "stage"),
+            ("deleted-edge restoration", "5/4", "13/2", "instance"),
+        ],
+    ),
+    "2cut-linear4-bad-vertices": (
+        lambda: driver_2cut(_linear_4graph(), PipelineParams(trials=6, seed=0), u_set=range(50)),
+        "222222112122112112122121121211121112222122221111112122211122",
+        [
+            ("inner combined weighted greedy gains", "1", "14", "stage"),
+            ("inner doubled exposure transfer", "3/2", "11", "stage"),
+            ("inner deleted-edge restoration", "3/2", "11", "stage"),
+            ("bad-vertex exposure transfer", "3/4", "13/2", "instance"),
+        ],
+    ),
+    "3cut-sts9-no-part-left": (
+        lambda: driver_3cut(_sts(9), {0, 1, 2}, PipelineParams(trials=1, seed=4)),
+        "333111222",
+        [
+            ("combined per-part greedy gains", "0", "9/2", "stage"),
+            ("part-3 exposure transfer", "11/6", "19/3", "stage"),
+            ("deleted-edge restoration", "11/6", "19/3", "instance"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRIVER_RUNS))
+def test_driver_results_pinned(case, monkeypatch):
+    combines = []
+    real_combine = pipeline.combine_partial_cuts
+    monkeypatch.setattr(
+        pipeline, "combine_partial_cuts", lambda *a: combines.append(1) or real_combine(*a)
+    )
+    run, assignment, entries = PINNED_DRIVER_RUNS[case]
+    cut, ledger = run()
+    assert "".join(map(str, cut.assignment)) == assignment
+    assert [
+        (e.claim, str(e.promised), str(e.realized), e.scope) for e in ledger.entries
+    ] == entries
+    assert all(e.deterministic for e in ledger.entries)
+    assert (not combines) == case.endswith("no-part-left")
+
+
+# Each tamper breaks one driver certificate's input and returns a thunk
+# giving the (error type, message prefix) the driver must then raise.
+
+
+def break_exposure_transfer(monkeypatch):
+    """driver_3cut: the exposure's average excess reads one too high."""
+    real = pipeline.exposure_average_excess
+    monkeypatch.setattr(
+        pipeline, "exposure_average_excess", lambda *a, **kw: real(*a, **kw) + 1
+    )
+    return lambda: (CertificateError, "3-cut exposure transfer identity failed")
+
+
+def break_weighted_graph(monkeypatch):
+    """driver_2cut: one weight of the first weighted part graph is off by one."""
+    real = pipeline.weighted_reduce
+    tampered = []
+
+    def reduce(h, parts):
+        wgs = real(h, parts)
+        for i, wg in enumerate(wgs):
+            if wg.weights and not tampered:
+                (u, v, w), *rest = wg.weights
+                wgs[i] = WeightedGraph(wg.n_vertices, ((u, v, w + 1), *rest))
+                tampered.append(i)
+        return wgs
+
+    monkeypatch.setattr(pipeline, "weighted_reduce", reduce)
+    return lambda: (CertificateError, f"part {tampered[0]}: weighted excess")
+
+
+def inflate_conditional_size(monkeypatch):
+    """driver_2cut: E[Z | exposure] is raised after the exposure is built."""
+    real = pipeline.hpart_double
+
+    def double(h, w, rho):
+        red = real(h, w, rho)
+        red.conditional_size += h.m + 1
+        return red
+
+    monkeypatch.setattr(pipeline, "hpart_double", double)
+    return lambda: (GuaranteeViolation, "doubled-exposure promise missed")
+
+
+@pytest.mark.parametrize(
+    "tamper, case",
+    [
+        (break_exposure_transfer, "3cut-sts21"),
+        (break_weighted_graph, "2cut-linear4"),
+        (inflate_conditional_size, "2cut-linear4"),
+    ],
+)
+def test_driver_certificates_fire(tamper, case, monkeypatch):
+    expected = tamper(monkeypatch)
+    run, _, _ = PINNED_DRIVER_RUNS[case]
+    with pytest.raises((CertificateError, GuaranteeViolation)) as info:
+        run()
+    error, message = expected()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_driver_2cut_runs_the_average_excess_oracle_once_per_combine(monkeypatch):
+    # the weighted identity check reads the averages combine already computed
+    import sys
+
+    import hypercut.cutspace as cutspace
+
+    calls = {"oracle": 0, "combine": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    oracle = cutspace.partial_average_excesses
+    for name, mod in list(sys.modules.items()):
+        bound = getattr(mod, "partial_average_excesses", None)
+        if name.startswith("hypercut") and bound is oracle:
+            monkeypatch.setattr(mod, "partial_average_excesses", counting("oracle", oracle))
+    monkeypatch.setattr(
+        pipeline, "combine_partial_cuts", counting("combine", pipeline.combine_partial_cuts)
+    )
+    driver_2cut(_linear_4graph(), PipelineParams(trials=6, seed=8))
+    assert calls["combine"] >= 1
+    assert calls["oracle"] == calls["combine"]
+
+
+@pytest.mark.parametrize(
+    "h, r, reason",
+    [
+        # eight disjoint triples, five copies each: eight heavy pairs >= q = 40^(19/45)
+        (
+            build(24, [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)] * 5),
+            3,
+            "no driver on the matching-cut branch",
+        ),
+        # a linear 4-graph with two 3-edges: no heavy pair, and not 4-uniform
+        (
+            build(9, [[0, 1, 2, 3], [4, 5, 6, 7], [0, 4, 8], [1, 5, 8]]),
+            3,
+            "subset expansion needs a k-uniform instance",
+        ),
+        (_sts(9), 2, "no driver for r=2, k=3"),
+    ],
+)
+def test_dispatch_driver_says_why_no_driver_applies(h, r, reason):
+    sr = codegree_structure(h)
+    with pytest.raises(DriverInapplicable, match=f"^{reason}$"):
+        pipeline._dispatch_driver(h, r, pipeline.check_parts(h, r), sr, PARAMS)
 
 
 def test_driver_2cut_rejects_3graphs():

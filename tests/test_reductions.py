@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from hypercut.core import Hypergraph, WeightedGraph, build
-from hypercut.cutspace import Cut, PartialCut, cut_metrics, partial_average_size
+from hypercut.cutspace import (
+    Cut,
+    PartialCut,
+    cut_metrics,
+    partial_average_excesses,
+    partial_average_size,
+)
 from hypercut.derand import greedy_order_cut
 from hypercut.errors import (
     CertificateError,
@@ -350,7 +356,8 @@ def test_weighted_identity_exhaustive_small():
     for a in (1, 2):
         for b in (1, 2):
             omega = {0: a, 2: b}
-            (avg,) = weighted_identity_check(h, [wg], [omega])
+            (avg,) = partial_average_excesses(h, 2, [omega])
+            weighted_identity_check([wg], [omega], [avg])
             brute = brute_expected_size(h, omega, 2) - brute_expected_size(h, {}, 2)
             assert avg == brute
 
@@ -365,7 +372,7 @@ def test_weighted_identity_random_batch():
             continue
         wg = weighted_reduce(h, [vp])[0]
         omega = {v: rng.choice((1, 2)) for v in vp}
-        weighted_identity_check(h, [wg], [omega])
+        weighted_identity_check([wg], [omega], partial_average_excesses(h, 2, [omega]))
         checked += 1
 
 
@@ -390,7 +397,8 @@ def test_weighted_reduce_family_matches_enumeration_property():
         wgs = weighted_reduce(h, parts)
         assert len(wgs) == n_parts
         omegas = [{v: rng.choice((1, 2)) for v in p} for p in parts]
-        values = weighted_identity_check(h, wgs, omegas)
+        values = partial_average_excesses(h, 2, omegas)
+        weighted_identity_check(wgs, omegas, values)
         base = brute_expected_size(h, {}, 2)
         for p, wg, omega, value in zip(parts, wgs, omegas, values):
             assert wg == weighted_reduce(h, [p])[0]
@@ -417,11 +425,35 @@ def test_weighted_identity_check_audits_last_part():
     parts = [{0, 1}, {3, 4}]
     omegas = [{0: 1, 1: 2}, {3: 1, 4: 2}]
     wgs = weighted_reduce(h, parts)
-    weighted_identity_check(h, wgs, omegas)
+    averages = partial_average_excesses(h, 2, omegas)
+    weighted_identity_check(wgs, omegas, averages)
     (u, v, w), *rest = wgs[-1].weights
     tampered = WeightedGraph(wgs[-1].n_vertices, ((u, v, w + 1), *rest))
     with pytest.raises(CertificateError, match="part 1"):
-        weighted_identity_check(h, [wgs[0], tampered], omegas)
+        weighted_identity_check([wgs[0], tampered], omegas, averages)
+
+
+def test_weighted_identity_check_rejects_mismatched_lengths():
+    h = build(6, [[0, 1, 2], [3, 4, 5], [0, 1, 3, 4]])
+    parts = [{0, 1}, {3, 4}]
+    omegas = [{0: 1, 1: 2}, {3: 1, 4: 2}]
+    wgs = weighted_reduce(h, parts)
+    averages = partial_average_excesses(h, 2, omegas)
+    for args in ((wgs[:1], omegas, averages), (wgs, omegas[:1], averages), (wgs, omegas, averages[:1])):
+        with pytest.raises(InvalidParams):
+            weighted_identity_check(*args)
+
+
+def test_weighted_identity_check_audits_the_given_averages():
+    h = build(6, [[0, 1, 2], [3, 4, 5], [0, 1, 3, 4]])
+    parts = [{0, 1}, {3, 4}]
+    omegas = [{0: 1, 1: 2}, {3: 1, 4: 2}]
+    wgs = weighted_reduce(h, parts)
+    first, second = partial_average_excesses(h, 2, omegas)
+    with pytest.raises(CertificateError, match="^part 0: "):
+        weighted_identity_check(wgs, omegas, (first + Fraction(1, 2), second))
+    with pytest.raises(CertificateError, match="^part 1: "):
+        weighted_identity_check(wgs, omegas, (first, second - 1))
 
 
 # --------------------------------------------------------------- lift
