@@ -66,6 +66,11 @@ class Hypergraph:
         """Entry s is the number of edges of size s, for s up to the largest."""
         return tuple(np.bincount(self.edge_sizes, minlength=self.edge_array.shape[1] + 1).tolist())
 
+    def edges_all_of_size(self, s: int) -> bool:
+        """Whether every edge has exactly s vertices; an edgeless instance has."""
+        hist = self.size_histogram
+        return (hist[s] if s < len(hist) else 0) == self.m
+
     def edge_multiset(self) -> Counter:
         return Counter(self.edges)
 

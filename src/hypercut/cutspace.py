@@ -179,13 +179,14 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     return CutMetrics(size, expected, size - expected)
 
 
-def best_cut(h: Hypergraph, cuts) -> Cut | None:
-    """First cut of largest size among ``cuts``, an iterable of cuts of h."""
-    best = best_size = None
+def best_cut(h: Hypergraph, cuts) -> tuple[Cut, CutMetrics] | None:
+    """First cut of largest size among ``cuts``, an iterable of cuts of h,
+    with the metrics that ranked it; None when there is no cut."""
+    best = None
     for cut in cuts:
-        size = cut_metrics(h, cut).size
-        if best is None or size > best_size:
-            best, best_size = cut, size
+        metrics = cut_metrics(h, cut)
+        if best is None or metrics.size > best[1].size:
+            best = (cut, metrics)
     return best
 
 

@@ -7,8 +7,15 @@ engines (``erdos_selfridge_2cut``, ``combine_partial_cuts``,
 ``conditional_rcut``) take a ``Hypergraph`` and read multicolour
 probabilities from ``cutspace.multicolour_table``, an integer table
 scaled by r^(k-1); the arithmetic stays exact.  The vertex-by-vertex
-engines keep per edge the mask of parts already hit (part p is bit p-1)
-and the number of vertices still uniform.  ``combine_partial_cuts`` needs
+engines give each edge one small integer state code: for
+``conditional_rcut`` and ``erdos_selfridge_2cut`` the mask of parts
+already hit (part p is bit p-1) and the number of vertices still uniform
+(``_uniform_codes``), for ``point_local_search`` the per-part vertex
+counts.  A step tallies the codes of v's incident edges and reads a few
+table entries per distinct code, not per edge; the entries of the codes
+that occur are built on first use, never over all 2^r masks.  The tallies
+are Python ``Counter``s: a per-vertex numpy call costs more than it saves
+on small instances.  ``combine_partial_cuts`` needs
 no mask: an edge's first pending block moves it the same way under either
 swap, and each later one adds one of two table differences while the
 edge shows a single colour, so its swap pass visits only those later
@@ -24,9 +31,10 @@ integer weights) and read its cut weight from ``crossing_weight``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -70,6 +78,43 @@ class CombinePlan:
     realized_excess: Fraction
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` the first time it is read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
+def _uniform_codes(r: int, w: int, table) -> _Memo:
+    """Edge state code -> (value, gains, nexts) for the uniform engines.
+
+    An edge's code ``mask * (w + 1) + free`` holds the mask of parts it
+    already hits (part p is bit p-1) and its count of vertices still
+    uniform over the r parts, at most w.  Its value is
+    ``table[r - |mask|][free]``.  When one free vertex joins part p, the
+    value changes by ``gains[p-1]`` and the code becomes ``nexts[p-1]``.
+    An entry is built the first time its code is read, so only codes that
+    occur cost anything; nothing is built over all 2^r masks.
+    """
+    base = w + 1
+
+    def fill(code: int):
+        mask, free = divmod(code, base)
+        value = table[r - mask.bit_count()][free]
+        if not free:
+            return value, (), ()
+        hits = [mask | 1 << p for p in range(r)]
+        gains = tuple(table[r - hit.bit_count()][free - 1] - value for hit in hits)
+        return value, gains, tuple(hit * base + free - 1 for hit in hits)
+
+    return _Memo(fill)
+
+
 def first_two_vertex_set(h: Hypergraph, order) -> frozenset:
     """Vertices among the first two, in the order, of some edge of size >= 3."""
     n = h.n_vertices
@@ -100,6 +145,13 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     The realized excess provably meets (|D| + sum |U_v|) / 2^k, which is
     at least |W|/2^k for the first-two vertex set W of the order.
 
+    Each edge carries a uniform state code (see ``_uniform_codes``); an
+    edge is uncertain while its value lies strictly between 0 and 1.  It
+    also counts the deferred vertices it holds and sums their ids, so the
+    one deferred partner of an uncertain edge is read off directly.  A
+    step reads the tally of v's codes, and of each partner's uncertain
+    codes split by whether the edge holds v.
+
     ``on_step(v, assigned, expectation)`` is called after each step with
     the vertex just processed, a copy of the determined assignments, and
     the exact conditional expectation at that point (v=None before the
@@ -111,16 +163,16 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     k_eff = max(h.edge_array.shape[1], 2)
     scale = 1 << (k_eff - 1)
     table = multicolour_table(2, k_eff)
+    codes = _uniform_codes(2, k_eff, table)
 
-    edges = h.edges
     inc = h.incidence()
-    hit = [0] * len(edges)
-    free = h.edge_sizes.tolist()
-    prob = [table[2][f] for f in free]
+    state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
+    n_deferred = [0] * h.m  # deferred vertices in each edge
+    deferred_sum = [0] * h.m  # the sum of their ids
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
-    ez = sum(prob)
+    ez = sum(c * table[2][s] for s, c in enumerate(h.size_histogram))
     trace = [ez]
     credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
@@ -129,56 +181,77 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             assigned = {w: p for w, p in enumerate(part) if p}
             on_step(v, assigned, Fraction(ez, scale))
 
-    def uncertain(ei: int) -> bool:
-        return 0 < prob[ei] < scale
+    def uncertain(s: int) -> bool:
+        return 0 < codes[s][0] < scale
 
-    def hypothetical(ei: int, extra: dict) -> int:
-        mask = hit[ei]
-        for p in extra.values():
-            mask |= 1 << (p - 1)
-        return table[2 - mask.bit_count()][free[ei] - len(extra)]
+    tally = Counter()  # reused: a vertex's edges by code
 
     def assign(w: int, p: int) -> None:
         nonlocal ez
         part[w] = p
+        move = {}
+        tally.clear()
+        tally.update(map(state.__getitem__, inc[w]))
+        for s, c in tally.items():
+            _, gains, nexts = codes[s]
+            ez += c * gains[p - 1]
+            move[s] = nexts[p - 1]
         for ei in inc[w]:
-            ez -= prob[ei]
-            hit[ei] |= 1 << (p - 1)
-            free[ei] -= 1
-            prob[ei] = table[2 - hit[ei].bit_count()][free[ei]]
-            ez += prob[ei]
+            state[ei] = move[state[ei]]
+
+    def count_deferred(w: int, sign: int) -> None:
+        for ei in inc[w]:
+            n_deferred[ei] += sign
+            deferred_sum[ei] += sign * w
 
     snapshot(None)
     for v in order:
-        unc_v = [ei for ei in inc[v] if uncertain(ei)]
+        iv = inc[v]
+        tally.clear()
+        tally.update(map(state.__getitem__, iv))
         u_v: set[int] = set()
-        for ei in unc_v:
-            partners = [u for u in edges[ei] if u in deferred]
-            if len(partners) > 1:
-                raise CertificateError("uncertain edge touches two deferred vertices")
-            u_v.update(partners)
-        unc_u = {u: [ei for ei in inc[u] if uncertain(ei)] for u in u_v}
-        solo_v = [ei for ei in unc_v if not any(u in deferred for u in edges[ei])]
+        for ei in compress(iv, map(n_deferred.__getitem__, iv)):
+            if uncertain(state[ei]):
+                if n_deferred[ei] > 1:
+                    raise CertificateError("uncertain edge touches two deferred vertices")
+                u_v.add(deferred_sum[ei])
+                tally[state[ei]] -= 1  # weighed with its partner below
+        # per choice of v's part: the gain on v's uncertain edges with no deferred vertex
+        solo_gain = [0, 0]
+        for s, c in tally.items():
+            if c and uncertain(s):
+                gains = codes[s][1]
+                solo_gain[0] += c * gains[0]
+                solo_gain[1] += c * gains[1]
+        # per partner u: gain[cv][cu] on u's uncertain edges, v joining those that hold it
+        partner_gains = []
+        if u_v:
+            holds_v = set(iv)
+            for u in sorted(u_v):
+                gain = [[0, 0], [0, 0]]
+                iu = inc[u]
+                keys = zip(map(state.__getitem__, iu), map(holds_v.__contains__, iu))
+                for (s, with_v), c in Counter(keys).items():
+                    if not uncertain(s):
+                        continue
+                    _, gains, nexts = codes[s]
+                    for cu in (0, 1):
+                        for cv in (0, 1):
+                            extra = codes[nexts[cu]][1][cv] if with_v else 0
+                            gain[cv][cu] += c * (gains[cu] + extra)
+                partner_gains.append((u, gain))
 
         best_delta = None
         best_cv = 1
         best_cu: dict[int, int] = {}
         for cv in (1, 2):
-            delta = sum(hypothetical(ei, {v: cv}) - prob[ei] for ei in solo_v)
+            delta = solo_gain[cv - 1]
             choice: dict[int, int] = {}
-            for u in sorted(u_v):
-                best_u = None
-                for cu in (1, 2):
-                    d = 0
-                    for ei in unc_u[u]:
-                        extra = {u: cu}
-                        if v in edges[ei]:
-                            extra[v] = cv
-                        d += hypothetical(ei, extra) - prob[ei]
-                    if best_u is None or d > best_u[0]:
-                        best_u = (d, cu)
-                delta += best_u[0]
-                choice[u] = best_u[1]
+            for u, gain in partner_gains:
+                d1, d2 = gain[cv - 1]
+                cu = 2 if d2 > d1 else 1
+                delta += max(d1, d2)
+                choice[u] = cu
             if best_delta is None or delta > best_delta:
                 best_delta, best_cv, best_cu = delta, cv, choice
 
@@ -190,6 +263,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             if u_v:
                 raise CertificateError("zero-gain step with nonempty deferred neighbourhood")
             deferred.add(v)
+            count_deferred(v, 1)
         else:
             credit += 1 + len(u_v)
             before = ez
@@ -197,6 +271,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             for u in sorted(u_v):
                 assign(u, best_cu[u])
                 deferred.remove(u)
+                count_deferred(u, -1)
             if ez != before + best_delta:
                 raise CertificateError("factorized maximum disagrees with applied update")
         trace.append(ez)
@@ -466,6 +541,9 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
     Assigns each vertex, in order, to the part maximizing the exact
     conditional expected number of multicoloured edges with the remaining
     vertices uniform over all r parts.  Ties prefer the smallest part id.
+    Each edge carries a uniform state code (see ``_uniform_codes``); part
+    p's gain is the tally of v's codes times their gains for p, and the
+    chosen part then steps each of v's edges to its next code.
     """
     if r < 2:
         raise InvalidParams("need r >= 2")
@@ -475,27 +553,24 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
     k = h.edge_array.shape[1] or 1
     table = multicolour_table(r, k)
     scale = table[0][0]  # probability 1
-    hit = [0] * len(h.edges)
-    freec = h.edge_sizes.tolist()
-    prob = [table[r][f] for f in freec]
-    expected = sum(prob)
-    base = expected
-    parts = range(1, r + 1)
+    codes = _uniform_codes(r, k, table)
+    state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
+    expected = base = sum(c * table[r][s] for s, c in enumerate(h.size_histogram))
     assignment = [1] * n
+    tally = Counter()  # reused: v's edges by code
     for v in seq:
-        gain = [0] * (r + 1)
+        tally.clear()
+        tally.update(map(state.__getitem__, inc[v]))
+        gain = [0] * r
+        for s, c in tally.items():
+            for p, d in enumerate(codes[s][1]):
+                gain[p] += c * d
+        best = gain.index(max(gain))  # first maximum: smallest part
+        assignment[v] = best + 1
+        expected += gain[best]
+        move = {s: codes[s][2][best] for s in tally}
         for ei in inc[v]:
-            mask, f, now = hit[ei], freec[ei] - 1, prob[ei]
-            for p in parts:
-                gain[p] += table[r - (mask | 1 << (p - 1)).bit_count()][f] - now
-        best = max(parts, key=gain.__getitem__)  # first maximum: smallest part
-        assignment[v] = best
-        for ei in inc[v]:
-            expected -= prob[ei]
-            hit[ei] |= 1 << (best - 1)
-            freec[ei] -= 1
-            prob[ei] = table[r - hit[ei].bit_count()][freec[ei]]
-            expected += prob[ei]
+            state[ei] = move[state[ei]]
     cut = Cut(r, tuple(assignment))
     realized = cut_metrics(h, cut).size
     if realized * scale != expected:
@@ -506,56 +581,59 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
 
 
 def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
-    """Move single vertices between parts until no move grows the cut size."""
+    """Move single vertices between parts until no move grows the cut size.
+
+    Sweeps the vertices in id order until a sweep makes no move; each
+    vertex moves to the first part of strictly largest positive gain.
+    Each edge keeps its per-part vertex counts as one base-(w + 1) code,
+    w the widest edge.  Moving v from p to q gains 1 on each edge whose
+    only missing part is q and that holds at least two vertices of p, and
+    loses 1 on each covered edge where v is p's only vertex; so the gains
+    come from the tally of v's codes, and a move adds ``unit[q] -
+    unit[p]`` to each of v's codes.
+    """
     r = cut.r
     n = h.n_vertices
     if len(cut.assignment) != n:
         raise InvalidCut("assignment length mismatch")
     inc = h.incidence()
     part = list(cut.assignment)
-    # per edge, its vertex count in each part; column 0 stays 0
-    labels = np.array((*part, 0), dtype=np.min_scalar_type(r))[h.edge_array]
-    cells = np.zeros((h.m, r + 1), dtype=np.min_scalar_type(labels.shape[1]))
-    for p in range(1, r + 1):
-        cells[:, p] = np.count_nonzero(labels == p, axis=1)
-    counts = cells.tolist()
-    covered = np.count_nonzero(cells, axis=1).tolist()
+    base = h.edge_array.shape[1] + 1
+    unit = [0] + [base**p for p in range(r)]
+    # Python ints in an object array: (w + 1)^r may pass any fixed width
+    weight = np.array([*map(unit.__getitem__, part), 0], dtype=object)
+    code = weight[h.edge_array].sum(axis=1).tolist()
 
-    def move_gain(v: int, q: int) -> int:
-        p = part[v]
-        gain = 0
-        for ei in inc[v]:
-            c = counts[ei]
-            before = covered[ei] == r
-            hits = covered[ei]
-            if c[p] == 1:
-                hits -= 1
-            if c[q] == 0:
-                hits += 1
-            gain += (1 if hits == r else 0) - (1 if before else 0)
-        return gain
+    def only_missing(c: int) -> int:
+        """The one part code c leaves empty; 0 when none is, -1 when several are."""
+        gaps = [p for p in range(1, r + 1) if not c // unit[p] % base]
+        return -1 if len(gaps) > 1 else gaps[0] if gaps else 0
 
+    missing_of = _Memo(only_missing)
+    tally = Counter()  # reused: v's edges by code
     improved = True
     while improved:
         improved = False
         for v in range(n):
-            best = (0, part[v])
-            for q in range(1, r + 1):
-                if q == part[v]:
-                    continue
-                g = move_gain(v, q)
-                if g > best[0]:
-                    best = (g, q)
-            if best[0] > 0:
-                p, q = part[v], best[1]
+            p = part[v]
+            up = unit[p]
+            lose = 0
+            plus = [0] * (r + 1)
+            tally.clear()
+            tally.update(map(code.__getitem__, inc[v]))
+            for c, t in tally.items():
+                q = missing_of[c]
+                if q == 0:
+                    if c // up % base == 1:
+                        lose += t
+                elif q > 0 and c // up % base >= 2:
+                    plus[q] += t
+            most = max(plus)  # plus[p] = 0: v's edges all hold part p
+            if most > lose:
+                q = plus.index(most)  # the first part of strictly largest gain
+                step = unit[q] - up
                 for ei in inc[v]:
-                    c = counts[ei]
-                    if c[p] == 1:
-                        covered[ei] -= 1
-                    c[p] -= 1
-                    if c[q] == 0:
-                        covered[ei] += 1
-                    c[q] += 1
+                    code[ei] += step
                 part[v] = q
                 improved = True
     return Cut(r, tuple(part))

@@ -16,9 +16,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .core import Hypergraph, clique_expand, degree_profile, induce
 from .cutspace import (
     Cut,
+    CutMetrics,
     best_cut,
     cut_metrics,
     uniform_expected_size,
@@ -209,8 +212,9 @@ def codegree_structure(h: Hypergraph) -> StructureReport:
 
 def conditioned_matching_cut(
     h: Hypergraph, matching, r: int, trials: int, seed
-) -> Cut:
-    """Best random r-cut forcing each matched pair into two distinct parts."""
+) -> tuple[Cut, CutMetrics]:
+    """Best random r-cut forcing each matched pair into two distinct parts,
+    with its metrics."""
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     pairs = [tuple(p) for p in matching]
@@ -441,7 +445,7 @@ def driver_3cut(
     """3-cut via part-3 exposure, per-part greedy cuts, and swap combination."""
     if params.trials < 1:
         raise InvalidParams("trials must be >= 1")
-    if any(len(e) > 3 for e in h.edges):
+    if h.edge_array.shape[1] > 3:  # the widest edge
         raise DriverInapplicable("driver_3cut needs edge sizes at most 3")
     u_set = set(u_set)
     h_u = induce(h, u_set)
@@ -492,7 +496,7 @@ def driver_2cut(
     if u_set is not None and set(u_set) != set(range(n)):
         return _driver_2cut_wrapped(h, params, set(u_set))
 
-    big = [i for i, e in enumerate(h.edges) if len(e) >= 4]
+    big = np.flatnonzero(h.edge_sizes >= 4).tolist()
     if len(big) < h.m / (4 * k):
         raise DriverInapplicable("too few edges of size >= 4")
     h4 = Hypergraph(n, k, tuple(h.edges[i] for i in big))
@@ -568,8 +572,9 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
 # --------------------------------------------------------------- chromatic
 
 
-def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
-    """Best of random r-splits of a greedy strong colouring's classes."""
+def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMetrics, int]:
+    """Best of random r-splits of a greedy strong colouring's classes:
+    (cut, its metrics, number of colours)."""
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     g = clique_expand(h)
@@ -597,13 +602,12 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, int]:
         group = {cls: idx // per + 1 for idx, cls in enumerate(classes)}
         return Cut(r, tuple(group[colour[v]] for v in range(h.n_vertices)))
 
-    return best_cut(h, (draw() for _ in range(trials))), chi
+    return *best_cut(h, (draw() for _ in range(trials))), chi
 
 
 def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
     """``solve``'s chromatic entry: (cut, metrics), its advisory line added to ``ledger``."""
-    cut, chi = chromatic_cut(h, r, params.trials, params.seed)
-    metrics = cut_metrics(h, cut)
+    cut, metrics, chi = chromatic_cut(h, r, params.trials, params.seed)
     ledger.add(f"chromatic balance (chi={chi})", None, metrics.excess, deterministic=False)
     return cut, metrics
 
@@ -616,7 +620,7 @@ def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
     order), ``order`` being the vertex order the engine ran on, or None
     when neither case applies.
     """
-    if r != 2 and not (r == 3 and all(len(e) == 3 for e in h.edges)):
+    if r != 2 and not (r == 3 and h.edges_all_of_size(3)):
         return None
     order = order_for_W(h, min(params.trials, 8), params.seed)
     c2, es_ledger = erdos_selfridge_2cut(h, order)
@@ -677,11 +681,11 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
             cut, metrics, promise = merged
             enter("es-expose", cut, "exposure + deferred engine", promise, metrics)
     if r == 2:
-        if all(len(e) == 2 for e in h.edges):
+        if h.edges_all_of_size(2):
             mg = clique_expand(h)
             greedy, _ = greedy_order_cut(mg, order)
             enter("greedy-flip", flip_local_search(mg, greedy))
-        elif all(len(e) == 3 for e in h.edges):
+        elif h.edges_all_of_size(3):
             red = expand_3graph(h)
             greedy, gl = greedy_order_cut(red.forward, order)
             back, metrics = red.back_map(flip_local_search(red.forward, greedy))
@@ -695,19 +699,13 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
 
     sr = codegree_structure(h)
     if sr.branch == "matching-cut":
-        enter(
-            "matching-cut",
-            conditioned_matching_cut(h, sr.matching, r, params.trials, params.seed),
-            f"conditioned matching cut ({len(sr.matching)} pairs)",
-        )
+        cut, metrics = conditioned_matching_cut(h, sr.matching, r, params.trials, params.seed)
+        enter("matching-cut", cut, f"conditioned matching cut ({len(sr.matching)} pairs)", None, metrics)
 
     complement = sorted(set(range(n)) - sr.u_set)
     if len(complement) >= r:
-        enter(
-            "dense-subset",
-            dense_subset_cut(h, complement, r, params.trials, params.seed),
-            "equitable cut of the heavy complement",
-        )
+        cut, metrics = dense_subset_cut(h, complement, r, params.trials, params.seed)
+        enter("dense-subset", cut, "equitable cut of the heavy complement", None, metrics)
 
     try:
         driver_cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
@@ -800,7 +798,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
     if 3 <= r <= k - 2:
         return _driver_expose_2(h, r, sr, params)
     if r == k - 1 and k >= 4:
-        if any(len(e) != k for e in h.edges):
+        if not h.edges_all_of_size(k):
             raise DriverInapplicable("subset expansion needs a k-uniform instance")
         red = rgraph_expand(h, r)
         return _carry_back(

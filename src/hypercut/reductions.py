@@ -12,6 +12,7 @@ per-run checking is the artifact's central safety mechanism.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,7 +59,7 @@ def expand_3graph(h: Hypergraph) -> Reduction:
     multigraph, a ``WeightedGraph`` whose integer weights are the pair
     multiplicities; the assignment is shared.
     """
-    if any(len(e) != 3 for e in h.edges):
+    if not h.edges_all_of_size(3):
         raise InvalidArity("expand_3graph needs a 3-uniform hypergraph")
     forward = clique_expand(h)
 
@@ -84,7 +85,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     contribute none.
     """
     k = h.max_arity
-    if any(len(e) != k for e in h.edges):
+    if not h.edges_all_of_size(k):
         raise InvalidArity("rgraph_expand needs a k-uniform hypergraph")
     if r != k - 1 or r < 3:
         raise InvalidParams(f"rgraph_expand needs r = k-1 >= 3, got r={r}, k={k}")
@@ -344,6 +345,25 @@ def _rainbow_table() -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _lift_steps(side: int) -> tuple[dict, dict]:
+    """(stay, move) for a free vertex of 2-cut part ``side``.
+
+    Each maps a packed state holding such a vertex to (change of its
+    ``_rainbow_table`` entry, next state) when the vertex stays in its
+    part, and when it moves to part 3.
+    """
+    table = _rainbow_table()
+    free = 4 if side == 1 else 1  # the vertex leaves its part's free count
+    stay, move = {}, {}
+    for s in range(128):
+        if s // free & 3:  # a free vertex of this part
+            for steps, bit in ((stay, side << 4), (move, 4 << 4)):
+                nxt = (s | bit) - free
+                steps[s] = (table[nxt] - table[s], nxt)
+    return stay, move
+
+
 def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     """Open a third part by conditional expectations over per-vertex moves.
 
@@ -351,10 +371,12 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     a spanning edge rainbow with probability 8/27, so the expected 3-cut
     size is (8/27) times the 2-cut size; the derandomized pass meets that
     expectation.  Each edge keeps its packed state (see
-    ``_rainbow_table``); deciding a vertex moves it from a free count
-    into the decided-part mask.
+    ``_rainbow_table``), built from the edge array; deciding a vertex
+    moves it from a free count into the decided-part mask.  The gains of
+    staying and of moving come from the tally of the vertex's edge states
+    (see ``_lift_steps``).
     """
-    if any(len(e) != 3 for e in h.edges):
+    if not h.edges_all_of_size(3):
         raise InvalidArity("lift needs a 3-uniform hypergraph")
     if c2.r != 2 or len(c2.assignment) != h.n_vertices:
         raise InvalidParams("expected a 2-cut of h")
@@ -365,25 +387,28 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     # probabilities carried as integers scaled by 27 (denominators are 3^u)
     table = _rainbow_table()
     inc = h.incidence()
-    state = [sum(4 if side[v] == 1 else 1 for v in e) for e in h.edges]
-    expected = sum(table[s] for s in state)
+    free_of = np.where(np.array(side, dtype=np.intp) == 1, 4, 1)  # a << 2 | b per vertex
+    state = free_of[h.edge_array].sum(axis=1).tolist()
+    expected = sum(map(table.__getitem__, state))
     if expected != 8 * z2:
         raise CertificateError("initial lift expectation != (8/27) * 2-cut size")
     moved = [False] * n
+    steps = {1: _lift_steps(1), 2: _lift_steps(2)}
+    tally = Counter()  # reused: v's edges by state
     for v in range(n):
-        free = 4 if side[v] == 1 else 1  # v leaves its part's free count
-        stay_bit, move_bit = side[v] << 4, 4 << 4
+        stay, move = steps[side[v]]
+        tally.clear()
+        tally.update(map(state.__getitem__, inc[v]))
         d_stay = d_move = 0
-        for ei in inc[v]:
-            s = state[ei]
-            d_stay += table[(s | stay_bit) - free] - table[s]
-            d_move += table[(s | move_bit) - free] - table[s]
+        for s, c in tally.items():
+            d_stay += c * stay[s][0]
+            d_move += c * move[s][0]
         mv = d_move > d_stay  # tie keeps the vertex in its 2-cut part
         moved[v] = mv
         expected += d_move if mv else d_stay
-        bit = move_bit if mv else stay_bit
+        chosen = move if mv else stay
         for ei in inc[v]:
-            state[ei] = (state[ei] | bit) - free
+            state[ei] = chosen[state[ei]][1]
     cut = Cut(3, tuple(3 if moved[v] else side[v] for v in range(n)))
     realized = cut_metrics(h, cut).size
     if realized * 27 != expected:
@@ -393,8 +418,9 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     return cut
 
 
-def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> Cut:
-    """Best of random cuts whose restriction to W is an equitable r-partition."""
+def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> tuple[Cut, CutMetrics]:
+    """Best of random cuts whose restriction to W is an equitable r-partition,
+    with its metrics."""
     w = sorted(set(w_set))
     if trials < 1:
         raise InvalidParams("trials must be >= 1")

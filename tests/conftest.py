@@ -2,7 +2,9 @@
 
 The oracles here enumerate assignments directly or loop over the edges
 one at a time, and never call the package's own enumeration or
-probability code, so they can check it.
+probability code, so they can check it.  The one exception is the
+vertex-by-vertex engine oracles at the end: they read the engines' cached
+integer tables, which other tests pin against enumeration.
 """
 
 from fractions import Fraction
@@ -12,8 +14,10 @@ from math import comb, factorial
 import pytest
 
 from hypercut.core import Hypergraph, build
-from hypercut.cutspace import Cut
-from hypercut.derand import CombinePlan
+from hypercut.cutspace import Cut, multicolour_table
+from hypercut.derand import CombinePlan, EsLedger
+from hypercut.errors import CertificateError, GuaranteeViolation
+from hypercut.reductions import _rainbow_table
 
 FANO_LINES = [
     [0, 1, 2],
@@ -249,3 +253,245 @@ def plain_combine_partial_cuts(h, parts, partial_cuts):
         realized_excess=realized - stirling_expected_size(h, 2),
     )
     return Cut(2, tuple(assignment)), plan
+
+
+# The vertex-by-vertex engines as they ran before they read tallies of
+# per-edge state codes: each step walks every incident edge.  They read the
+# same cached tables as the engines (pinned against enumeration by their
+# own tests), and take incidences and sizes from the plain loops above.
+
+
+def plain_erdos_selfridge_2cut(h, order, on_step=None):
+    """The deferred engine with per-edge hit masks, free counts and values."""
+    n = h.n_vertices
+    k_eff = max(max((len(e) for e in h.edges), default=0), 2)
+    scale = 1 << (k_eff - 1)
+    table = multicolour_table(2, k_eff)
+
+    edges = h.edges
+    inc = plain_incidence(h)
+    hit = [0] * len(edges)
+    free = [len(e) for e in edges]
+    prob = [table[2][f] for f in free]
+
+    part = [0] * n  # 0 = unassigned
+    deferred: set[int] = set()
+    ez = sum(prob)
+    trace = [ez]
+    credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
+
+    def snapshot(v):
+        if on_step is not None:
+            assigned = {w: p for w, p in enumerate(part) if p}
+            on_step(v, assigned, Fraction(ez, scale))
+
+    def uncertain(ei: int) -> bool:
+        return 0 < prob[ei] < scale
+
+    def hypothetical(ei: int, extra: dict) -> int:
+        mask = hit[ei]
+        for p in extra.values():
+            mask |= 1 << (p - 1)
+        return table[2 - mask.bit_count()][free[ei] - len(extra)]
+
+    def assign(w: int, p: int) -> None:
+        nonlocal ez
+        part[w] = p
+        for ei in inc[w]:
+            ez -= prob[ei]
+            hit[ei] |= 1 << (p - 1)
+            free[ei] -= 1
+            prob[ei] = table[2 - hit[ei].bit_count()][free[ei]]
+            ez += prob[ei]
+
+    snapshot(None)
+    for v in order:
+        unc_v = [ei for ei in inc[v] if uncertain(ei)]
+        u_v: set[int] = set()
+        for ei in unc_v:
+            partners = [u for u in edges[ei] if u in deferred]
+            if len(partners) > 1:
+                raise CertificateError("uncertain edge touches two deferred vertices")
+            u_v.update(partners)
+        unc_u = {u: [ei for ei in inc[u] if uncertain(ei)] for u in u_v}
+        solo_v = [ei for ei in unc_v if not any(u in deferred for u in edges[ei])]
+
+        best_delta = None
+        best_cv = 1
+        best_cu: dict[int, int] = {}
+        for cv in (1, 2):
+            delta = sum(hypothetical(ei, {v: cv}) - prob[ei] for ei in solo_v)
+            choice: dict[int, int] = {}
+            for u in sorted(u_v):
+                best_u = None
+                for cu in (1, 2):
+                    d = 0
+                    for ei in unc_u[u]:
+                        extra = {u: cu}
+                        if v in edges[ei]:
+                            extra[v] = cv
+                        d += hypothetical(ei, extra) - prob[ei]
+                    if best_u is None or d > best_u[0]:
+                        best_u = (d, cu)
+                delta += best_u[0]
+                choice[u] = best_u[1]
+            if best_delta is None or delta > best_delta:
+                best_delta, best_cv, best_cu = delta, cv, choice
+
+        if best_delta < 0:
+            raise CertificateError("maximal conditional expectation fell below the average")
+        if best_delta < len(u_v):  # scaled units: |U_v| / 2^(k-1)
+            raise CertificateError("step gain fell below the deferred-partner bound")
+        if best_delta == 0:
+            if u_v:
+                raise CertificateError("zero-gain step with nonempty deferred neighbourhood")
+            deferred.add(v)
+        else:
+            credit += 1 + len(u_v)
+            before = ez
+            assign(v, best_cv)
+            for u in sorted(u_v):
+                assign(u, best_cu[u])
+                deferred.remove(u)
+            if ez != before + best_delta:
+                raise CertificateError("factorized maximum disagrees with applied update")
+        trace.append(ez)
+        snapshot(v)
+
+    for w in list(deferred):
+        part[w] = 1
+
+    cut = Cut(2, tuple(part))
+    realized = plain_cut_size(h, part, 2)
+    if realized * scale != ez:
+        raise CertificateError("realized size differs from final conditional expectation")
+
+    w_set = plain_first_two_vertex_set(h, order)
+    if credit < len(w_set):
+        raise GuaranteeViolation("determined-vertex credit fell below |W|")
+    guaranteed = Fraction(credit, 2**k_eff)
+    realized_excess = Fraction(realized * scale - trace[0], scale)
+    if realized_excess < guaranteed:
+        raise GuaranteeViolation(
+            f"realized excess {realized_excess} below guarantee {guaranteed}"
+        )
+    ledger = EsLedger(
+        w_set=w_set,
+        guaranteed_excess=guaranteed,
+        realized_excess=realized_excess,
+        expectation_trace=tuple(Fraction(t, scale) for t in trace),
+    )
+    return cut, ledger
+
+
+def plain_conditional_rcut(h, r: int, order=None) -> Cut:
+    """Each vertex in turn scores every part on every incident edge."""
+    n = h.n_vertices
+    seq = list(range(n)) if order is None else list(order)
+    inc = plain_incidence(h)
+    k = max((len(e) for e in h.edges), default=0) or 1
+    table = multicolour_table(r, k)
+    scale = table[0][0]  # probability 1
+    hit = [0] * len(h.edges)
+    freec = [len(e) for e in h.edges]
+    prob = [table[r][f] for f in freec]
+    expected = sum(prob)
+    base = expected
+    parts = range(1, r + 1)
+    assignment = [1] * n
+    for v in seq:
+        gain = [0] * (r + 1)
+        for ei in inc[v]:
+            mask, f, now = hit[ei], freec[ei] - 1, prob[ei]
+            for p in parts:
+                gain[p] += table[r - (mask | 1 << (p - 1)).bit_count()][f] - now
+        best = max(parts, key=gain.__getitem__)  # first maximum: smallest part
+        assignment[v] = best
+        for ei in inc[v]:
+            expected -= prob[ei]
+            hit[ei] |= 1 << (best - 1)
+            freec[ei] -= 1
+            prob[ei] = table[r - hit[ei].bit_count()][freec[ei]]
+            expected += prob[ei]
+    realized = plain_cut_size(h, assignment, r)
+    if realized * scale != expected:
+        raise CertificateError("conditional r-cut bookkeeping mismatch")
+    if realized * scale < base:
+        raise GuaranteeViolation("conditional r-cut fell below the random baseline")
+    return Cut(r, tuple(assignment))
+
+
+def plain_lift_2cut_to_3cut(h, c2: Cut) -> Cut:
+    """The third-part lift, scoring staying and moving on every incident edge."""
+    n = h.n_vertices
+    side = c2.assignment
+    z2 = plain_cut_size(h, side, 2)
+    table = _rainbow_table()
+    inc = plain_incidence(h)
+    state = [sum(4 if side[v] == 1 else 1 for v in e) for e in h.edges]
+    expected = sum(table[s] for s in state)
+    if expected != 8 * z2:
+        raise CertificateError("initial lift expectation != (8/27) * 2-cut size")
+    moved = [False] * n
+    for v in range(n):
+        free = 4 if side[v] == 1 else 1  # v leaves its part's free count
+        stay_bit, move_bit = side[v] << 4, 4 << 4
+        d_stay = d_move = 0
+        for ei in inc[v]:
+            s = state[ei]
+            d_stay += table[(s | stay_bit) - free] - table[s]
+            d_move += table[(s | move_bit) - free] - table[s]
+        mv = d_move > d_stay  # tie keeps the vertex in its 2-cut part
+        moved[v] = mv
+        expected += d_move if mv else d_stay
+        bit = move_bit if mv else stay_bit
+        for ei in inc[v]:
+            state[ei] = (state[ei] | bit) - free
+    assignment = tuple(3 if moved[v] else side[v] for v in range(n))
+    realized = plain_cut_size(h, assignment, 3)
+    if realized * 27 != expected:
+        raise CertificateError("lift bookkeeping mismatch")
+    if realized * 27 < 8 * z2:
+        raise CertificateError("lift fell below (8/27) * 2-cut size")
+    return Cut(3, assignment)
+
+
+def plain_point_local_search(h, cut: Cut) -> Cut:
+    """Single-vertex moves until none grows the cut, with per-edge part
+    counts kept in plain lists; the moves follow ``point_local_search``."""
+    r, n = cut.r, h.n_vertices
+    inc = plain_incidence(h)
+    part = list(cut.assignment)
+    counts = [[0] * (r + 1) for _ in h.edges]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            counts[i][part[v]] += 1
+    covered = [sum(1 for p in range(1, r + 1) if c[p]) for c in counts]
+
+    def move_gain(v: int, q: int) -> int:
+        p = part[v]
+        gain = 0
+        for ei in inc[v]:
+            c = counts[ei]
+            hits = covered[ei] - (c[p] == 1) + (c[q] == 0)
+            gain += (hits == r) - (covered[ei] == r)
+        return gain
+
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            best = (0, part[v])
+            for q in range(1, r + 1):
+                if q != part[v] and move_gain(v, q) > best[0]:
+                    best = (move_gain(v, q), q)
+            if best[0] > 0:
+                p, q = part[v], best[1]
+                for ei in inc[v]:
+                    c = counts[ei]
+                    covered[ei] += (c[q] == 0) - (c[p] == 1)
+                    c[p] -= 1
+                    c[q] += 1
+                part[v] = q
+                improved = True
+    return Cut(r, tuple(part))

@@ -20,10 +20,10 @@ from conftest import (
     plain_first_two_vertex_set,
     plain_incidence,
     plain_induced_edges,
+    plain_point_local_search,
     plain_size_histogram,
     plain_vertices_in_edges_of_size_at_least,
 )
-from test_derand import plain_point_local_search
 
 
 def small_hypergraphs():

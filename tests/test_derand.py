@@ -24,7 +24,6 @@ from conftest import (
     brute_expected_size,
     brute_force_maxcut,
     plain_combine_partial_cuts,
-    plain_incidence,
 )
 
 
@@ -424,44 +423,3 @@ def test_point_local_search_never_hurts():
         start = Cut(r, tuple(rng.randint(1, r) for _ in range(h.n_vertices)))
         out = point_local_search(h, start)
         assert cut_metrics(h, out).size >= cut_metrics(h, start).size
-
-
-def plain_point_local_search(h, cut: Cut) -> Cut:
-    """Single-vertex moves until none grows the cut, with per-edge part
-    counts kept in plain lists; the moves follow ``point_local_search``."""
-    r, n = cut.r, h.n_vertices
-    inc = plain_incidence(h)
-    part = list(cut.assignment)
-    counts = [[0] * (r + 1) for _ in h.edges]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            counts[i][part[v]] += 1
-    covered = [sum(1 for p in range(1, r + 1) if c[p]) for c in counts]
-
-    def move_gain(v: int, q: int) -> int:
-        p = part[v]
-        gain = 0
-        for ei in inc[v]:
-            c = counts[ei]
-            hits = covered[ei] - (c[p] == 1) + (c[q] == 0)
-            gain += (hits == r) - (covered[ei] == r)
-        return gain
-
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n):
-            best = (0, part[v])
-            for q in range(1, r + 1):
-                if q != part[v] and move_gain(v, q) > best[0]:
-                    best = (move_gain(v, q), q)
-            if best[0] > 0:
-                p, q = part[v], best[1]
-                for ei in inc[v]:
-                    c = counts[ei]
-                    covered[ei] += (c[q] == 0) - (c[p] == 1)
-                    c[p] -= 1
-                    c[q] += 1
-                part[v] = q
-                improved = True
-    return Cut(r, tuple(part))

@@ -35,6 +35,28 @@ from test_derand import random_mixed
 PARAMS = PipelineParams(seed=7)
 
 
+# ------------------------------------------------------------- arity
+
+
+def test_arity_checks_read_the_size_histogram():
+    mixed = build(7, [[0, 1, 2], [3, 4], [1, 3, 5, 6], [0, 2, 4, 5], [2, 6]])
+    with pytest.raises(DriverInapplicable, match="driver_3cut needs edge sizes at most 3"):
+        driver_3cut(mixed, range(7), PARAMS)
+    # r = 3 on a mixed instance: neither the deferred engine nor its lift applies
+    assert pipeline.es_route(mixed, 3, PARAMS, GuaranteeLedger()) is None
+    with pytest.raises(DriverInapplicable, match="subset expansion needs a k-uniform instance"):
+        pipeline._dispatch_driver(mixed, 3, 4, codegree_structure(mixed), PARAMS)
+    # driver_2cut needs m/(4k) edges of size >= 4: two of five are enough, none is not
+    _, ledger = driver_2cut(mixed, PARAMS)
+    assert not ledger.violations()
+    with pytest.raises(DriverInapplicable, match="too few edges of size >= 4"):
+        driver_2cut(build(7, [[0, 1, 2], [3, 4], [2, 6]], max_arity=4), PARAMS)
+    # an edgeless instance passes every uniformity check, as all(...) of nothing is true
+    edgeless = build(4, [], max_arity=3)
+    assert edgeless.edges_all_of_size(3) and edgeless.edges_all_of_size(2)
+    assert not mixed.edges_all_of_size(3) and build(3, [[0, 1, 2]] * 2).edges_all_of_size(3)
+
+
 # ------------------------------------------------------------- structure
 
 
@@ -66,15 +88,16 @@ def test_codegree_structure_low_everything():
 
 def test_conditioned_matching_cut_single_edge():
     h = build(3, [[0, 1, 2]])
-    cut = conditioned_matching_cut(h, [(0, 1)], 2, trials=8, seed=1)
+    cut, metrics = conditioned_matching_cut(h, [(0, 1)], 2, trials=8, seed=1)
     # the matched pair spans both parts, so the edge is always multicoloured
     assert cut.assignment[0] != cut.assignment[1]
-    assert cut_metrics(h, cut).size == 1
+    assert metrics == cut_metrics(h, cut) and metrics.size == 1
 
 
 def test_conditioned_matching_cut_empty_matching(fano):
-    cut = conditioned_matching_cut(fano, [], 2, trials=4, seed=2)
+    cut, metrics = conditioned_matching_cut(fano, [], 2, trials=4, seed=2)
     assert cut.r == 2
+    assert metrics == cut_metrics(fano, cut)
 
 
 # ------------------------------------------------------------- goodness
@@ -146,15 +169,16 @@ def test_good_partition_search_exhausts():
 
 
 def test_chromatic_matching(matching12):
-    cut, chi = chromatic_cut(matching12, 3, trials=64, seed=3)
+    cut, metrics, chi = chromatic_cut(matching12, 3, trials=64, seed=3)
     assert chi == 3
-    assert cut_metrics(matching12, cut).excess > 0
+    assert metrics == cut_metrics(matching12, cut) and metrics.excess > 0
 
 
 def test_chromatic_fano(fano):
-    cut, chi = chromatic_cut(fano, 2, trials=16, seed=4)
+    cut, metrics, chi = chromatic_cut(fano, 2, trials=16, seed=4)
     assert chi == 7  # the expansion is complete, classes are singletons
     assert cut.r == 2
+    assert metrics == cut_metrics(fano, cut)
 
 
 # ------------------------------------------------------------- drivers
@@ -491,8 +515,9 @@ def test_driver_3cut_matching(matching12):
 def test_conditioned_matching_pair_outside_edges():
     # conditioning on a pair no edge contains leaves the distribution alone
     h = build(6, [[2, 3, 4]])
-    cut = conditioned_matching_cut(h, [(0, 1)], 2, trials=16, seed=5)
+    cut, metrics = conditioned_matching_cut(h, [(0, 1)], 2, trials=16, seed=5)
     assert cut.assignment[0] != cut.assignment[1]
+    assert metrics == cut_metrics(h, cut)
 
 
 def test_codegree_structure_core_size_bound():

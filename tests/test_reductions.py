@@ -69,6 +69,26 @@ def test_expand_rejects_mixed():
         expand_3graph(build(3, [[0, 1]]))
 
 
+MIXED = build(6, [[0, 1, 2], [3, 4], [1, 3, 5], [0, 2, 4, 5]])
+
+
+@pytest.mark.parametrize(
+    "reduce, message",
+    [
+        (expand_3graph, "expand_3graph needs a 3-uniform hypergraph"),
+        (lambda h: rgraph_expand(h, 3), "rgraph_expand needs a k-uniform hypergraph"),
+        (lambda h: lift_2cut_to_3cut(h, Cut(2, (1, 2) * 3)), "lift needs a 3-uniform hypergraph"),
+    ],
+)
+def test_arity_checks_reject_mixed_and_pass_edgeless(reduce, message):
+    # every edge of an edgeless instance has every size, as all(...) of nothing says
+    with pytest.raises(InvalidArity, match=message):
+        reduce(MIXED)
+    edgeless = build(6, [], max_arity=4)
+    reduce(edgeless)
+    assert cut_metrics(edgeless, expand_3graph(edgeless).back_map(Cut(2, (1, 2) * 3))[0]).size == 0
+
+
 def test_expand_random_certificates():
     rng = random.Random(4)
     for _ in range(20):
@@ -578,11 +598,11 @@ def test_dense_subset_complete_9():
     from itertools import combinations
 
     h = build(9, [list(c) for c in combinations(range(9), 3)])
-    cut = dense_subset_cut(h, range(9), 2, trials=24, seed=3)
+    cut, metrics = dense_subset_cut(h, range(9), 2, trials=24, seed=3)
     from hypercut.cutspace import equitable_complete_value
 
-    size = cut_metrics(h, cut).size
-    assert size == equitable_complete_value(9, 3, 2)  # equitable samples hit the optimum
+    assert metrics == cut_metrics(h, cut)
+    assert metrics.size == equitable_complete_value(9, 3, 2)  # equitable samples hit the optimum
 
 
 def test_dense_subset_rejects_zero_trials(fano):
@@ -592,5 +612,6 @@ def test_dense_subset_rejects_zero_trials(fano):
 
 def test_dense_subset_no_edges():
     h = build(6, [[0, 1, 2]])
-    cut = dense_subset_cut(h, {3, 4, 5}, 3, trials=4, seed=2)
+    cut, metrics = dense_subset_cut(h, {3, 4, 5}, 3, trials=4, seed=2)
     assert cut.r == 3
+    assert metrics == cut_metrics(h, cut)
