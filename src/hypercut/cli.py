@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hgio
-from .core import Hypergraph, clique_expand, degree_profile
+from .core import Hypergraph, clique_expand
 from .cutspace import cut_metrics, theorem_bound, theorem_bound_claim
 from .derand import conditional_rcut, flip_local_search, greedy_order_cut, order_for_W
 from .errors import (
@@ -204,26 +204,27 @@ def _cmd_bounds(args) -> int:
     if args.r != 2:
         print("# closed-form excess bounds here apply to 2-cuts only")
         return 0
-    prof = degree_profile(h)
-    sizes = {len(e) for e in h.edges}
-    k_real = max(sizes, default=0)
+    k_real = h.edge_array.shape[1]  # the largest edge size
+    uniform = k_real if h.m and h.edges_all_of_size(k_real) else None  # the one edge size, if any
+    nonisolated = len(h.vertices_in_edges_of_size_at_least(1)) == h.n_vertices
     printed = []
-    if sizes == {2}:
+    if uniform == 2:
         printed.append(("graph-2cut-m", theorem_bound("graph-2cut-m", m=h.m)))
         if _connected(h):
             printed.append(("connected-graph", theorem_bound("connected-graph", n=h.n_vertices)))
-        if all(d > 0 for d in prof.degree):
+        if nonisolated:
             printed.append(("nonisolated-graph", theorem_bound("nonisolated-graph", n=h.n_vertices)))
-    if sizes == {3}:
+    if uniform == 3:
         printed.append(("sts-2cut", theorem_bound("sts-2cut", m=h.m)))
         if _connected(h):
             printed.append(("connected-3graph", theorem_bound("connected-3graph", n=h.n_vertices)))
-        if all(d > 0 for d in prof.degree):
+        if nonisolated:
             printed.append(("nonisolated-3graph", theorem_bound("nonisolated-3graph", n=h.n_vertices)))
     if k_real >= 3:
         n3 = len(h.vertices_in_edges_of_size_at_least(3))
         printed.append(("mixed-2cut-n", theorem_bound("mixed-2cut-n", k=k_real, n=n3)))
-        nk = len({v for e in h.edges if len(e) == h.max_arity for v in e})
+        # no edge is larger than max_arity, so "at least" means "exactly"
+        nk = len(h.vertices_in_edges_of_size_at_least(h.max_arity))
         printed.append(("mixed-k-edges", theorem_bound("mixed-k-edges", k=h.max_arity, n=nk)))
     for name, value in printed:
         print(f"{name} {value}  # {theorem_bound_claim(name)}")
@@ -277,7 +278,7 @@ def _cmd_check(args) -> int:
         covered = set().union(*parts)
         if len(covered) != sum(map(len, parts)):
             raise InvalidParams("--parts must be disjoint")
-        rep = goodness_audit(h, h, parts, covered)
+        rep = goodness_audit(h, [True] * h.m, parts)
         print(
             f"within_pair_edges={rep.within_pair_edges} "
             f"max_within_degree={rep.max_within_degree} "
@@ -302,11 +303,26 @@ def _sweep_instance(family: str, n: int, k: int, p, m_target, seed: int) -> Hype
     return generate(GenSpec(family, n, k, p, m_target or 2 * n, seed))
 
 
+CSV_COLUMNS = [
+    "family",
+    "n",
+    "m",
+    "k",
+    "r",
+    "seed",
+    "algo",
+    "size",
+    "expected",
+    "excess",
+    "guarantee",
+    "runtime_ms",
+]
+
+
 def experiment_sweep(config: dict) -> list[dict]:
     """Run the (family, n, algo) grid; one row per run plus slope summaries.
 
-    The returned rows follow the CSV schema
-    family,n,m,k,r,seed,algo,size,expected,excess,guarantee,runtime_ms.
+    The returned rows map each of ``CSV_COLUMNS`` to its string value.
     Rows are computed serially, each with its own derived seed, so every
     row is independent of the others.
     """
@@ -338,20 +354,9 @@ def experiment_sweep(config: dict) -> list[dict]:
             for e in report.ledger.entries
             if e.deterministic and e.promised is not None and e.scope == "instance"
         ]
-        return {
-            "family": family,
-            "n": str(n),
-            "m": str(report.m),
-            "k": str(report.k),
-            "r": str(r),
-            "seed": str(row_seed),
-            "algo": algo,
-            "size": str(report.size),
-            "expected": str(report.expected),
-            "excess": str(report.excess),
-            "guarantee": str(max(det)) if det else "",
-            "runtime_ms": f"{report.runtime_ms:.1f}",
-        }
+        cells = (family, n, report.m, report.k, r, row_seed, algo, report.size,
+                 report.expected, report.excess, max(det) if det else "")
+        return dict(zip(CSV_COLUMNS, [*map(str, cells), f"{report.runtime_ms:.1f}"]))
 
     rows = [one(job) for job in grid]
 
@@ -368,39 +373,9 @@ def experiment_sweep(config: dict) -> list[dict]:
             denom = sum((x - xbar) ** 2 for x, _ in pts)
             if denom > 0:
                 slope = f"{sum((x - xbar) * (y - ybar) for x, y in pts) / denom:.4f}"
-        rows.append(
-            {
-                "family": "slope-summary",
-                "n": "",
-                "m": "",
-                "k": "",
-                "r": str(r),
-                "seed": str(seed),
-                "algo": algo,
-                "size": "",
-                "expected": "",
-                "excess": slope,
-                "guarantee": "",
-                "runtime_ms": "",
-            }
-        )
+        summary = ("slope-summary", "", "", "", str(r), str(seed), algo, "", "", slope, "", "")
+        rows.append(dict(zip(CSV_COLUMNS, summary)))
     return rows
-
-
-CSV_COLUMNS = [
-    "family",
-    "n",
-    "m",
-    "k",
-    "r",
-    "seed",
-    "algo",
-    "size",
-    "expected",
-    "excess",
-    "guarantee",
-    "runtime_ms",
-]
 
 
 def _cmd_sweep(args) -> int:

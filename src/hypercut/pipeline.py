@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Hypergraph, clique_expand, degree_profile, induce
+from .core import Hypergraph, clique_expand, degree_profile
 from .cutspace import (
     Cut,
     CutMetrics,
@@ -170,9 +170,6 @@ class StructureReport:
     matching: tuple  # disjoint high-codegree pairs
     branch: str  # matching-cut | dense-induced | high-U-incidence
     induced_edges: int  # e(H[U])
-    delta: float
-    g: float
-    q: float
 
 
 def codegree_structure(h: Hypergraph) -> StructureReport:
@@ -196,9 +193,7 @@ def codegree_structure(h: Hypergraph) -> StructureReport:
         matched.append((u, v))
         used.update((u, v))
     if len(matched) >= d.q:
-        return StructureReport(
-            frozenset(), tuple(matched), "matching-cut", 0, d.delta, d.g, d.q
-        )
+        return StructureReport(frozenset(), tuple(matched), "matching-cut", 0)
     u_set = frozenset(
         v for v in range(h.n_vertices) if v not in used and prof.degree[v] <= d.delta
     )
@@ -207,7 +202,7 @@ def codegree_structure(h: Hypergraph) -> StructureReport:
         raise CertificateError("core-size bound violated; structure pass is wrong")
     induced = int(h.inside_rows(u_set).sum())
     branch = "dense-induced" if induced >= h.m / (4 * k_bound) else "high-U-incidence"
-    return StructureReport(u_set, tuple(matched), branch, induced, d.delta, d.g, d.q)
+    return StructureReport(u_set, tuple(matched), branch, induced)
 
 
 def conditioned_matching_cut(
@@ -247,34 +242,45 @@ class GoodnessReport:
     violations_witness: tuple  # (iv): pairs of h-edge indices
 
 
-def goodness_audit(h: Hypergraph, h_sub: Hypergraph, partition, vertex_set) -> GoodnessReport:
+def _by_part(e, where: dict) -> dict:
+    """Edge e's partitioned vertices, grouped by the index of their part."""
+    by_part = defaultdict(list)
+    for v in e:
+        if v in where:
+            by_part[where[v]].append(v)
+    return by_part
+
+
+def _within_pairs(by_part: dict) -> int:
+    """An edge's vertex pairs inside one part, from its ``_by_part`` grouping:
+    what the edge adds to property (i)."""
+    return sum(len(vs) * (len(vs) - 1) // 2 for vs in by_part.values())
+
+
+def goodness_audit(h: Hypergraph, sub_rows, partition) -> GoodnessReport:
     """Exact counts for the four goodness properties of a partition.
 
-    ``partition`` splits ``vertex_set`` (the sub-hypergraph's vertex set).
-    Property (iii) asks every h-edge to spread over at least
-    |e ∩ vertex_set| - 1 parts; (iv) forbids two edges from pairing up
-    inside one part while also meeting in ``vertex_set`` outside it.
+    ``partition`` splits the vertex set S of the sub-hypergraph, whose
+    edges are the rows of h that the boolean mask ``sub_rows`` selects.
+    Property (i) counts the within-part pairs of those rows; (ii)-(iv)
+    read every row of h.  Property (iii) asks every h-edge to spread over
+    at least |e ∩ S| - 1 parts; (iv) forbids two edges from pairing up
+    inside one part while also meeting in S outside it.
     """
-    vset = frozenset(vertex_set)
-    where = {}
-    for i, p in enumerate(partition):
-        for v in p:
-            where[v] = i
+    sub_rows = np.asarray(sub_rows, dtype=bool)
+    if sub_rows.shape != (h.m,):
+        raise InvalidParams(f"sub_rows must hold one flag per edge ({h.m}), got {sub_rows.shape}")
+    where = {v: i for i, p in enumerate(partition) for v in p}
 
+    # one by-part grouping per h-edge feeds all four properties
     within = 0
-    for e in h_sub.edges:
-        counts = Counter(where[v] for v in e if v in where)
-        within += sum(c * (c - 1) // 2 for c in counts.values())
-
-    # one by-part grouping per h-edge feeds (ii), (iii) and the (iv) buckets
     within_deg = Counter()
     spread_bad = []
     bucket: dict[tuple[int, int], list[tuple[int, frozenset]]] = defaultdict(list)
-    for i, e in enumerate(h.edges):
-        by_part = defaultdict(list)
-        for v in e:
-            if v in where:
-                by_part[where[v]].append(v)
+    for i, (e, in_sub) in enumerate(zip(h.edges, sub_rows.tolist())):
+        by_part = _by_part(e, where)
+        if in_sub:
+            within += _within_pairs(by_part)
         collisions = 0
         for pi, vs in by_part.items():
             if len(vs) < 2:
@@ -284,7 +290,7 @@ def goodness_audit(h: Hypergraph, h_sub: Hypergraph, partition, vertex_set) -> G
                 within_deg[v] += len(vs) - 1
             pair = frozenset(vs)
             for w in e:
-                if w in vset and where.get(w) != pi:
+                if where.get(w, pi) != pi:  # w in S, outside part pi
                     bucket[(pi, w)].append((i, pair))
         if collisions > 1:
             spread_bad.append(i)
@@ -314,22 +320,33 @@ class GoodPartition:
 
 def good_partition_search(
     h: Hypergraph,
-    h_sub: Hypergraph,
+    sub_rows,
     vertex_set,
     params: PipelineParams,
     seed=None,
 ) -> GoodPartition:
     """Sample uniform t-part partitions until one is almost good, then fix it.
 
-    Success means: after deleting the few offending edges, the partition
-    has zero spread/witness violations, at least m' within-part pair
-    edges of the sub-hypergraph, and within-part degree at most Delta'.
+    ``sub_rows`` masks the sub-hypergraph's rows of h, and the parts split
+    ``vertex_set``.  A sample is almost good with at least 2 m1
+    within-part pair edges of the sub-hypergraph, within-part degree at
+    most Delta', and at most y/2 spread and y/2 witness violations.  It is
+    then fixed by deleting every spread violator and the later edge of
+    each witness pair, and it succeeds when m' >= m1, where m' is the
+    audit's pair count less the within-part pairs of the deleted rows in
+    ``sub_rows``.  Each sample is audited once, since the deletion leaves
+    nothing for a second audit to find:
+
+    - every spread violator is deleted, and one edge of each witness pair;
+      spread is a property of one edge and deleting edges makes no new
+      witness pair, so no violation remains;
+    - deleting edges never raises a within-part degree.
     """
     d = derive_params(h.m)
     vset = sorted(set(vertex_set))
     rng = random.Random(f"good-partition:{params.seed if seed is None else seed}")
     k = max(h.max_arity, 2)
-    m1 = d.p_prime * h_sub.m / 2
+    m1 = d.p_prime * int(np.count_nonzero(sub_rows)) / 2
     delta_prime = 2 * d.p_prime * k * d.delta
     y = C * m1 / math.sqrt(delta_prime) if delta_prime > 0 else 0.0
 
@@ -337,32 +354,22 @@ def good_partition_search(
         parts = [set() for _ in range(d.t)]
         for v in vset:
             parts[rng.randrange(d.t)].add(v)
-        report = goodness_audit(h, h_sub, parts, vset)
+        report = goodness_audit(h, sub_rows, parts)
         if report.within_pair_edges < 2 * m1 or report.max_within_degree > delta_prime:
             continue
         if len(report.violations_spread) > y / 2 or len(report.violations_witness) > y / 2:
             continue
         drop = set(report.violations_spread)
         drop.update(max(i, j) for i, j in report.violations_witness)
-        kept_sub = Counter(h_sub.edges)
-        for i in drop:
-            e = h.edges[i]
-            if kept_sub[e] > 0:
-                kept_sub[e] -= 1
-        h_del = h.without_edges(drop)
-        sub_del_edges = [e for e, c in kept_sub.items() for _ in range(c)]
-        sub_del = Hypergraph(h.n_vertices, h_sub.max_arity, tuple(sub_del_edges))
-        post = goodness_audit(h_del, sub_del, parts, vset)
-        if (
-            post.violations_spread
-            or post.violations_witness
-            or post.within_pair_edges < m1
-            or post.max_within_degree > delta_prime
-        ):
+        where = {v: i for i, p in enumerate(parts) for v in p}
+        m_prime = report.within_pair_edges - sum(
+            _within_pairs(_by_part(h.edges[i], where)) for i in drop if sub_rows[i]
+        )
+        if m_prime < m1:
             continue
         return GoodPartition(
             parts=tuple(frozenset(p) for p in parts),
-            m_prime=post.within_pair_edges,
+            m_prime=m_prime,
             m_target=m1,
             deleted_edges=tuple(sorted(drop)),
         )
@@ -448,11 +455,11 @@ def driver_3cut(
     if h.edge_array.shape[1] > 3:  # the widest edge
         raise DriverInapplicable("driver_3cut needs edge sizes at most 3")
     u_set = set(u_set)
-    h_u = induce(h, u_set)
+    inside = h.inside_rows(u_set)
     k = max(h.max_arity, 1)
-    if h_u.m < h.m / (4 * k):
+    if np.count_nonzero(inside) < h.m / (4 * k):
         raise DriverInapplicable("induced core holds too few edges")
-    gp = good_partition_search(h, h_u, u_set, params, seed=f"d3:{params.seed}")
+    gp = good_partition_search(h, inside, u_set, params, seed=f"d3:{params.seed}")
     part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
 
     def trial(hd, rng):
@@ -496,11 +503,11 @@ def driver_2cut(
     if u_set is not None and set(u_set) != set(range(n)):
         return _driver_2cut_wrapped(h, params, set(u_set))
 
-    big = np.flatnonzero(h.edge_sizes >= 4).tolist()
+    is_big = h.edge_sizes >= 4
+    big = np.flatnonzero(is_big).tolist()
     if len(big) < h.m / (4 * k):
         raise DriverInapplicable("too few edges of size >= 4")
-    h4 = Hypergraph(n, k, tuple(h.edges[i] for i in big))
-    gp = good_partition_search(h, h4, range(n), params, seed=f"d2:{params.seed}")
+    gp = good_partition_search(h, is_big, range(n), params, seed=f"d2:{params.seed}")
     dropped = set(gp.deleted_edges)
     part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
     # per >=4-edge: its doubled part (if any) with the two inside vertices

@@ -171,8 +171,6 @@ def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> 
 class DoubleExposure(Reduction):
     """hpart_double bookkeeping the driver needs for its promise."""
 
-    n_multi: int = 0
-    n_undetermined: int = 0
     conditional_size: Fraction = Fraction(0)  # E[Z | exposure]
     base_size: Fraction = Fraction(0)  # E[Z]
 
@@ -243,8 +241,6 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     return DoubleExposure(
         forward=forward,
         back_map=back_map,
-        n_multi=n_multi,
-        n_undetermined=n_undet,
         conditional_size=cond,
         base_size=base,
     )

@@ -7,6 +7,9 @@ vertex-by-vertex engine oracles at the end: they read the engines' cached
 integer tables, which other tests pin against enumeration.
 """
 
+import math
+import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -16,7 +19,8 @@ import pytest
 from hypercut.core import Hypergraph, build
 from hypercut.cutspace import Cut, multicolour_table
 from hypercut.derand import CombinePlan, EsLedger
-from hypercut.errors import CertificateError, GuaranteeViolation
+from hypercut.errors import CertificateError, GuaranteeViolation, SearchFailed
+from hypercut.pipeline import C, GoodnessReport, GoodPartition, derive_params
 from hypercut.reductions import _rainbow_table
 
 FANO_LINES = [
@@ -495,3 +499,103 @@ def plain_point_local_search(h, cut: Cut) -> Cut:
                 part[v] = q
                 improved = True
     return Cut(r, tuple(part))
+
+
+def plain_goodness_audit(h, h_sub, partition, vertex_set) -> GoodnessReport:
+    """The audit ``good_partition_search`` ran before it took row masks:
+    property (i) over the edges of a separate sub-instance ``h_sub``, and
+    ``vertex_set`` (the union of the parts) passed on its own."""
+    vset = frozenset(vertex_set)
+    where = {}
+    for i, p in enumerate(partition):
+        for v in p:
+            where[v] = i
+
+    within = 0
+    for e in h_sub.edges:
+        counts = Counter(where[v] for v in e if v in where)
+        within += sum(c * (c - 1) // 2 for c in counts.values())
+
+    within_deg = Counter()
+    spread_bad = []
+    bucket = defaultdict(list)
+    for i, e in enumerate(h.edges):
+        by_part = defaultdict(list)
+        for v in e:
+            if v in where:
+                by_part[where[v]].append(v)
+        collisions = 0
+        for pi, vs in by_part.items():
+            if len(vs) < 2:
+                continue
+            collisions += len(vs) - 1
+            for v in vs:
+                within_deg[v] += len(vs) - 1
+            pair = frozenset(vs)
+            for w in e:
+                if w in vset and where.get(w) != pi:
+                    bucket[(pi, w)].append((i, pair))
+        if collisions > 1:
+            spread_bad.append(i)
+    max_deg = max(within_deg.values(), default=0)
+
+    witness_bad = set()
+    for entries in bucket.values():
+        for a in range(len(entries)):
+            for b in range(a + 1, len(entries)):
+                i, pi_pair = entries[a]
+                j, pj_pair = entries[b]
+                if i == j:
+                    continue
+                if len(pi_pair | pj_pair) >= 3:
+                    witness_bad.add((min(i, j), max(i, j)))
+
+    return GoodnessReport(within, max_deg, tuple(spread_bad), tuple(sorted(witness_bad)))
+
+
+def plain_good_partition_search(h, h_sub, vertex_set, params, seed=None):
+    """The two-audit search ``good_partition_search`` ran before it took row
+    masks: a sample that passes the first gates loses its offending edges
+    from both instances, and the rebuilt pair is audited again."""
+    d = derive_params(h.m)
+    vset = sorted(set(vertex_set))
+    rng = random.Random(f"good-partition:{params.seed if seed is None else seed}")
+    k = max(h.max_arity, 2)
+    m1 = d.p_prime * h_sub.m / 2
+    delta_prime = 2 * d.p_prime * k * d.delta
+    y = C * m1 / math.sqrt(delta_prime) if delta_prime > 0 else 0.0
+
+    for _ in range(params.retry_budget):
+        parts = [set() for _ in range(d.t)]
+        for v in vset:
+            parts[rng.randrange(d.t)].add(v)
+        report = plain_goodness_audit(h, h_sub, parts, vset)
+        if report.within_pair_edges < 2 * m1 or report.max_within_degree > delta_prime:
+            continue
+        if len(report.violations_spread) > y / 2 or len(report.violations_witness) > y / 2:
+            continue
+        drop = set(report.violations_spread)
+        drop.update(max(i, j) for i, j in report.violations_witness)
+        kept_sub = Counter(h_sub.edges)
+        for i in drop:
+            e = h.edges[i]
+            if kept_sub[e] > 0:
+                kept_sub[e] -= 1
+        h_del = h.without_edges(drop)
+        sub_del_edges = [e for e, c in kept_sub.items() for _ in range(c)]
+        sub_del = Hypergraph(h.n_vertices, h_sub.max_arity, tuple(sub_del_edges))
+        post = plain_goodness_audit(h_del, sub_del, parts, vset)
+        if (
+            post.violations_spread
+            or post.violations_witness
+            or post.within_pair_edges < m1
+            or post.max_within_degree > delta_prime
+        ):
+            continue
+        return GoodPartition(
+            parts=tuple(frozenset(p) for p in parts),
+            m_prime=post.within_pair_edges,
+            m_target=m1,
+            deleted_edges=tuple(sorted(drop)),
+        )
+    raise SearchFailed(f"no good partition within {params.retry_budget} samples")

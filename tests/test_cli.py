@@ -147,6 +147,45 @@ def test_bounds_sts9(tmp_path, capsys):
     assert sts_line.split()[1] == "1"
 
 
+_MIXED_2CUT_N = "a mixed k-multigraph with n vertices in edges of size >= 3 has a 2-cut with excess >= n/(k*2^(k-1))"
+_MIXED_K_EDGES = "a mixed k-multigraph with n vertices in size-k edges has a 2-cut with excess >= n/(k*2^k)"
+_MIXED = [[0, 1], [1, 2, 3], [2, 3, 4, 5], [0, 4, 6], [5, 6]]  # vertex 7 is isolated
+
+
+@pytest.mark.parametrize(
+    "n, edges, max_arity, lines",
+    [
+        pytest.param(8, _MIXED, 4, [
+            f"mixed-2cut-n 7/32  # {_MIXED_2CUT_N}",
+            f"mixed-k-edges 1/16  # {_MIXED_K_EDGES}",
+        ], id="mixed-sizes-2-to-4"),
+        pytest.param(8, _MIXED, 5, [
+            f"mixed-2cut-n 7/32  # {_MIXED_2CUT_N}",
+            f"mixed-k-edges 0  # {_MIXED_K_EDGES}",
+        ], id="mixed-declared-arity-5"),
+        pytest.param(5, [[0, 1], [1, 2], [2, 3]], None, [
+            "graph-2cut-m 1/2  # every m-edge multigraph has a 2-cut with excess >= (sqrt(8m+1)-1)/8",
+        ], id="graph-with-isolated-vertex"),
+        pytest.param(4, [[0, 1], [1, 2], [2, 3]], None, [
+            "graph-2cut-m 1/2  # every m-edge multigraph has a 2-cut with excess >= (sqrt(8m+1)-1)/8",
+            "connected-graph 3/4  # every connected n-vertex graph has a 2-cut with excess >= (n-1)/4",
+            "nonisolated-graph 2/3  # every graph without isolated vertices has a 2-cut with excess >= n/6",
+        ], id="path"),
+        pytest.param(7, [[0, 1, 2], [2, 3, 4], [1, 3, 5]], None, [
+            "sts-2cut 0.47150023408234565  # every m-edge 3-graph has a 2-cut with excess >= (sqrt(24m+1)-1)/16",
+            f"mixed-2cut-n 1/2  # {_MIXED_2CUT_N}",
+            f"mixed-k-edges 1/4  # {_MIXED_K_EDGES}",
+        ], id="3-graph-with-isolated-vertex"),
+        pytest.param(3, [], 3, [], id="edgeless"),
+    ],
+)
+def test_bounds_prints_the_applicable_lines(tmp_path, capsys, n, edges, max_arity, lines):
+    path = tmp_path / "h.hg"
+    path.write_text(serialize(build(n, edges, max_arity=max_arity)))
+    code, out, _ = run(capsys, "bounds", str(path), "--r", "2")
+    assert (code, out.splitlines()) == (0, lines)
+
+
 def test_check_monotonicity(tmp_path, capsys):
     path = tmp_path / "one.hg"
     path.write_text("hg 1 3 3 1\n0 1 2\n")

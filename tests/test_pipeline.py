@@ -105,13 +105,13 @@ def test_conditioned_matching_cut_empty_matching(fano):
 
 def test_goodness_audit_matching_parts(matching12):
     parts = [frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(4)]
-    rep = goodness_audit(matching12, matching12, parts, range(12))
+    rep = goodness_audit(matching12, [True] * 4, parts)
     assert len(rep.violations_spread) == 4  # every triple sits inside one part
 
 
 def test_goodness_audit_singletons(matching12):
     parts = [frozenset({v}) for v in range(12)]
-    rep = goodness_audit(matching12, matching12, parts, range(12))
+    rep = goodness_audit(matching12, [True] * 4, parts)
     assert rep.within_pair_edges == 0
     assert rep.violations_spread == ()
     assert rep.violations_witness == ()
@@ -121,8 +121,8 @@ def test_goodness_audit_witness_pairs():
     # two edges pair up inside part {0,1,2,3} and meet outside it at vertex 4
     h = build(6, [[0, 1, 4], [2, 3, 4], [0, 1, 5]])
     parts = [frozenset({0, 1, 2, 3}), frozenset({4, 5})]
-    rep = goodness_audit(h, h, parts, range(6))
-    assert (0, 1) in rep.violations_witness  # share v4 in vertex_set outside part 0
+    rep = goodness_audit(h, [True] * 3, parts)
+    assert (0, 1) in rep.violations_witness  # share v4, partitioned but outside part 0
     assert (0, 2) not in rep.violations_witness  # same inside pair, only 2 vertices
 
 
@@ -134,7 +134,7 @@ def test_goodness_audit_recount_random():
         parts = [set() for _ in range(t)]
         for v in range(h.n_vertices):
             parts[rng.randrange(t)].add(v)
-        rep = goodness_audit(h, h, parts, range(h.n_vertices))
+        rep = goodness_audit(h, [True] * h.m, parts)
         where = {v: i for i, p in enumerate(parts) for v in p}
         # independent recount of (i)
         expect = 0
@@ -147,14 +147,10 @@ def test_goodness_audit_recount_random():
 
 def test_good_partition_search_sts():
     h = generate(GenSpec(family="sts", n=27))
-    gp = good_partition_search(h, h, range(27), PARAMS)
+    gp = good_partition_search(h, [True] * h.m, range(27), PARAMS)
     assert gp.m_prime >= gp.m_target
-    post = goodness_audit(
-        h.without_edges(set(gp.deleted_edges)),
-        h.without_edges(set(gp.deleted_edges)),
-        gp.parts,
-        range(27),
-    )
+    hd = h.without_edges(set(gp.deleted_edges))
+    post = goodness_audit(hd, [True] * hd.m, gp.parts)
     assert post.violations_spread == () and post.violations_witness == ()
 
 
@@ -162,7 +158,7 @@ def test_good_partition_search_exhausts():
     # 20 coincident triples cannot spread over parts drawn from a tiny budget
     h = build(3, [[0, 1, 2]] * 20)
     with pytest.raises(SearchFailed):
-        good_partition_search(h, h, range(3), PipelineParams(retry_budget=3, seed=1))
+        good_partition_search(h, [True] * 20, range(3), PipelineParams(retry_budget=3, seed=1))
 
 
 # ------------------------------------------------------------- chromatic

@@ -257,8 +257,8 @@ def test_hpart_double_shapes():
     # edge {0,1,2} inside W doubles; {0,1,4} has one-sided outside part -> stub (0,1)
     # {3,4,5} outside-two-parts is determined multicoloured; {0,4,5} determined too
     assert sorted(red.forward.edges) == [(0, 1), (0, 1, 2), (0, 1, 2)]
-    assert red.n_multi == 2
-    assert red.n_undetermined == 1
+    # E[Z | rho]: the two determined edges 1 each, the stub's and the inside edge's 3/4 each
+    assert red.conditional_size == Fraction(7, 2)
 
 
 def old_hpart_double_edges(h, w, rho):
@@ -288,8 +288,11 @@ def test_hpart_double_matches_old_loop():
         w = {v for v in range(h.n_vertices) if rng.random() < rng.random()}
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
         red = hpart_double(h, w, rho)
-        got = (red.forward.edges, red.n_multi, red.n_undetermined)
-        assert got == old_hpart_double_edges(h, w, rho)
+        edges, n_multi, n_undet = old_hpart_double_edges(h, w, rho)
+        assert red.forward.edges == edges
+        # the old counts still give E[Z | rho]: stubs are undetermined, multi edges cut
+        fwd_expected = cut_metrics(red.forward, Cut(2, (1,) * h.n_vertices)).expected
+        assert red.conditional_size == fwd_expected / 2 + Fraction(n_undet, 2) + n_multi
 
 
 def assert_array_given_at_build(forward):

@@ -167,7 +167,7 @@ def test_goodness_audit_full_recount_sts9():
         parts = [set(), set(), set()]
         for v in range(9):
             parts[rng.randrange(3)].add(v)
-        rep = goodness_audit(h, h, parts, range(9))
+        rep = goodness_audit(h, [True] * h.m, parts)
         where = {v: i for i, p in enumerate(parts) for v in p}
 
         within = 0
