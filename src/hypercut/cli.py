@@ -116,7 +116,7 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
     if algo == "pipeline":
         sr = codegree_structure(h)
         try:
-            cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
+            cut, _, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         except (SearchFailed, DriverInapplicable):
             cut = conditional_rcut(h, r)
             ledger.add("conditional-expectations fallback", Fraction(0), cut_metrics(h, cut).excess)

@@ -10,8 +10,8 @@ and its row sizes on first use and keeps them, outside its equality and
 hash.  An instance cut out of another's array (``without_edges``, the
 exposure reductions) gets that array when it is built.  Every pass that
 only counts (degrees, codegrees, clique weights, incidences, size
-histograms, induced edges) is whole-array numpy work over that edge
-array, and returns exact Python ints.
+histograms, induced edges, within-part pairs) is whole-array numpy work
+over that edge array, and returns exact Python ints.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -187,6 +187,44 @@ def build(n: int, raw_edges, max_arity: int | None = None) -> Hypergraph:
     if k < realized:
         raise InvalidEdge(f"declared max_arity {k} below realized edge size {realized}")
     return Hypergraph(n, k, tuple(edges))
+
+
+def part_labels(n: int, parts, who: str) -> np.ndarray:
+    """Each vertex's part index, -1 for the vertices in no part and for the
+    padding vertex n, which a -1 index would otherwise reach.
+
+    Raises ``InvalidParams``, naming ``who``, when a part vertex lies
+    outside [0, n) or a vertex is listed twice.
+    """
+    members = [list(p) for p in parts]
+    flat = list(chain.from_iterable(members))
+    if flat and not (0 <= min(flat) and max(flat) < n):
+        bad = next(v for v in flat if not 0 <= v < n)
+        raise InvalidParams(f"{who} part vertex {bad} outside the instance (n={n})")
+    labels = np.full(n + 1, -1, dtype=np.intp)
+    labels[flat] = np.repeat(np.arange(len(members)), list(map(len, members)))
+    if np.count_nonzero(labels >= 0) != len(flat):
+        raise InvalidParams(f"{who} parts must be disjoint")
+    return labels
+
+
+def within_part_pairs(h: Hypergraph, labels: np.ndarray, rows=slice(None)) -> tuple:
+    """The chosen rows of h sorted by (part, vertex), with their within-part pairs.
+
+    ``labels`` is a ``part_labels`` array.  Returns (part, vertex, i, j,
+    together): each row's entries with their parts, the entries in no part
+    (the padding vertex too) reading part -1 and sorting first, and
+    whether columns i[c] < j[c] of a row hold two vertices of one part,
+    as ``together[row, c]``.  A row's count of such pairs is its edge's
+    within-part pair count.  As each part's entries are neighbours, a part
+    met 3 or more times is what pairs two columns that are not.
+    """
+    bits = h.n_vertices.bit_length()  # vertices 0..n fit below 2^bits
+    sub = h.edge_array[rows]
+    key = np.sort(labels[sub] << bits | sub, axis=1)
+    part, vertex = key >> bits, key & ((1 << bits) - 1)
+    i, j = _column_pairs(part.shape[1])
+    return part, vertex, i, j, (part[:, i] == part[:, j]) & (part[:, i] >= 0)
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Hypergraph, clique_expand, degree_profile
+from .core import (
+    Hypergraph,
+    clique_expand,
+    degree_profile,
+    part_labels,
+    within_part_pairs,
+)
 from .cutspace import (
     Cut,
     CutMetrics,
@@ -242,21 +248,6 @@ class GoodnessReport:
     violations_witness: tuple  # (iv): pairs of h-edge indices
 
 
-def _by_part(e, where: dict) -> dict:
-    """Edge e's partitioned vertices, grouped by the index of their part."""
-    by_part = defaultdict(list)
-    for v in e:
-        if v in where:
-            by_part[where[v]].append(v)
-    return by_part
-
-
-def _within_pairs(by_part: dict) -> int:
-    """An edge's vertex pairs inside one part, from its ``_by_part`` grouping:
-    what the edge adds to property (i)."""
-    return sum(len(vs) * (len(vs) - 1) // 2 for vs in by_part.values())
-
-
 def goodness_audit(h: Hypergraph, sub_rows, partition) -> GoodnessReport:
     """Exact counts for the four goodness properties of a partition.
 
@@ -265,49 +256,56 @@ def goodness_audit(h: Hypergraph, sub_rows, partition) -> GoodnessReport:
     Property (i) counts the within-part pairs of those rows; (ii)-(iv)
     read every row of h.  Property (iii) asks every h-edge to spread over
     at least |e ∩ S| - 1 parts; (iv) forbids two edges from pairing up
-    inside one part while also meeting in S outside it.
+    inside one part while also meeting in S outside it.  Every count is
+    whole-array work over the rows of h sorted by (part, vertex).
     """
     sub_rows = np.asarray(sub_rows, dtype=bool)
     if sub_rows.shape != (h.m,):
         raise InvalidParams(f"sub_rows must hold one flag per edge ({h.m}), got {sub_rows.shape}")
-    where = {v: i for i, p in enumerate(partition) for v in p}
+    n1 = h.n_vertices + 1
+    part, vertex, i, j, together = within_part_pairs(
+        h, part_labels(h.n_vertices, partition, "goodness_audit")
+    )
+    pairs = together.sum(axis=1)
+    within = int(pairs[sub_rows].sum())
+    # meeting a part in c >= 2 vertices costs an edge c - 1 parts and gives it
+    # c(c-1)/2 pairs, so it fails (iii) exactly when it has 2 or more pairs
+    spread_bad = np.flatnonzero(pairs > 1)
 
-    # one by-part grouping per h-edge feeds all four properties
-    within = 0
-    within_deg = Counter()
-    spread_bad = []
-    bucket: dict[tuple[int, int], list[tuple[int, frozenset]]] = defaultdict(list)
-    for i, (e, in_sub) in enumerate(zip(h.edges, sub_rows.tolist())):
-        by_part = _by_part(e, where)
-        if in_sub:
-            within += _within_pairs(by_part)
-        collisions = 0
-        for pi, vs in by_part.items():
-            if len(vs) < 2:
-                continue
-            collisions += len(vs) - 1
-            for v in vs:
-                within_deg[v] += len(vs) - 1
-            pair = frozenset(vs)
-            for w in e:
-                if where.get(w, pi) != pi:  # w in S, outside part pi
-                    bucket[(pi, w)].append((i, pair))
-        if collisions > 1:
-            spread_bad.append(i)
-    max_deg = max(within_deg.values(), default=0)
+    # only the rows with a within-part pair feed (ii) and (iv)
+    hit = np.flatnonzero(pairs)
+    part, vertex, together = part[hit], vertex[hit], together[hit]
+    # (ii): a vertex meeting c - 1 others of its part in an edge gains c - 1
+    ends = np.concatenate((vertex[:, i][together], vertex[:, j][together]))
+    max_deg = int(np.bincount(ends, minlength=1).max())
 
-    witness_bad: set[tuple[int, int]] = set()
-    for entries in bucket.values():
-        for a in range(len(entries)):
-            for b in range(a + 1, len(entries)):
-                i, pi_pair = entries[a]
-                j, pj_pair = entries[b]
-                if i == j:
-                    continue
-                if len(pi_pair | pj_pair) >= 3:
-                    witness_bad.add((min(i, j), max(i, j)))
-
-    return GoodnessReport(within, max_deg, tuple(spread_bad), tuple(sorted(witness_bad)))
+    # (iv): one bucket entry per (edge, group of >= 2 in part pi, vertex x of
+    # S in another part), keyed by (pi, x); a group's first column is ``start``
+    repeat = np.zeros(part.shape, dtype=bool)  # same part as the left neighbour
+    repeat[:, 1:] = together[:, j - i == 1]
+    start = np.zeros_like(repeat)
+    start[:, :-1] = repeat[:, 1:] & ~repeat[:, :-1]
+    # two groups of one part share fewer than 3 vertices only when both are
+    # the same pair, so a group of two is known by its pair, a larger one by -1
+    group = np.full(part.shape, -1)
+    group[:, :-1] = vertex[:, :-1] * n1 + vertex[:, 1:]
+    group[:, :-2][repeat[:, 2:]] = -1
+    other = (part[:, None, :] >= 0) & (part[:, None, :] != part[:, :, None])
+    r, g, x = np.nonzero(start[:, :, None] & other)
+    bucket = part[r, g] * n1 + vertex[r, x]
+    order = np.lexsort((r, bucket))  # by bucket, then by row
+    bucket, group, edge = bucket[order], group[r, g][order], hit[r][order]
+    # an edge enters a bucket at most once, so each pair of entries d apart
+    # in one bucket is a pair of distinct edges, the earlier one first
+    firsts, seconds = [edge[:0]], [edge[:0]]
+    d = 1
+    while (same := bucket[d:] == bucket[:-d]).any():
+        same &= (group[d:] != group[:-d]) | (group[d:] < 0)
+        firsts.append(edge[:-d][same])
+        seconds.append(edge[d:][same])
+        d += 1
+    witness = set(zip(np.concatenate(firsts).tolist(), np.concatenate(seconds).tolist()))
+    return GoodnessReport(within, max_deg, tuple(spread_bad.tolist()), tuple(sorted(witness)))
 
 
 @dataclass(frozen=True)
@@ -361,10 +359,9 @@ def good_partition_search(
             continue
         drop = set(report.violations_spread)
         drop.update(max(i, j) for i, j in report.violations_witness)
-        where = {v: i for i, p in enumerate(parts) for v in p}
-        m_prime = report.within_pair_edges - sum(
-            _within_pairs(_by_part(h.edges[i], where)) for i in drop if sub_rows[i]
-        )
+        labels = part_labels(h.n_vertices, parts, "good_partition_search")
+        lost = within_part_pairs(h, labels, [i for i in drop if sub_rows[i]])[-1]
+        m_prime = report.within_pair_edges - int(np.count_nonzero(lost))
         if m_prime < m1:
             continue
         return GoodPartition(
@@ -392,7 +389,8 @@ def _greedy_part(vs, weighted_pairs, rng) -> dict:
 
 
 def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams, trial, claims):
-    """The drivers' trial loop: (largest cut over the trials, its ledger).
+    """The drivers' trial loop: (largest cut over the trials, its metrics on
+    h, its ledger).
 
     The good partition's offending edges are deleted first, leaving hd.
     ``trial(hd, rng)`` draws one exposure and returns None, or (reduction,
@@ -429,11 +427,10 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
     ledger.add(claims[0], promise_fwd, fwd_excess, scope="stage")
     ledger.add(claims[1], promise_hd, metrics.excess, scope="stage")
     deleted_expectation = uniform_expected_size(h, r) - uniform_expected_size(hd, r)
-    ledger.add(
-        "deleted-edge restoration", promise_hd - deleted_expectation, cut_metrics(h, cut).excess
-    )
+    metrics = cut_metrics(h, cut)
+    ledger.add("deleted-edge restoration", promise_hd - deleted_expectation, metrics.excess)
     ledger.assert_ok()
-    return cut, ledger
+    return cut, metrics, ledger
 
 
 def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
@@ -448,8 +445,9 @@ def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
 
 def driver_3cut(
     h: Hypergraph, u_set, params: PipelineParams
-) -> tuple[Cut, GuaranteeLedger]:
-    """3-cut via part-3 exposure, per-part greedy cuts, and swap combination."""
+) -> tuple[Cut, CutMetrics, GuaranteeLedger]:
+    """3-cut via part-3 exposure, per-part greedy cuts, and swap combination:
+    (cut, its metrics, ledger)."""
     if params.trials < 1:
         raise InvalidParams("trials must be >= 1")
     if h.edge_array.shape[1] > 3:  # the widest edge
@@ -494,8 +492,9 @@ def driver_3cut(
 
 def driver_2cut(
     h: Hypergraph, params: PipelineParams, u_set=None
-) -> tuple[Cut, GuaranteeLedger]:
-    """2-cut via the doubled-exposure construction and weighted greedy parts."""
+) -> tuple[Cut, CutMetrics, GuaranteeLedger]:
+    """2-cut via the doubled-exposure construction and weighted greedy parts:
+    (cut, its metrics, ledger)."""
     if params.trials < 1:
         raise InvalidParams("trials must be >= 1")
     n = h.n_vertices
@@ -504,23 +503,21 @@ def driver_2cut(
         return _driver_2cut_wrapped(h, params, set(u_set))
 
     is_big = h.edge_sizes >= 4
-    big = np.flatnonzero(is_big).tolist()
-    if len(big) < h.m / (4 * k):
+    if np.count_nonzero(is_big) < h.m / (4 * k):
         raise DriverInapplicable("too few edges of size >= 4")
     gp = good_partition_search(h, is_big, range(n), params, seed=f"d2:{params.seed}")
-    dropped = set(gp.deleted_edges)
-    part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
-    # per >=4-edge: its doubled part (if any) with the two inside vertices
-    paired = []
-    for i in big:
-        if i in dropped:
-            continue
-        e = h.edges[i]
-        by_part = Counter(part_of[v] for v in e if v in part_of)
-        doubled = [pi for pi, c in by_part.items() if c == 2]
-        if doubled:
-            inside = tuple(v for v in e if part_of.get(v) == doubled[0])
-            paired.append((e, inside))
+    kept = is_big.copy()
+    kept[list(gp.deleted_edges)] = False
+    kept = np.flatnonzero(kept)
+    # per kept >=4-edge with a doubled part: the edge and its two inside
+    # vertices; the search deleted every edge with 2 or more within-part
+    # pairs (property iii), so that pair is the edge's only one
+    _, vertex, i, j, together = within_part_pairs(h, part_labels(n, gp.parts, "driver_2cut"), kept)
+    r, c = np.nonzero(together)
+    paired = [
+        (h.edges[e], (u, v))
+        for e, u, v in zip(kept[r].tolist(), vertex[r, i[c]].tolist(), vertex[r, j[c]].tolist())
+    ]
 
     def trial(hd, rng):
         w_best = None
@@ -565,15 +562,17 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
     if red is None:
         raise SearchFailed("no exposure of the bad vertices met the bar")
     gain = red.conditional_size - red.base_size
-    best, ledger = _carry_back(
+    inner_cut, _, inner_ledger = driver_2cut(red.forward, params, u_set=None)
+    best, metrics, ledger = _carry_back(
         red,
-        driver_2cut(red.forward, params, u_set=None),
+        inner_cut,
+        inner_ledger,
         "inner ",
         "bad-vertex exposure transfer",
         lambda inner_promise: inner_promise / 2 + gain,
     )
     ledger.assert_ok()
-    return best, ledger
+    return best, metrics, ledger
 
 
 # --------------------------------------------------------------- chromatic
@@ -715,9 +714,9 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
         enter("dense-subset", cut, "equitable cut of the heavy complement", None, metrics)
 
     try:
-        driver_cut, driver_ledger = _dispatch_driver(h, r, k, sr, params)
+        driver_cut, metrics, driver_ledger = _dispatch_driver(h, r, k, sr, params)
         ledger.extend(driver_ledger, prefix="pipeline: ")
-        enter("pipeline", driver_cut)
+        enter("pipeline", driver_cut, metrics=metrics)
     except (SearchFailed, DriverInapplicable):
         pass
 
@@ -760,19 +759,19 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
         yield rho, pae, red
 
 
-def _carry_back(red, sub, prefix: str, claim: str, promise_of):
-    """Map a (cut, ledger) of ``red.forward`` back to the original instance.
+def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str, promise_of):
+    """Map a cut of ``red.forward`` and its ledger back to the original instance:
+    (cut, the metrics the back-map certified, ledger).
 
     The sub-ledger's entries are kept as stage claims under ``prefix``;
     one instance line ``claim`` promises ``promise_of`` of the sub-ledger's
-    instance promise and realizes the excess the back-map certified.
+    instance promise and realizes the certified excess.
     """
-    sub_cut, sub_ledger = sub
     cut, metrics = red.back_map(sub_cut)
     ledger = GuaranteeLedger()
     ledger.extend(sub_ledger, prefix=prefix, demote=True)
     ledger.add(claim, promise_of(sub_ledger.instance_promise()), metrics.excess)
-    return cut, ledger
+    return cut, metrics, ledger
 
 
 def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
@@ -791,7 +790,8 @@ def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
 
 
 def _dispatch_driver(h, r, k, sr: StructureReport, params):
-    """Route to the structural driver fitting (r, k), certified end to end.
+    """Route to the structural driver fitting (r, k), certified end to end:
+    (cut, its metrics, ledger).
 
     Raises ``DriverInapplicable`` with the reason when no driver fits.
     """
@@ -810,7 +810,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
         red = rgraph_expand(h, r)
         return _carry_back(
             red,
-            solve(red.forward, r, params),
+            *solve(red.forward, r, params),
             "subset-expansion ",
             "subset-expansion halving",
             lambda sub_promise: sub_promise / 2,
@@ -826,16 +826,21 @@ def _driver_expose_2(h, r, sr, params):
         stars = {v for v in range(h.n_vertices) if v not in rho}
         u = stars & sr.u_set
         try:
-            sub = driver_2cut(red.forward, params, u_set=None if u == stars else u)
+            sub_cut, _, sub_ledger = driver_2cut(
+                red.forward, params, u_set=None if u == stars else u
+            )
         except (SearchFailed, DriverInapplicable):
             continue
-        return _carry_back(red, sub, "exposed ", "exposure transfer", lambda p: p + pae)
+        return _carry_back(
+            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + pae
+        )
     raise SearchFailed("no viable exposure for the 2-cut driver")
 
 
 def _driver_expose_3(h, r, sr, params):
     """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
     for _, pae, red in _exposures(h, r, 3, "expose3", params):
-        sub = solve(red.forward, 3, params)
-        return _carry_back(red, sub, "exposed ", "exposure transfer", lambda p: p + pae)
+        return _carry_back(
+            red, *solve(red.forward, 3, params), "exposed ", "exposure transfer", lambda p: p + pae
+        )
     raise SearchFailed("no viable exposure for the 3-cut reduction")

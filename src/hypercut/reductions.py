@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Hypergraph, WeightedGraph, clique_expand
+from .core import Hypergraph, WeightedGraph, clique_expand, part_labels, within_part_pairs
 from .cutspace import (
     Cut,
     CutMetrics,
@@ -252,41 +252,38 @@ def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:
     For each part V', every edge meeting V' in exactly {u,v} adds
     2^(2-|e|) to the weight between u and v; then, for every assignment
     of V', the weighted excess equals the average excess of the partial
-    cut, exactly.  One pass over the edges builds the graph of every part.
+    cut, exactly.  The rows of the edge array, sorted by owning part, give
+    every part's pairs at once: two neighbouring entries of one part.
     """
     parts = list(parts)
-    owner: dict[int, int] = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            if v in owner:
-                raise InvalidParams("weighted_reduce parts must be disjoint")
-            owner[v] = i
-    # weights carried as integers scaled by 2^k (each 2^(2-|e|) is k-dyadic)
-    k = max((len(e) for e in h.edges), default=2)
-    scaled: list[dict[tuple[int, int], int]] = [{} for _ in parts]
-    for e in h.edges:
-        inside = [v for v in e if v in owner]
-        if len(inside) < 2:
-            continue
-        by_part: dict[int, list[int]] = {}
-        for v in inside:
-            by_part.setdefault(owner[v], []).append(v)
-        for i, vs in by_part.items():
-            if len(vs) > 2:
-                raise InvalidReduction(
-                    f"edge {e} meets part {i} in {len(vs)} > 2 vertices"
-                )
-            if len(vs) == 2:
-                pair = (vs[0], vs[1]) if vs[0] < vs[1] else (vs[1], vs[0])
-                scaled[i][pair] = scaled[i].get(pair, 0) + (1 << (k + 2 - len(e)))
-    scale = 1 << k
-    return [
-        WeightedGraph(
-            h.n_vertices,
-            tuple((u, v, Fraction(w, scale)) for (u, v), w in sorted(ws.items())),
-        )
-        for ws in scaled
-    ]
+    n1 = h.n_vertices + 1
+    labels = part_labels(h.n_vertices, parts, "weighted_reduce")
+    part, vertex, i, j, together = within_part_pairs(h, labels)
+    triple = np.flatnonzero(together[:, j - i > 1].any(axis=1))
+    if triple.size:
+        e = h.edges[triple[0]]
+        meets = Counter(labels[list(e)].tolist())  # parts in the order e meets them
+        p, count = next((p, count) for p, count in meets.items() if p >= 0 and count > 2)
+        raise InvalidReduction(f"edge {e} meets part {p} in {count} > 2 vertices")
+    row, c = np.nonzero(together)
+    if not row.size:  # no edge meets a part twice, as on an edgeless instance
+        return [WeightedGraph(h.n_vertices, ()) for _ in parts]
+    keys = (part[row, i[c]] * n1 + vertex[row, i[c]]) * n1 + vertex[row, j[c]]
+    # weights carried as integers scaled by 2^k (each 2^(2-|e|) is k-dyadic);
+    # the keys ascend by part, then pair, each with its edges of each size
+    w = part.shape[1]
+    k = w or 2
+    keys, counts = np.unique(keys * (w + 1) + h.edge_sizes[row], return_counts=True)
+    scaled: dict[int, int] = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        pair, size = divmod(key, w + 1)
+        scaled[pair] = scaled.get(pair, 0) + (count << (k + 2 - size))
+    graphs: list[list] = [[] for _ in parts]
+    for pair, x in scaled.items():
+        rest, v = divmod(pair, n1)
+        p, u = divmod(rest, n1)
+        graphs[p].append((u, v, Fraction(x, 1 << k)))
+    return [WeightedGraph(h.n_vertices, tuple(g)) for g in graphs]
 
 
 def weighted_identity_check(wgs, omegas, averages) -> None:

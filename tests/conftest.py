@@ -16,10 +16,16 @@ from math import comb, factorial
 
 import pytest
 
-from hypercut.core import Hypergraph, build
+from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import Cut, multicolour_table
 from hypercut.derand import CombinePlan, EsLedger
-from hypercut.errors import CertificateError, GuaranteeViolation, SearchFailed
+from hypercut.errors import (
+    CertificateError,
+    GuaranteeViolation,
+    InvalidParams,
+    InvalidReduction,
+    SearchFailed,
+)
 from hypercut.pipeline import C, GoodnessReport, GoodPartition, derive_params
 from hypercut.reductions import _rainbow_table
 
@@ -599,3 +605,40 @@ def plain_good_partition_search(h, h_sub, vertex_set, params, seed=None):
             deleted_edges=tuple(sorted(drop)),
         )
     raise SearchFailed(f"no good partition within {params.retry_budget} samples")
+
+
+def plain_weighted_reduce(h, parts):
+    """The edge-by-edge ``weighted_reduce`` that the array pass replaced."""
+    parts = list(parts)
+    owner: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        for v in part:
+            if v in owner:
+                raise InvalidParams("weighted_reduce parts must be disjoint")
+            owner[v] = i
+    # weights carried as integers scaled by 2^k (each 2^(2-|e|) is k-dyadic)
+    k = max((len(e) for e in h.edges), default=2)
+    scaled: list[dict[tuple[int, int], int]] = [{} for _ in parts]
+    for e in h.edges:
+        inside = [v for v in e if v in owner]
+        if len(inside) < 2:
+            continue
+        by_part: dict[int, list[int]] = {}
+        for v in inside:
+            by_part.setdefault(owner[v], []).append(v)
+        for i, vs in by_part.items():
+            if len(vs) > 2:
+                raise InvalidReduction(
+                    f"edge {e} meets part {i} in {len(vs)} > 2 vertices"
+                )
+            if len(vs) == 2:
+                pair = (vs[0], vs[1]) if vs[0] < vs[1] else (vs[1], vs[0])
+                scaled[i][pair] = scaled[i].get(pair, 0) + (1 << (k + 2 - len(e)))
+    scale = 1 << k
+    return [
+        WeightedGraph(
+            h.n_vertices,
+            tuple((u, v, Fraction(w, scale)) for (u, v), w in sorted(ws.items())),
+        )
+        for ws in scaled
+    ]

@@ -42,21 +42,53 @@ def sts201():
     return generate(GenSpec(family="sts", n=201))
 
 
-@settings(max_examples=200, deadline=None)
-@given(instances(), st.data())
-def test_audit_matches_the_sub_instance_oracle(h, data):
-    n, t = h.n_vertices, data.draw(st.integers(1, 5))
-    # part -1 leaves a vertex outside the partitioned set S
-    labels = data.draw(st.lists(st.integers(-1, t - 1), min_size=n, max_size=n))
-    parts = [{v for v in range(n) if labels[v] == i} for i in range(t)]
-    rows = np.array(data.draw(st.lists(st.booleans(), min_size=h.m, max_size=h.m)), dtype=bool)
-    want = plain_goodness_audit(h, sub_instance(h, rows), parts, set().union(*parts))
-    assert goodness_audit(h, rows, parts) == want
+def audits_match_the_oracle(instance_strategy, part_counts) -> list:
+    """Run the audit against the sub-instance oracle on 200 drawn cases and
+    return each report, after asserting that the two agree on every one."""
+    reports = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_strategy, st.data())
+    def check(h, data):
+        n, t = h.n_vertices, data.draw(part_counts)
+        # part -1 leaves a vertex outside the partitioned set S
+        labels = data.draw(st.lists(st.integers(-1, t - 1), min_size=n, max_size=n))
+        parts = [{v for v in range(n) if labels[v] == i} for i in range(t)]
+        rows = np.array(data.draw(st.lists(st.booleans(), min_size=h.m, max_size=h.m)), dtype=bool)
+        want = plain_goodness_audit(h, sub_instance(h, rows), parts, set().union(*parts))
+        assert goodness_audit(h, rows, parts) == want
+        reports.append(want)
+
+    check()
+    return reports
+
+
+def test_audit_matches_the_sub_instance_oracle():
+    # mixed instances, 1 to 5 parts
+    audits_match_the_oracle(instances(), st.integers(1, 5))
+    # dense instances split into 1 or 2 parts, where edges collide inside
+    # parts, so (iii) and (iv) find violations
+    reports = audits_match_the_oracle(instances(dense=True), st.integers(1, 2))
+    assert any(r.violations_spread for r in reports)
+    assert any(r.violations_witness for r in reports)
 
 
 def test_audit_rejects_a_mask_of_the_wrong_length(matching12):
     with pytest.raises(InvalidParams, match="one flag per edge"):
         goodness_audit(matching12, [True] * 3, [range(12)])
+
+
+@pytest.mark.parametrize("vertex", [-1, 12, 13])
+def test_audit_rejects_a_part_vertex_outside_the_instance(matching12, vertex):
+    # -1 would otherwise read the label of the padding vertex n
+    with pytest.raises(InvalidParams, match=f"^goodness_audit part vertex {vertex} outside the instance \\(n=12\\)$"):
+        goodness_audit(matching12, [True] * 4, [{0, 1}, {2, vertex}])
+
+
+def test_audit_rejects_overlapping_parts(matching12):
+    # the later part used to win the shared vertex silently
+    with pytest.raises(InvalidParams, match="^goodness_audit parts must be disjoint$"):
+        goodness_audit(matching12, [True] * 4, [{0, 1, 3}, {3, 4}])
 
 
 @settings(max_examples=200, deadline=None)

@@ -47,7 +47,7 @@ def test_arity_checks_read_the_size_histogram():
     with pytest.raises(DriverInapplicable, match="subset expansion needs a k-uniform instance"):
         pipeline._dispatch_driver(mixed, 3, 4, codegree_structure(mixed), PARAMS)
     # driver_2cut needs m/(4k) edges of size >= 4: two of five are enough, none is not
-    _, ledger = driver_2cut(mixed, PARAMS)
+    _, _, ledger = driver_2cut(mixed, PARAMS)
     assert not ledger.violations()
     with pytest.raises(DriverInapplicable, match="too few edges of size >= 4"):
         driver_2cut(build(7, [[0, 1, 2], [3, 4], [2, 6]], max_arity=4), PARAMS)
@@ -182,10 +182,10 @@ def test_chromatic_fano(fano):
 
 def test_driver_3cut_sts():
     h = generate(GenSpec(family="sts", n=21))
-    cut, ledger = driver_3cut(h, range(21), PipelineParams(trials=8, seed=5))
+    cut, metrics, ledger = driver_3cut(h, range(21), PipelineParams(trials=8, seed=5))
     assert cut.r == 3
     assert not ledger.violations()
-    assert cut_metrics(h, cut).size > 0
+    assert metrics == cut_metrics(h, cut) and metrics.size > 0
 
 
 def test_driver_3cut_rejects_big_edges():
@@ -210,9 +210,10 @@ def _linear_4graph():
 
 def test_driver_2cut_linear_4graph():
     h = _linear_4graph()
-    cut, ledger = driver_2cut(h, PipelineParams(trials=6, seed=8))
+    cut, metrics, ledger = driver_2cut(h, PipelineParams(trials=6, seed=8))
     assert cut.r == 2
     assert not ledger.violations()
+    assert metrics == cut_metrics(h, cut)
 
 
 def _sts(n):
@@ -285,11 +286,12 @@ def test_driver_results_pinned(case, monkeypatch):
         pipeline, "combine_partial_cuts", lambda *a: combines.append(1) or real_combine(*a)
     )
     run, assignment, entries = PINNED_DRIVER_RUNS[case]
-    cut, ledger = run()
+    cut, metrics, ledger = run()
     assert "".join(map(str, cut.assignment)) == assignment
     assert [
         (e.claim, str(e.promised), str(e.realized), e.scope) for e in ledger.entries
     ] == entries
+    assert metrics.excess == ledger.entries[-1].realized  # the instance line's metrics
     assert all(e.deterministic for e in ledger.entries)
     assert (not combines) == case.endswith("no-part-left")
 
@@ -382,6 +384,32 @@ def test_driver_2cut_runs_the_average_excess_oracle_once_per_combine(monkeypatch
     driver_2cut(_linear_4graph(), PipelineParams(trials=6, seed=8))
     assert calls["combine"] >= 1
     assert calls["oracle"] == calls["combine"]
+
+
+def test_solve_scores_the_driver_cut_once(monkeypatch):
+    # solve ranks driver_3cut's cut by the metrics the driver already computed
+    import sys
+
+    import hypercut.cutspace as cutspace
+
+    h, params = _sts(21), PipelineParams(trials=8, seed=5)
+    cut, metrics, _ = pipeline._dispatch_driver(h, 3, 3, codegree_structure(h), params)
+    assert metrics == cut_metrics(h, cut)
+
+    scored = []
+    real = cutspace.cut_metrics
+
+    def counting(g, c):
+        scored.append((g is h, c.assignment))
+        return real(g, c)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hypercut") and getattr(mod, "cut_metrics", None) is real:
+            monkeypatch.setattr(mod, "cut_metrics", counting)
+    _, ledger = solve(h, 3, params)
+    assert ledger.entries[-2].claim == "pipeline: deleted-edge restoration"
+    assert scored.count((True, cut.assignment)) == 1
+    assert len(scored) == 40  # 41 when solve scored the driver's cut again
 
 
 @pytest.mark.parametrize(
@@ -503,9 +531,9 @@ def test_derive_params_matches_formulas():
 
 def test_driver_3cut_matching(matching12):
     # every exposure's pair graph is a matching, so greedy cuts all its edges
-    cut, ledger = driver_3cut(matching12, range(12), PipelineParams(trials=6, seed=13))
+    cut, metrics, ledger = driver_3cut(matching12, range(12), PipelineParams(trials=6, seed=13))
     assert not ledger.violations()
-    assert cut_metrics(matching12, cut).excess >= 0
+    assert metrics == cut_metrics(matching12, cut) and metrics.excess >= 0
 
 
 def test_conditioned_matching_pair_outside_edges():

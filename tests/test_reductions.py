@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import (
@@ -16,6 +17,7 @@ from hypercut.cutspace import (
 from hypercut.derand import greedy_order_cut
 from hypercut.errors import (
     CertificateError,
+    HypercutError,
     InvalidArity,
     InvalidExposure,
     InvalidParams,
@@ -34,8 +36,9 @@ from hypercut.reductions import (
     weighted_reduce,
 )
 
-from conftest import brute_expected_size, brute_force_maxcut
+from conftest import brute_expected_size, brute_force_maxcut, plain_weighted_reduce
 from test_derand import random_mixed
+from test_state_codes import instances
 
 
 # ------------------------------------------------------------- expand_3graph
@@ -435,6 +438,45 @@ def test_weighted_reduce_rejects_overlapping_parts():
     h = build(4, [[0, 1, 2, 3]])
     with pytest.raises(InvalidParams):
         weighted_reduce(h, [{0, 1}, {1, 2}])
+
+
+@pytest.mark.parametrize("vertex", [-1, 6, 7])
+def test_weighted_reduce_rejects_a_part_vertex_outside_the_instance(vertex):
+    # -1 would otherwise read the owner of the padding vertex n
+    h = build(6, [[0, 1, 5], [2, 3, 4]])
+    with pytest.raises(InvalidParams, match=f"^weighted_reduce part vertex {vertex} outside the instance \\(n=6\\)$"):
+        weighted_reduce(h, [{0, 1}, {2, vertex}])
+
+
+@st.composite
+def instances_with_parts(draw):
+    """An ``instances()`` draw with 1 to 5 disjoint parts, some vertices in none."""
+    h = draw(instances())
+    t = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(-1, t - 1), min_size=h.n_vertices, max_size=h.n_vertices))
+    return h, [{v for v in range(h.n_vertices) if labels[v] == i} for i in range(t)]
+
+
+def reduced(reduce, h, parts):
+    """The part graphs, or the (type, message) of the error raised."""
+    try:
+        return reduce(h, parts)
+    except HypercutError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_parts())
+# edges 2 and 3 meet part 1 in 4 and 3 vertices: the first offending row is named
+@example((build(6, [[0, 1, 2], [3], [0, 1, 2, 3, 4, 5], [2, 3, 4]]), [{0, 1}, {2, 3, 4, 5}]))
+# one edge meets both parts in 3 vertices: the part it meets first is named
+@example((build(6, [[0, 1, 2, 3, 4, 5]]), [{3, 4, 5}, {0, 1, 2}]))
+# stubs of size 1 next to pairs, repeated
+@example((build(5, [[0], [1], [0, 1], [0, 1], [2, 3, 4], [4]]), [{0, 1, 2}, {3, 4}]))
+@example((build(4, []), [{0, 1}, {2}]))  # edgeless
+def test_weighted_reduce_matches_the_plain_loop(case):
+    h, parts = case
+    assert reduced(weighted_reduce, h, parts) == reduced(plain_weighted_reduce, h, parts)
 
 
 def test_weighted_reduce_rejects_triple_meet_in_second_part():

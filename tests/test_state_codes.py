@@ -39,14 +39,16 @@ from conftest import (
 
 
 @st.composite
-def instances(draw, sizes=None):
+def instances(draw, sizes=None, dense=None):
     """Mixed-size instances with repeated edges, n <= 14 and m <= 120.
 
     A dense one holds every s-subset of its vertices, so every pair shares
     edges (and deferred partners and multi-move sweeps happen), plus
-    random extra edges.  ``sizes`` fixes the edge size.
+    random extra edges.  ``sizes`` fixes the edge size; ``dense``, when
+    given, fixes whether the instance is dense.
     """
-    dense = draw(st.booleans())
+    if dense is None:
+        dense = draw(st.booleans())
     if dense:
         s = draw(st.sampled_from(sizes or (2, 3)))
         n = draw(st.integers(s, 14 if s == 2 else 9))  # at most 91 or 84 edges
