@@ -5,13 +5,14 @@ increasing tuples; coincident edges are kept as distinct entries, so
 multiplicity is a first-class concept.  A multigraph is a
 ``WeightedGraph`` with integer weights, the pair multiplicities.
 Instances never change their value after construction and every
-operation here is pure; a ``Hypergraph`` builds its padded edge array
-and its row sizes on first use and keeps them, outside its equality and
-hash.  An instance cut out of another's array (``without_edges``, the
-exposure reductions) gets that array when it is built.  Every pass that
-only counts (degrees, codegrees, clique weights, incidences, size
-histograms, induced edges, within-part pairs) is whole-array numpy work
-over that edge array, and returns exact Python ints.
+operation here is pure; a ``Hypergraph`` builds its padded edge array,
+its row sizes and its incidence tuples on first use and keeps them,
+outside its equality and hash.  An instance cut out of another's array
+(``without_edges``, the exposure reductions) gets that array when it is
+built.  Every pass that only counts (degrees, codegrees, clique weights,
+incidences, size histograms, induced edges, within-part pairs) is
+whole-array numpy work over that edge array, and returns exact Python
+ints.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class Hypergraph:
     def edge_multiset(self) -> Counter:
         return Counter(self.edges)
 
-    def incidence(self) -> list[list[int]]:
-        """Per-vertex list of incident edge indices, ascending."""
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex tuple of incident edge indices, ascending, built once."""
         n, arr = self.n_vertices, self.edge_array
         flat = arr.ravel().astype(np.min_scalar_type(n))
         ends = np.cumsum(np.bincount(flat, minlength=n + 1)[:n]).tolist()
@@ -83,7 +85,8 @@ class Hypergraph:
         rows = np.argsort(flat, kind="stable")
         rows //= max(arr.shape[1], 1)
         edge_ids = np.arange(self.m).astype(object)  # shared by each edge's vertices
-        return [edge_ids[rows[a:b]].tolist() for a, b in zip([0, *ends], ends)]
+        ids = edge_ids[rows].tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0, *ends], ends))
 
     def vertices_in_edges_of_size_at_least(self, s: int) -> set[int]:
         seen = np.zeros(self.n_vertices + 1, dtype=bool)

@@ -8,8 +8,10 @@ big-integer numerator; floats appear only at the reporting boundary.
 integers scaled by r^(k-1), the one form the derandomization engines use.
 Every function here takes a ``Hypergraph``; a multigraph is a 2-uniform
 one with repeated edges.  ``cut_metrics`` is the one hypergraph cut
-scorer: it counts multicoloured edges with numpy over the instance's
-padded edge array, an exact integer count.  The partial-cut oracles
+scorer: each part owns one bit, each edge ORs its vertices' bits over the
+columns of the instance's padded edge array, and an edge is multicoloured
+when the popcount of its OR is r, an exact integer count; its expectation
+is cached per (size histogram, r).  The partial-cut oracles
 ``partial_average_size`` and ``partial_average_excesses`` count each
 edge's (missing-part, free-vertex) key with numpy over the same array;
 their sums stay exact, integer numerators built from
@@ -144,11 +146,36 @@ def multicolour_probability(
 
 def uniform_expected_size(h: Hypergraph, r: int) -> Fraction:
     """Exact expected size of a uniformly random r-cut."""
-    hist = h.size_histogram
+    return _histogram_expected_size(h.size_histogram, r)
+
+
+@lru_cache(maxsize=None)
+def _histogram_expected_size(hist: tuple[int, ...], r: int) -> Fraction:
+    """Uniform r-cut expectation of ``hist[s]`` edges of each size s."""
     return sum(
         (cnt * _inclusion_exclusion(r, s, r) for s, cnt in enumerate(hist) if cnt),
         Fraction(0),
     )
+
+
+@lru_cache(maxsize=None)
+def _part_bits(r: int) -> tuple[np.ndarray, ...]:
+    """Part p's bit, as read-only tables indexed by part label.
+
+    One word holds the r bits in the narrowest unsigned type that fits
+    them.  Above r = 64 there are ceil(r/64) ``uint64`` words, word i
+    holding parts 64i+1 to 64i+64 at bits 0..63.  Label 0, the padding
+    vertex's, has no bit.
+    """
+    dtype = np.min_scalar_type((1 << min(r, 64)) - 1)
+    tables = []
+    for first in range(0, r, 64):
+        width = min(r - first, 64)
+        table = np.zeros(r + 1, dtype=dtype)
+        table[first + 1 : first + width + 1] = [1 << b for b in range(width)]
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
@@ -157,24 +184,24 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     The one hypergraph cut scorer: every engine and certificate takes a
     realized size from here.  Edges smaller than r contribute probability
     0 to the expectation, so mixed instances are handled exactly.  The
-    size counts the rows of the padded edge array whose part labels,
-    sorted, show r distinct nonzero values, found by comparing neighbouring
-    columns; the sentinel vertex carries label 0.
+    size ORs each vertex's part bit (``_part_bits``) over the columns of
+    the padded edge array, the padding vertex carrying label 0 and no bit,
+    and counts the rows whose bits number r over all words.
     """
     if len(c.assignment) != h.n_vertices:
         raise InvalidCut(
             f"assignment length {len(c.assignment)} != n_vertices {h.n_vertices}"
         )
     labels = np.array((*c.assignment, 0), dtype=np.min_scalar_type(c.r))
-    rows = np.sort(labels[h.edge_array], axis=1)
-    m, w = rows.shape
-    # zeros sort first, so each change between neighbours opens a new nonzero value
-    distinct = np.zeros(m, dtype=np.min_scalar_type(w))
-    if w:
-        distinct += rows[:, 0] != 0
-    for j in range(1, w):
-        distinct += rows[:, j] != rows[:, j - 1]
-    size = int(np.count_nonzero(distinct == c.r))
+    columns = h.edge_array.T
+    hits = np.zeros(h.m, dtype=np.min_scalar_type(c.r))
+    for table in _part_bits(c.r):
+        bits = table[labels]
+        seen = np.zeros(h.m, dtype=bits.dtype)
+        for column in columns:
+            seen |= bits[column]
+        hits += np.bitwise_count(seen)
+    size = int(np.count_nonzero(hits == c.r))
     expected = uniform_expected_size(h, c.r)
     return CutMetrics(size, expected, size - expected)
 

@@ -165,7 +165,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     table = multicolour_table(2, k_eff)
     codes = _uniform_codes(2, k_eff, table)
 
-    inc = h.incidence()
+    inc = h.incidence
     state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
     n_deferred = [0] * h.m  # deferred vertices in each edge
     deferred_sum = [0] * h.m  # the sum of their ids
@@ -549,7 +549,7 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
         raise InvalidParams("need r >= 2")
     n = h.n_vertices
     seq = list(range(n)) if order is None else list(order)
-    inc = h.incidence()
+    inc = h.incidence
     k = h.edge_array.shape[1] or 1
     table = multicolour_table(r, k)
     scale = table[0][0]  # probability 1
@@ -590,13 +590,15 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
     only missing part is q and that holds at least two vertices of p, and
     loses 1 on each covered edge where v is p's only vertex; so the gains
     come from the tally of v's codes, and a move adds ``unit[q] -
-    unit[p]`` to each of v's codes.
+    unit[p]`` to each of v's codes.  A vertex whose part and edge codes
+    are as at its last evaluation would make no move again, so a sweep
+    skips it; the search stops when no vertex is left to evaluate.
     """
     r = cut.r
     n = h.n_vertices
     if len(cut.assignment) != n:
         raise InvalidCut("assignment length mismatch")
-    inc = h.incidence()
+    inc, edges = h.incidence, h.edges
     part = list(cut.assignment)
     base = h.edge_array.shape[1] + 1
     unit = [0] + [base**p for p in range(r)]
@@ -611,10 +613,12 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
 
     missing_of = _Memo(only_missing)
     tally = Counter()  # reused: v's edges by code
-    improved = True
-    while improved:
-        improved = False
+    dirty = [True] * n  # moved, or an edge's code changed, since the last evaluation
+    while any(dirty):
         for v in range(n):
+            if not dirty[v]:
+                continue
+            dirty[v] = False
             p = part[v]
             up = unit[p]
             lose = 0
@@ -634,6 +638,7 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
                 step = unit[q] - up
                 for ei in inc[v]:
                     code[ei] += step
+                    for u in edges[ei]:
+                        dirty[u] = True
                 part[v] = q
-                improved = True
     return Cut(r, tuple(part))

@@ -379,7 +379,7 @@ def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
 
     # probabilities carried as integers scaled by 27 (denominators are 3^u)
     table = _rainbow_table()
-    inc = h.incidence()
+    inc = h.incidence
     free_of = np.where(np.array(side, dtype=np.intp) == 1, 4, 1)  # a << 2 | b per vertex
     state = free_of[h.edge_array].sum(axis=1).tolist()
     expected = sum(map(table.__getitem__, state))

@@ -196,8 +196,10 @@ def test_array_counters_match_plain_loops(data):
     assert weights == plain_clique_weights(h)
     assert all(all_ints(w) for w in weights)
 
-    inc = h.incidence()
-    assert inc == plain_incidence(h) and all(all_ints(row) for row in inc)
+    inc = h.incidence
+    assert [list(row) for row in inc] == plain_incidence(h) and all(all_ints(row) for row in inc)
+    # built once per instance, and handed out as tuples no caller can change
+    assert h.incidence is inc and type(inc) is tuple and all(type(row) is tuple for row in inc)
     assert h.size_histogram == plain_size_histogram(h) and all_ints(h.size_histogram)
     for s in range(h.edge_array.shape[1] + 2):
         got = h.vertices_in_edges_of_size_at_least(s)

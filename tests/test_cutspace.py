@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypercut.core import build
 from hypercut.cutspace import (
     Cut,
+    CutMetrics,
     PartialCut,
+    _inclusion_exclusion,
     best_cut,
     cut_metrics,
     equitable_complete_value,
@@ -22,6 +24,7 @@ from hypercut.cutspace import (
     stirling2,
     theorem_bound,
     theorem_bound_claim,
+    uniform_expected_size,
 )
 from hypercut.errors import InvalidCut, InvalidParams
 
@@ -379,3 +382,56 @@ def test_cut_metrics_matches_plain_loop_and_stirling_property(data):
         got = cut_metrics(h, cut)
         assert type(got.size) is int
         assert (got.size, got.expected, got.excess) == (size, expected, size - expected)
+
+
+# each side of every word boundary of the part-bit kernel, then any r up to 72
+_BIT_WIDTHS = [2, 8, 9, 16, 17, 32, 33, 64, 65, 70]
+
+
+@st.composite
+def wide_cuts(draw):
+    """An r-cut, r in 2..72, of a mixed instance on r to r + 4 vertices.
+
+    Half the edge sizes are drawn from 1..n, so edges smaller than r are
+    common, and half from r..n.  The labels are a rotation of 1..r with a
+    few vertices moved, so the count lands anywhere from none to all.
+    """
+    r = draw(st.one_of(st.sampled_from(_BIT_WIDTHS), st.integers(2, 72)))
+    n = draw(st.integers(r, r + 4))
+    sizes = st.one_of(st.integers(1, n), st.integers(r, n))
+    edge = sizes.flatmap(lambda s: st.permutations(range(n)).map(lambda p: p[:s]))
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    shift = draw(st.integers(0, r - 1))
+    labels = [(v + shift) % r + 1 for v in range(n)]
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        labels[v] = draw(st.integers(1, r))
+    return build(n, edges), Cut(r, tuple(labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_cuts())
+@example((build(65, []), Cut(65, tuple(range(1, 66)))))  # edgeless, two words
+def test_part_bit_kernel_matches_plain_loop_across_word_boundaries(data):
+    h, cut = data
+    got = cut_metrics(h, cut)
+    assert type(got.size) is int
+    assert got.size == plain_cut_size(h, cut.assignment, cut.r)
+    assert got.expected == stirling_expected_size(h, cut.r)
+
+
+def test_part_bit_kernel_counts_at_each_word_boundary():
+    # a rainbow edge of size r counts; an edge of size r - 1 and one missing part r do not
+    for r in _BIT_WIDTHS:
+        h = build(r + 1, [range(r), range(r - 1), [*range(r - 1), r]])
+        rainbow = Cut(r, (*range(1, r + 1), 1))
+        assert cut_metrics(h, rainbow).size == plain_cut_size(h, rainbow.assignment, r) == 1
+        assert cut_metrics(build(r + 1, []), rainbow) == CutMetrics(0, Fraction(0), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_instances())
+def test_uniform_expected_size_matches_plain_inclusion_exclusion_sum(data):
+    h, cuts = data
+    for cut in cuts:
+        plain = sum((_inclusion_exclusion(cut.r, len(e), cut.r) for e in h.edges), Fraction(0))
+        assert uniform_expected_size(h, cut.r) == plain

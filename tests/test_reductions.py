@@ -590,7 +590,7 @@ def rainbow27(e, moved: dict, side) -> int:
 def lift_by_enumeration(h, c2) -> tuple[int, ...]:
     """The lift's vertex-by-vertex pass, re-enumerating every incident edge."""
     side = c2.assignment
-    inc = h.incidence()
+    inc = h.incidence
     prob = [rainbow27(e, {}, side) for e in h.edges]
     moved: dict[int, bool] = {}
     for v in range(h.n_vertices):
