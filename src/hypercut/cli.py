@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hgio
-from .core import Hypergraph, clique_expand
+from .core import Hypergraph
 from .cutspace import cut_metrics, theorem_bound, theorem_bound_claim
-from .derand import conditional_rcut, flip_local_search, greedy_order_cut, order_for_W
+from .derand import conditional_rcut, order_for_W
 from .errors import (
     CertificateError,
     DriverInapplicable,
@@ -45,6 +45,7 @@ from .pipeline import (
     codegree_structure,
     es_route,
     goodness_audit,
+    greedy_route,
     solve,
 )
 
@@ -80,9 +81,10 @@ class RunReport:
 def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
     """Returns (cut, ledger).  The ledger may be empty for sampled heuristics.
 
-    ``es`` and ``chromatic`` run ``solve``'s own routes; ``greedy`` (any
-    2-cut) and ``pipeline`` (the structural driver alone, with a
-    conditional-expectations fallback) are the CLI's own.
+    ``es``, ``greedy`` and ``chromatic`` run ``solve``'s own routes, each
+    with its own ledger line; ``greedy`` runs at r = 2 on any instance, and
+    its line stays advisory.  Only ``pipeline`` (the structural driver
+    alone, with a conditional-expectations fallback) is the CLI's own.
     """
     params = PipelineParams(trials=trials, seed=seed)
     if algo == "auto":
@@ -91,24 +93,13 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
     clamped = PipelineParams(trials=max(1, trials), seed=seed)
     ledger = GuaranteeLedger()
     if algo == "es":
-        route = es_route(h, r, clamped, ledger)
-        if route is None:
-            raise HypercutError("--algo es supports r=2, or r=3 on 3-uniform instances")
-        _, cut, _, _ = route
+        _, cut, _, _ = es_route(h, r, clamped, ledger)
         return cut, ledger
     if algo == "greedy":
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
-        mg = clique_expand(h)
-        order = order_for_W(h, min(clamped.trials, 8), seed)
-        cut, gl = greedy_order_cut(mg, order)
-        cut = flip_local_search(mg, cut)
-        ledger.add(
-            "pair-expansion greedy gains",
-            None,
-            cut_metrics(h, cut).excess,
-            deterministic=False,
-        )
+        cut, metrics, _ = greedy_route(h, order_for_W(h, min(clamped.trials, 8), seed))
+        ledger.add("pair-expansion greedy gains", None, metrics.excess, deterministic=False)
         return cut, ledger
     if algo == "chromatic":
         cut, _ = chromatic_route(h, r, clamped, ledger)

@@ -115,35 +115,6 @@ def multicolour_table(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def multicolour_probability(
-    edge_size: int,
-    hit_parts,
-    free_count: int,
-    r: int,
-    free_parts: int | None = None,
-) -> Fraction:
-    """Probability all r parts get hit, by inclusion-exclusion.
-
-    ``hit_parts`` are parts already known to be hit by determined
-    vertices; ``free_count`` vertices are still uniform.  When
-    ``free_parts`` is given, free vertices are uniform over {1..free_parts}
-    only (partial-exposure bookkeeping); parts above ``free_parts`` must
-    then already be hit for the probability to be nonzero.
-    """
-    hit = set(hit_parts)
-    if free_count < 0 or any(p < 1 or p > r for p in hit):
-        raise InvalidParams("inconsistent multicolour bookkeeping")
-    if len(hit) + free_count > edge_size:
-        raise InvalidParams(
-            f"edge of size {edge_size} cannot have {len(hit)} hit parts and {free_count} free vertices"
-        )
-    base = r if free_parts is None else free_parts
-    missing = [p for p in range(1, r + 1) if p not in hit]
-    if any(p > base for p in missing):
-        return Fraction(0)
-    return _inclusion_exclusion(len(missing), free_count, base)
-
-
 def uniform_expected_size(h: Hypergraph, r: int) -> Fraction:
     """Exact expected size of a uniformly random r-cut."""
     return _histogram_expected_size(h.size_histogram, r)

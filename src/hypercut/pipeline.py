@@ -2,7 +2,9 @@
 
 The solver runs every applicable route (conditional-expectations
 baselines, chromatic balancing, the partial-exposure drivers) and
-returns the best cut together with a guarantee ledger.  Each ledger
+returns the best cut together with a guarantee ledger.  Each baseline
+route the CLI also runs alone (``chromatic_route``, ``es_route``,
+``greedy_route``) is one function shared by both.  Each ledger
 entry pairs a promised excess with the realized one; deterministic
 promises are hard, any shortfall raises ``GuaranteeViolation`` and means
 a bug in the math layer.
@@ -622,27 +624,56 @@ def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
     """``solve``'s deferred-engine entry, with its promise added to ``ledger``.
 
     At r = 2 the engine's 2-cut; at r = 3 on a 3-uniform instance that
-    2-cut lifted by opening a third part.  Returns (name, cut, metrics,
-    order), ``order`` being the vertex order the engine ran on, or None
-    when neither case applies.
+    2-cut lifted by opening a third part; otherwise the engine's 2-cut of
+    the first viable exposure of parts {3..r}, merged back.  Returns (name,
+    cut, metrics, order), ``order`` being the vertex order the engine ran
+    on.  Raises ``SearchFailed`` when no exposure is viable.
     """
-    if r != 2 and not (r == 3 and h.edges_all_of_size(3)):
-        return None
-    order = order_for_W(h, min(params.trials, 8), params.seed)
-    c2, es_ledger = erdos_selfridge_2cut(h, order)
-    if r == 2:
+    if r == 2 or (r == 3 and h.edges_all_of_size(3)):
+        order = order_for_W(h, min(params.trials, 8), params.seed)
+        c2, es_ledger = erdos_selfridge_2cut(h, order)
+        if r == 2:
+            ledger.add(
+                "deferred conditional expectations",
+                es_ledger.guaranteed_excess,
+                es_ledger.realized_excess,
+            )
+            return "es", c2, cut_metrics(h, c2), order
+        lifted = lift_2cut_to_3cut(h, c2)
+        metrics = cut_metrics(h, lifted)
         ledger.add(
-            "deferred conditional expectations", es_ledger.guaranteed_excess, es_ledger.realized_excess
+            "third-part lift of the deferred engine",
+            Fraction(8, 27) * es_ledger.realized_excess,
+            metrics.excess,
         )
-        return "es", c2, cut_metrics(h, c2), order
-    lifted = lift_2cut_to_3cut(h, c2)
-    metrics = cut_metrics(h, lifted)
-    ledger.add(
-        "third-part lift of the deferred engine",
-        Fraction(8, 27) * es_ledger.realized_excess,
-        metrics.excess,
-    )
-    return "es-lift", lifted, metrics, order
+        return "es-lift", lifted, metrics, order
+    for _, pae, red in _exposures(h, r, 2, "es-expose", params):
+        order = order_for_W(red.forward, 4, params.seed)
+        c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
+        merged, metrics = red.back_map(c2)
+        if metrics.excess != cut_metrics(red.forward, c2).excess + pae:
+            raise CertificateError("exposure baseline transfer identity failed")
+        ledger.add("exposure + deferred engine", es_ledger.guaranteed_excess + pae, metrics.excess)
+        return "es-expose", merged, metrics, order
+    raise SearchFailed("no viable exposure for the deferred engine")
+
+
+def greedy_route(h: Hypergraph, order) -> tuple[Cut, CutMetrics, Fraction | None]:
+    """Greedy 2-cut of the pair expansion in ``order``, then single flips:
+    (cut, its metrics, promise).
+
+    On a 3-graph the triangle expansion certifies the cut, and the promise
+    is half the greedy gains, as each cut triangle cuts two of its pairs;
+    on any other instance the pair expansion promises nothing (None).
+    """
+    if h.edges_all_of_size(3):
+        red = expand_3graph(h)
+        greedy, gl = greedy_order_cut(red.forward, order)
+        return *red.back_map(flip_local_search(red.forward, greedy)), gl.realized_excess / 2
+    mg = clique_expand(h)
+    greedy, _ = greedy_order_cut(mg, order)
+    cut = flip_local_search(mg, greedy)
+    return cut, cut_metrics(h, cut), None
 
 
 # --------------------------------------------------------------- solve
@@ -677,31 +708,15 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
     cut, metrics = chromatic_route(h, r, params, ledger)
     enter("chromatic", cut, metrics=metrics)
 
-    es = es_route(h, r, params, ledger)
-    if es is not None:
-        name, cut, metrics, order = es
+    try:
+        name, cut, metrics, order = es_route(h, r, params, ledger)
         enter(name, cut, metrics=metrics)
-    else:  # r >= 3, and not a 3-uniform instance at r = 3
-        merged = _es_exposure_baseline(h, r, params)
-        if merged is not None:
-            cut, metrics, promise = merged
-            enter("es-expose", cut, "exposure + deferred engine", promise, metrics)
-    if r == 2:
-        if h.edges_all_of_size(2):
-            mg = clique_expand(h)
-            greedy, _ = greedy_order_cut(mg, order)
-            enter("greedy-flip", flip_local_search(mg, greedy))
-        elif h.edges_all_of_size(3):
-            red = expand_3graph(h)
-            greedy, gl = greedy_order_cut(red.forward, order)
-            back, metrics = red.back_map(flip_local_search(red.forward, greedy))
-            enter(
-                "expand-greedy",
-                back,
-                "triangle-expansion greedy gains (halved)",
-                gl.realized_excess / 2,
-                metrics,
-            )
+    except SearchFailed:  # only the exposure branch, at r >= 3, can fail
+        pass
+    if r == 2 and (h.edges_all_of_size(2) or h.edges_all_of_size(3)):
+        cut, metrics, promise = greedy_route(h, order)
+        claim = None if promise is None else "triangle-expansion greedy gains (halved)"
+        enter("greedy-flip", cut, claim, promise, metrics)
 
     sr = codegree_structure(h)
     if sr.branch == "matching-cut":
@@ -774,21 +789,6 @@ def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str, promise_of):
     return cut, metrics, ledger
 
 
-def _es_exposure_baseline(h: Hypergraph, r: int, params: PipelineParams):
-    """Expose parts {3..r} at random, run the deferred engine, merge back.
-
-    Returns (cut, metrics, promise), or None when no exposure is viable.
-    """
-    for _, pae, red in _exposures(h, r, 2, "es-expose", params):
-        order = order_for_W(red.forward, 4, params.seed)
-        c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
-        merged, metrics = red.back_map(c2)
-        if metrics.excess != cut_metrics(red.forward, c2).excess + pae:
-            raise CertificateError("exposure baseline transfer identity failed")
-        return merged, metrics, es_ledger.guaranteed_excess + pae
-    return None
-
-
 def _dispatch_driver(h, r, k, sr: StructureReport, params):
     """Route to the structural driver fitting (r, k), certified end to end:
     (cut, its metrics, ledger).
@@ -800,8 +800,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
     if r == 3 and k == 3:
         return driver_3cut(h, sr.u_set, params)
     if r == 2 and k >= 4:
-        u = None if sr.u_set == frozenset(range(h.n_vertices)) else sr.u_set
-        return driver_2cut(h, params, u_set=u)
+        return driver_2cut(h, params, u_set=sr.u_set)
     if 3 <= r <= k - 2:
         return _driver_expose_2(h, r, sr, params)
     if r == k - 1 and k >= 4:
@@ -816,7 +815,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
             lambda sub_promise: sub_promise / 2,
         )
     if r == k and k > 3:
-        return _driver_expose_3(h, r, sr, params)
+        return _driver_expose_3(h, r, params)
     raise DriverInapplicable(f"no driver for r={r}, k={k}")
 
 
@@ -837,7 +836,7 @@ def _driver_expose_2(h, r, sr, params):
     raise SearchFailed("no viable exposure for the 2-cut driver")
 
 
-def _driver_expose_3(h, r, sr, params):
+def _driver_expose_3(h, r, params):
     """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
     for _, pae, red in _exposures(h, r, 3, "expose3", params):
         return _carry_back(

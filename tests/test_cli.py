@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut.cli import _sweep_instance, experiment_sweep, main
+from hypercut.cli import _run_algorithm, _sweep_instance, experiment_sweep, main
 from hypercut.core import build
+from hypercut.cutspace import cut_metrics
+from hypercut.derand import order_for_W
 from hypercut.hgio import load, parse, serialize
 from hypercut.instances import GenSpec, generate
+from hypercut.pipeline import greedy_route
 from hypercut.errors import (
     CertificateError,
     GuaranteeViolation,
@@ -271,11 +274,22 @@ def test_cut_rejects_more_parts_than_edge_size(tmp_path, capsys):
         assert "InvalidParams" in err and "r=5, k=3" in err
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_cut_es_entry_matches_auto_ledger(tmp_path, capsys, r):
+_LIN60 = GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1)
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        pytest.param(GenSpec(family="sts", n=13), 2, id="2"),
+        pytest.param(GenSpec(family="sts", n=13), 3, id="3"),
+        # a 4-graph at r = 3: the route exposes parts 3..r before the engine runs
+        pytest.param(_LIN60, 3, id="linear-random-k4-r3"),
+    ],
+)
+def test_cut_es_entry_matches_auto_ledger(tmp_path, capsys, spec, r):
     # --algo es runs solve's own route: its one entry recurs verbatim in auto's ledger
-    path = tmp_path / "s13.hg"
-    path.write_text(serialize(generate(GenSpec(family="sts", n=13))))
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize(generate(spec)))
     code, es_out, _ = run(capsys, "cut", str(path), "--algo", "es", "--r", str(r))
     assert code == 0
     code, auto_out, _ = run(capsys, "cut", str(path), "--algo", "auto", "--r", str(r))
@@ -283,6 +297,36 @@ def test_cut_es_entry_matches_auto_ledger(tmp_path, capsys, r):
     (entry,) = [ln for ln in es_out.splitlines() if ln.startswith("guarantee")]
     claim = entry[: entry.index("]") + 1]
     assert [ln for ln in auto_out.splitlines() if ln.startswith(claim + " ")] == [entry]
+
+
+def test_cut_es_without_a_viable_exposure_exits_1(tmp_path, capsys):
+    # a lone pair under k = 3 can never span 3 parts, so every exposure's
+    # forward instance is empty; auto still returns its other routes' best
+    path = tmp_path / "pair.hg"
+    path.write_text(serialize(build(3, [[0, 1]], max_arity=3)))
+    code, out, err = run(capsys, "cut", str(path), "--algo", "es", "--r", "3")
+    assert (code, out) == (1, "")
+    assert "SearchFailed: no viable exposure" in err
+    code, out, _ = run(capsys, "cut", str(path), "--algo", "auto", "--r", "3")
+    assert code == 0 and "[exposure + deferred engine]" not in out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(family="random", n=12, k=2, p=0.4, seed=3), GenSpec(family="sts", n=13), _LIN60],
+    ids=["2-graph", "3-graph", "4-graph"],
+)
+def test_cut_greedy_returns_the_greedy_route_cut(spec):
+    # --algo greedy runs solve's greedy route on any instance, with one advisory line
+    h = generate(spec)
+    cut, ledger = _run_algorithm(h, "greedy", 2, 32, 5)
+    want, metrics, promise = greedy_route(h, order_for_W(h, 8, 5))
+    assert cut == want
+    (entry,) = ledger.entries
+    assert (entry.claim, entry.promised, entry.status) == ("pair-expansion greedy gains", None, "advisory")
+    assert entry.realized == metrics.excess == cut_metrics(h, cut).excess
+    # only the triangle expansion of a 3-graph certifies a promise
+    assert (promise is not None) == h.edges_all_of_size(3)
 
 
 def test_gen_infeasible_exit_code(capsys):

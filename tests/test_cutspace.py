@@ -16,7 +16,6 @@ from hypercut.cutspace import (
     cut_metrics,
     equitable_complete_value,
     expected_fraction,
-    multicolour_probability,
     multicolour_table,
     partial_average_excess,
     partial_average_excesses,
@@ -34,6 +33,7 @@ from conftest import (
     plain_average_excesses,
     plain_average_size,
     plain_cut_size,
+    plain_multicolour_probability,
     stirling_expected_size,
 )
 
@@ -60,49 +60,43 @@ def test_stirling_base_cases():
     assert stirling2(4, 5) == 0
 
 
-def _enumerate_multicolour(hit, free, r, base=None):
+def _enumerate_multicolour(hit, free, r):
     """Direct enumeration oracle for the completion probability."""
-    base = r if base is None else base
     good = 0
-    for completion in product(range(1, base + 1), repeat=free):
+    for completion in product(range(1, r + 1), repeat=free):
         if set(hit) | set(completion) == set(range(1, r + 1)):
             good += 1
-    return Fraction(good, base**free)
+    return Fraction(good, r**free)
+
+
+def _completion_probabilities(missing, free, base):
+    """The package's inclusion-exclusion and the plain one, which must agree."""
+    got = _inclusion_exclusion(missing, free, base)
+    assert got == plain_multicolour_probability(missing, free, base)
+    return got
 
 
 def test_multicolour_probability_examples():
-    assert multicolour_probability(3, (), 3, 2) == Fraction(3, 4)
-    assert multicolour_probability(3, {3}, 2, 3) == Fraction(2, 9)
-    assert multicolour_probability(4, {1, 2, 3}, 1, 3) == Fraction(1)
-    assert multicolour_probability(2, (), 2, 3) == 0  # too small to span 3 parts
+    # (parts still missing, free vertices, parts the free vertices range over)
+    assert _completion_probabilities(2, 3, 2) == Fraction(3, 4)
+    assert _completion_probabilities(2, 2, 3) == Fraction(2, 9)
+    assert _completion_probabilities(0, 1, 3) == Fraction(1)
+    assert _completion_probabilities(3, 2, 3) == 0  # too few to span 3 parts
 
 
 def test_multicolour_probability_against_enumeration():
     for r in (2, 3, 4):
-        for size in range(1, 6):
-            for hit_count in range(0, r + 1):
-                hit = set(range(1, hit_count + 1))
-                for free in range(0, size - hit_count + 1):
-                    got = multicolour_probability(size, hit, free, r)
-                    assert got == _enumerate_multicolour(hit, free, r)
-
-
-def test_multicolour_probability_restricted_support():
-    # free vertices uniform over {1,2} only
-    for size, hit, free in [(4, {3}, 3), (3, {3}, 2), (5, {3, 4}, 2)]:
-        r = max(hit)
-        got = multicolour_probability(size, hit, free, r, free_parts=2)
-        assert got == _enumerate_multicolour(hit, free, r, base=2)
-    assert multicolour_probability(4, set(), 4, 3, free_parts=2) == 0
+        for hit_count in range(0, r + 1):
+            hit = set(range(1, hit_count + 1))
+            for free in range(0, 6 - hit_count):  # edges of size up to 5
+                got = _completion_probabilities(r - hit_count, free, r)
+                assert got == _enumerate_multicolour(hit, free, r)
 
 
 def test_multicolour_monotone_in_hits():
     for r in (2, 3, 4):
         for free in range(0, 4):
-            probs = [
-                multicolour_probability(free + j, set(range(1, j + 1)), free, r)
-                for j in range(r + 1)
-            ]
+            probs = [_completion_probabilities(r - j, free, r) for j in range(r + 1)]
             assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
@@ -224,7 +218,7 @@ def test_monte_carlo_expected_size(fano):
 def test_expected_fraction_matches_inclusion_exclusion(k, r):
     if r > k:
         return
-    assert expected_fraction(k, r) == multicolour_probability(k, (), k, r)
+    assert expected_fraction(k, r) == _completion_probabilities(r, k, r)
 
 
 def test_multicolour_table_matches_one_edge_enumeration():

@@ -42,8 +42,8 @@ def test_arity_checks_read_the_size_histogram():
     mixed = build(7, [[0, 1, 2], [3, 4], [1, 3, 5, 6], [0, 2, 4, 5], [2, 6]])
     with pytest.raises(DriverInapplicable, match="driver_3cut needs edge sizes at most 3"):
         driver_3cut(mixed, range(7), PARAMS)
-    # r = 3 on a mixed instance: neither the deferred engine nor its lift applies
-    assert pipeline.es_route(mixed, 3, PARAMS, GuaranteeLedger()) is None
+    # r = 3 on a mixed instance: no lift, so the engine runs on an exposure of part 3
+    assert pipeline.es_route(mixed, 3, PARAMS, GuaranteeLedger())[0] == "es-expose"
     with pytest.raises(DriverInapplicable, match="subset expansion needs a k-uniform instance"):
         pipeline._dispatch_driver(mixed, 3, 4, codegree_structure(mixed), PARAMS)
     # driver_2cut needs m/(4k) edges of size >= 4: two of five are enough, none is not
