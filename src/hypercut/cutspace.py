@@ -15,7 +15,8 @@ is cached per (size histogram, r).  The partial-cut oracles
 ``partial_average_size`` and ``partial_average_excesses`` count each
 edge's (missing-part, free-vertex) key with numpy over the same array;
 their sums stay exact, integer numerators built from
-``_inclusion_exclusion`` over one power of the base.  They never read
+``_inclusion_exclusion`` over one power of the base, and the family's
+sum is one ``Fraction`` of the summed numerators.  They never read
 ``multicolour_table``, so they stay independent of the engines they audit.
 """
 
@@ -204,21 +205,21 @@ def _scaled_key_sums(counts: np.ndarray, base: int) -> list[int]:
     """
     width = counts.shape[2] - 1
     totals = [0] * counts.shape[0]
-    for i, missing, free in zip(*(idx.tolist() for idx in np.nonzero(counts))):
-        totals[i] += (
-            int(counts[i, missing, free])
-            * _covering_count(missing, free, base)
-            * base ** (width - free)
-        )
+    keys = np.nonzero(counts)
+    for i, missing, free, count in zip(*(idx.tolist() for idx in keys), counts[keys].tolist()):
+        totals[i] += count * _covering_count(missing, free, base) * base ** (width - free)
     return totals
 
 
 def _vertex_codes(h: Hypergraph, assignments, r: int, fill: int, sentinel: int) -> np.ndarray:
     """Per-vertex array: i*(r+1) + part on assignment i's vertices, ``fill``
-    elsewhere, ``sentinel`` on the padding vertex n."""
+    elsewhere, ``sentinel`` on the padding vertex n.
+
+    The codes are filled in a Python list, which reads and writes a
+    single entry faster than an array does, and become an array once.
+    """
     n = h.n_vertices
-    values = np.full(n + 1, fill, dtype=np.intp)
-    values[n] = sentinel
+    values = [fill] * n + [sentinel]
     for i, assigned in enumerate(assignments):
         for v, p in assigned.items():
             if p < 1 or p > r:
@@ -228,7 +229,7 @@ def _vertex_codes(h: Hypergraph, assignments, r: int, fill: int, sentinel: int) 
             if values[v] != fill:
                 raise InvalidParams("partial cuts must have disjoint domains")
             values[v] = i * (r + 1) + p
-    return values
+    return np.array(values, dtype=np.intp)
 
 
 def partial_average_size(h: Hypergraph, pc: PartialCut, free_parts: int | None = None) -> Fraction:
@@ -260,16 +261,40 @@ def partial_average_size(h: Hypergraph, pc: PartialCut, free_parts: int | None =
     return Fraction(total, base**width)
 
 
-def partial_average_excesses(h: Hypergraph, r: int, assignments) -> tuple[Fraction, ...]:
+_ZERO = Fraction(0)
+
+
+class AverageExcesses(tuple):
+    """Per-assignment average excesses, a tuple of exact ``Fraction``s,
+    with ``total``, their exact sum.
+
+    ``over`` makes both from integer numerators over one scale: ``total``
+    is one ``Fraction`` of the summed numerators, and a zero numerator
+    gives the shared ``Fraction(0)``, so nothing adds up per-part
+    ``Fraction``s.
+    """
+
+    total: Fraction
+
+    @classmethod
+    def over(cls, numerators: list[int], scale: int) -> "AverageExcesses":
+        values = cls(Fraction(t, scale) if t else _ZERO for t in numerators)
+        values.total = Fraction(sum(numerators), scale)
+        return values
+
+
+def partial_average_excesses(h: Hypergraph, r: int, assignments) -> AverageExcesses:
     """Average excess of each of several partial r-cuts with disjoint domains.
 
     ``assignments`` is a sequence of mappings vertex -> part in {1..r}.
     Entry i is the expected size after completing assignment i alone
-    uniformly at random, minus the uniform-cut expectation.  Only edges
-    meeting an assignment's domain can shift its average.  A vertex of
-    assignment i carries the code i*(r+1) + part; sorting an edge's codes
-    groups its vertices by assignment, so every (edge, assignment) pair
-    gets its own (missing-part, free-vertex) key in one pass.
+    uniformly at random, minus the uniform-cut expectation; ``total`` of
+    the result is their sum.  Only edges meeting an assignment's domain
+    can shift its average.  A vertex of assignment i carries the code
+    i*(r+1) + part; sorting an edge's codes groups its vertices by
+    assignment, so every (edge, assignment) pair gets its own
+    (missing-part, free-vertex) key in one pass, and each assignment's
+    keys sum to one integer numerator over the scale r^width.
     """
     n_parts = len(assignments)
     unowned = n_parts * (r + 1)
@@ -301,8 +326,7 @@ def partial_average_excesses(h: Hypergraph, r: int, assignments) -> tuple[Fracti
     counts[:, r] = -np.bincount(
         part_of * (width + 1) + sizes[edge_of], minlength=n_parts * (width + 1)
     ).reshape(n_parts, width + 1)
-    scale = r**width
-    return tuple(Fraction(t, scale) for t in _scaled_key_sums(counts, r))
+    return AverageExcesses.over(_scaled_key_sums(counts, r), r**width)
 
 
 def partial_average_excess(h: Hypergraph, pc: PartialCut) -> Fraction:

@@ -76,6 +76,7 @@ class GreedyLedger:
 class CombinePlan:
     average_excesses: tuple
     realized_excess: Fraction
+    promised: Fraction  # the sum of the average excesses
 
 
 class _Memo(dict):
@@ -488,7 +489,7 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
     expected_sigma = scale * counts[0] + sum(c * table[2][t] for t, c in enumerate(counts))
 
     base = uniform_expected_size(h, 2)
-    promised = sum(x_values, Fraction(0))
+    promised = x_values.total
     if Fraction(expected_sigma, scale) != base + promised:
         raise CertificateError("swap-uniform expectation != base + sum of average excesses")
 
@@ -532,7 +533,9 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
         raise GuaranteeViolation(
             f"combined excess {realized_excess} below promised {promised}"
         )
-    return cut, CombinePlan(average_excesses=x_values, realized_excess=realized_excess)
+    return cut, CombinePlan(
+        average_excesses=x_values, realized_excess=realized_excess, promised=promised
+    )
 
 
 def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:

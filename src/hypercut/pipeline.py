@@ -30,8 +30,10 @@ from .core import (
 from .cutspace import (
     Cut,
     CutMetrics,
+    PartialCut,
     best_cut,
     cut_metrics,
+    partial_average_size,
     uniform_expected_size,
 )
 from .derand import (
@@ -379,13 +381,20 @@ def good_partition_search(
 
 
 def _greedy_part(vs, weighted_pairs, rng) -> dict:
-    """Greedy 2-assignment of one part, its vertices visited in shuffled order."""
+    """Greedy 2-assignment of one part, its vertices visited in shuffled order.
+
+    A part with no weighted pair still shuffles its order, so later draws
+    read the same stream, and gets part 1 throughout, as the greedy's tie
+    rule gives it.
+    """
+    order = sorted(vs)
+    rng.shuffle(order)
+    if not weighted_pairs:
+        return dict.fromkeys(order, 1)
     local = defaultdict(list)
     for u, v, wt in weighted_pairs:
         local[u].append((v, wt))
         local[v].append((u, wt))
-    order = sorted(vs)
-    rng.shuffle(order)
     assigned, _ = greedy_on_adjacency(local, order)
     return assigned
 
@@ -412,11 +421,13 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
         red, part_sets, partials, certify = step
         if part_sets:
             fwd_cut, plan = combine_partial_cuts(red.forward, part_sets, partials)
-            averages, fwd_excess = plan.average_excesses, plan.realized_excess
+            averages, fwd_excess, promise_fwd = (
+                plan.average_excesses, plan.realized_excess, plan.promised
+            )
         else:
             fwd_cut = conditional_rcut(red.forward, 2)
-            averages, fwd_excess = (), cut_metrics(red.forward, fwd_cut).excess
-        promise_fwd = sum(averages, Fraction(0))
+            averages, promise_fwd = (), Fraction(0)
+            fwd_excess = cut_metrics(red.forward, fwd_cut).excess
         cut, metrics = red.back_map(fwd_cut)
         promise_hd = certify(metrics, averages, promise_fwd, fwd_excess)
         if best is None or metrics.size > best[1].size:
@@ -436,12 +447,18 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
 
 
 def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
-    """First doubled exposure of the vertices outside W meeting E[Z], or None."""
+    """First doubled exposure of the vertices outside W meeting E[Z], or None.
+
+    Each draw rho is tested on h alone, E[Z | rho] >= E[Z], before anything
+    is built; only the accepted draw goes through ``hpart_double``, whose
+    back-map checks that value against the built forward instance.
+    """
     outside = [v for v in range(h.n_vertices) if v not in w]
+    base = uniform_expected_size(h, 2)
     for _ in range(params.retry_budget):
-        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
-        if red.conditional_size >= red.base_size:
-            return red
+        rho = {v: rng.choice((1, 2)) for v in outside}
+        if partial_average_size(h, PartialCut(2, rho)) >= base:
+            return hpart_double(h, w, rho)
     return None
 
 

@@ -184,7 +184,10 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]) where
     x' is phi's forward excess; the underlying average-size identity is
     checked exactly on every back-map, which returns the better side with
-    its metrics.
+    its metrics.  E[Z|rho] comes from ``partial_average_size`` on h, and
+    the back-map checks it against the built forward instance; the
+    driver tests a draw on that value before it calls this, so it builds
+    only the draw it keeps.
     """
     w = frozenset(w_set)
     outside = set(range(h.n_vertices)) - w
@@ -293,13 +296,16 @@ def weighted_identity_check(wgs, omegas, averages) -> None:
     assignment of that part, and ``averages[i]`` its average excess from
     one ``cutspace.partial_average_excesses`` pass (the pass
     ``combine_partial_cuts`` makes), a ``Fraction`` oracle that shares no
-    code with ``weighted_reduce``.  Raises ``CertificateError`` on the
-    first mismatch.
+    code with ``weighted_reduce``.  A part with no weighted pair has
+    weighted excess 0, so its average is compared with 0 directly.
+    Raises ``CertificateError`` on the first mismatch.
     """
     if not len(wgs) == len(omegas) == len(averages):
         raise InvalidParams("need one assignment and one average per weighted graph")
     for i, (wg, omega, avg) in enumerate(zip(wgs, omegas, averages)):
-        weighted_excess = wg.crossing_weight(omega) - Fraction(wg.total_weight, 2)
+        weighted_excess = (
+            wg.crossing_weight(omega) - Fraction(wg.total_weight, 2) if wg.weights else 0
+        )
         if weighted_excess != avg:
             raise CertificateError(
                 f"part {i}: weighted excess {weighted_excess} != average excess "

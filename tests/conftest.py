@@ -18,7 +18,7 @@ import pytest
 
 from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import Cut, multicolour_table
-from hypercut.derand import CombinePlan, EsLedger
+from hypercut.derand import CombinePlan, EsLedger, greedy_on_adjacency
 from hypercut.errors import (
     CertificateError,
     GuaranteeViolation,
@@ -27,7 +27,7 @@ from hypercut.errors import (
     SearchFailed,
 )
 from hypercut.pipeline import C, GoodnessReport, GoodPartition, derive_params
-from hypercut.reductions import _rainbow_table
+from hypercut.reductions import _rainbow_table, hpart_double
 
 FANO_LINES = [
     [0, 1, 2],
@@ -258,9 +258,11 @@ def plain_combine_partial_cuts(h, parts, partial_cuts):
             assignment[v] = 3 - colour if swaps[b] else colour
     realized = plain_cut_size(h, assignment, 2)
     assert realized * scale == running
+    averages = plain_average_excesses(h, 2, partial_cuts)
     plan = CombinePlan(
-        average_excesses=plain_average_excesses(h, 2, partial_cuts),
+        average_excesses=averages,
         realized_excess=realized - stirling_expected_size(h, 2),
+        promised=sum(averages, Fraction(0)),
     )
     return Cut(2, tuple(assignment)), plan
 
@@ -642,3 +644,29 @@ def plain_weighted_reduce(h, parts):
         )
         for ws in scaled
     ]
+
+
+# The doubled-exposure trial's steps as they ran before they skipped work:
+# every draw is built before it is tested, and every part runs the greedy.
+
+
+def plain_double_exposure(h, w, rng, params):
+    """First doubled exposure meeting E[Z], each draw built and then tested."""
+    outside = [v for v in range(h.n_vertices) if v not in w]
+    for _ in range(params.retry_budget):
+        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
+        if red.conditional_size >= red.base_size:
+            return red
+    return None
+
+
+def plain_greedy_part(vs, weighted_pairs, rng) -> dict:
+    """The greedy 2-assignment of one part, run whether or not it has pairs."""
+    local = defaultdict(list)
+    for u, v, wt in weighted_pairs:
+        local[u].append((v, wt))
+        local[v].append((u, wt))
+    order = sorted(vs)
+    rng.shuffle(order)
+    assigned, _ = greedy_on_adjacency(local, order)
+    return assigned

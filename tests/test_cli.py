@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from hypercut.cli import _run_algorithm, _sweep_instance, experiment_sweep, main
 from hypercut.core import build
 from hypercut.cutspace import cut_metrics
 from hypercut.derand import order_for_W
-from hypercut.hgio import load, parse, serialize
+from hypercut.hgio import parse, serialize
 from hypercut.instances import GenSpec, generate
 from hypercut.pipeline import greedy_route
 from hypercut.errors import (

@@ -337,6 +337,18 @@ def test_partial_averages_match_plain_loop_property(data):
     assert partial_average_excesses(h, r, family) == plain_average_excesses(h, r, family)
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(averaged_families())
+def test_partial_average_excesses_total_sums_the_numerators_property(data):
+    h, r, _, family = data
+    got = partial_average_excesses(h, r, family)
+    plain = plain_average_excesses(h, r, family)
+    assert got.total == sum(plain, Fraction(0))
+    width = h.edge_array.shape[1]
+    assert all(type(x) is Fraction and (x * r**width).denominator == 1 for x in got)
+
+
 @st.composite
 def scored_instances(draw):
     """A mixed instance (or a 2-uniform multigraph) with one random cut per r in 2..k."""

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypercut.pipeline as pipeline
-from hypercut.core import WeightedGraph, build, clique_expand
-from hypercut.cutspace import Cut, cut_metrics, theorem_bound
+from hypercut.core import WeightedGraph, build
+from hypercut.cutspace import cut_metrics, theorem_bound
 from hypercut.derand import erdos_selfridge_2cut, order_for_W
 from hypercut.errors import (
     CertificateError,
@@ -14,7 +16,7 @@ from hypercut.errors import (
     GuaranteeViolation,
     SearchFailed,
 )
-from hypercut.instances import GenSpec, exact_maxcut, generate
+from hypercut.instances import GenSpec, generate
 from hypercut.pipeline import (
     GuaranteeLedger,
     PipelineParams,
@@ -29,7 +31,10 @@ from hypercut.pipeline import (
     solve,
 )
 
+import conftest
+from conftest import plain_double_exposure, plain_greedy_part
 from test_derand import random_mixed
+from test_state_codes import instances
 
 
 PARAMS = PipelineParams(seed=7)
@@ -384,6 +389,56 @@ def test_driver_2cut_runs_the_average_excess_oracle_once_per_combine(monkeypatch
     driver_2cut(_linear_4graph(), PipelineParams(trials=6, seed=8))
     assert calls["combine"] >= 1
     assert calls["oracle"] == calls["combine"]
+
+
+
+def _check_double_exposure(h, w, seed, budget):
+    """``_double_exposure`` against the build-then-test loop it replaced;
+    returns its result."""
+    params = PipelineParams(retry_budget=budget)
+    rng, plain_rng = random.Random(seed), random.Random(seed)
+    with mock.patch.object(pipeline, "hpart_double", wraps=pipeline.hpart_double) as built, \
+            mock.patch.object(conftest, "hpart_double", wraps=conftest.hpart_double) as plain_built:
+        got = pipeline._double_exposure(h, w, rng, params)
+        want = plain_double_exposure(h, w, plain_rng, params)
+    assert rng.getstate() == plain_rng.getstate()  # later draws read the same stream
+    if want is None:
+        assert got is None and built.call_count == 0
+        return got
+    assert built.call_count == 1  # only the accepted draw is built
+    assert built.call_args == plain_built.call_args  # the same accepted rho
+    assert got.forward.edges == want.forward.edges
+    assert (got.conditional_size, got.base_size) == (want.conditional_size, want.base_size)
+    return got
+
+
+# One edge has E[Z] = 1/2, and a draw meets it iff it splits 0 and 1: none
+# of seed 3's three draws does, seed 0's second does, seed 4's first does.
+@pytest.mark.parametrize("seed, accepted", [(3, False), (0, True), (4, True)])
+def test_double_exposure_on_one_edge(seed, accepted):
+    red = _check_double_exposure(build(2, [[0, 1]]), set(), seed, budget=3)
+    assert (red is not None) == accepted
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_double_exposure_matches_build_then_test_loop_property(h, data):
+    w = data.draw(st.sets(st.integers(0, h.n_vertices - 1)))
+    _check_double_exposure(h, w, data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 11), min_size=1, max_size=8), st.data())
+def test_greedy_part_matches_plain_greedy_property(vs, data):
+    ends = st.sampled_from(sorted(vs))
+    drawn = data.draw(st.lists(st.tuples(ends, ends, st.fractions(0, 2)), max_size=6))
+    pairs = [(min(u, v), max(u, v), wt) for u, v, wt in drawn if u != v]
+    seed = data.draw(st.integers(0, 2**16))
+    rng, plain_rng = random.Random(seed), random.Random(seed)
+    got = pipeline._greedy_part(vs, pairs, rng)
+    want = plain_greedy_part(vs, pairs, plain_rng)
+    assert list(got.items()) == list(want.items())  # the same visiting order too
+    assert rng.getstate() == plain_rng.getstate()
 
 
 def test_solve_scores_the_driver_cut_once(monkeypatch):

@@ -498,6 +498,23 @@ def test_weighted_identity_check_audits_last_part():
         weighted_identity_check([wgs[0], tampered], omegas, averages)
 
 
+
+def test_weighted_identity_check_audits_parts_without_pairs():
+    # parts {4} and {5} hold no weighted pair: their averages must read 0
+    h = build(6, [[0, 1, 2], [0, 1, 4, 5]])
+    omegas = [{0: 1, 1: 2}, {4: 1}, {5: 2}]
+    wgs = weighted_reduce(h, [set(o) for o in omegas])
+    assert [bool(wg.weights) for wg in wgs] == [True, False, False]
+    averages = partial_average_excesses(h, 2, omegas)
+    assert averages[1:] == (0, 0)
+    weighted_identity_check(wgs, omegas, averages)
+    tampered = (*averages[:2], Fraction(1, 8))
+    with pytest.raises(
+        CertificateError, match=r"^part 2: weighted excess 0 != average excess 1/8 on \[5\]$"
+    ):
+        weighted_identity_check(wgs, omegas, tampered)
+
+
 def test_weighted_identity_check_rejects_mismatched_lengths():
     h = build(6, [[0, 1, 2], [3, 4, 5], [0, 1, 3, 4]])
     parts = [{0, 1}, {3, 4}]
