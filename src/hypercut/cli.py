@@ -85,24 +85,26 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
     with its own ledger line; ``greedy`` runs at r = 2 on any instance, and
     its line stays advisory.  Only ``pipeline`` (the structural driver
     alone, with a conditional-expectations fallback) is the CLI's own.
+    Every algorithm needs ``trials >= 1``.
     """
+    if trials < 1:
+        raise InvalidParams("trials must be >= 1")
     params = PipelineParams(trials=trials, seed=seed)
     if algo == "auto":
         return solve(h, r, params)
     k = check_parts(h, r)
-    clamped = PipelineParams(trials=max(1, trials), seed=seed)
     ledger = GuaranteeLedger()
     if algo == "es":
-        _, cut, _, _ = es_route(h, r, clamped, ledger)
+        _, cut, _, _ = es_route(h, r, params, ledger)
         return cut, ledger
     if algo == "greedy":
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
-        cut, metrics, _ = greedy_route(h, order_for_W(h, min(clamped.trials, 8), seed))
+        cut, metrics, _ = greedy_route(h, order_for_W(h, min(trials, 8), seed))
         ledger.add("pair-expansion greedy gains", None, metrics.excess, deterministic=False)
         return cut, ledger
     if algo == "chromatic":
-        cut, _ = chromatic_route(h, r, clamped, ledger)
+        cut, _ = chromatic_route(h, r, params, ledger)
         return cut, ledger
     if algo == "pipeline":
         sr = codegree_structure(h)

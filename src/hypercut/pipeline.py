@@ -56,7 +56,6 @@ from .errors import (
 from .reductions import (
     dense_subset_cut,
     expand_3graph,
-    exposure_average_excess,
     hpart_double,
     hpart_expose,
     lift_2cut_to_3cut,
@@ -408,8 +407,8 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
     part sets, partial cuts, certify).  The partial cuts are combined on
     the forward instance (with no part left, its conditional-expectations
     cut stands in with a zero promise) and mapped back;
-    ``certify(metrics, averages, promise_fwd, fwd_excess)`` runs the
-    driver's own certificates and returns the promise on hd.  ``claims``
+    ``certify(metrics, averages, promise_fwd)`` runs the driver's own
+    certificates and returns the promise on hd.  ``claims``
     names the two stage entries of the ledger.
     """
     hd = h.without_edges(set(gp.deleted_edges))
@@ -429,7 +428,7 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
             averages, promise_fwd = (), Fraction(0)
             fwd_excess = cut_metrics(red.forward, fwd_cut).excess
         cut, metrics = red.back_map(fwd_cut)
-        promise_hd = certify(metrics, averages, promise_fwd, fwd_excess)
+        promise_hd = certify(metrics, averages, promise_fwd)
         if best is None or metrics.size > best[1].size:
             best = (cut, metrics, promise_fwd, fwd_excess, promise_hd)
 
@@ -451,7 +450,8 @@ def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
 
     Each draw rho is tested on h alone, E[Z | rho] >= E[Z], before anything
     is built; only the accepted draw goes through ``hpart_double``, whose
-    back-map checks that value against the built forward instance.
+    back-map certifies the value it reads off its forward instance
+    against the same oracle.
     """
     outside = [v for v in range(h.n_vertices) if v not in w]
     base = uniform_expected_size(h, 2)
@@ -481,7 +481,7 @@ def driver_3cut(
 
     def trial(hd, rng):
         rho = {v: 3 for v in range(h.n_vertices) if rng.random() < 1 / 3}
-        red = hpart_expose(hd, 3, rho, keep=2)
+        red = hpart_expose(hd, 3, rho, keep=2)  # its back-map certifies the transfer
         # forward edges are pairs of starred vertices
         internal = defaultdict(list)
         for u, v in red.forward.edges:
@@ -496,11 +496,8 @@ def driver_3cut(
                 part_sets.append(star)
                 partials.append(_greedy_part(star, internal.get(i, ()), rng))
 
-        def certify(metrics, averages, promise_fwd, fwd_excess):
-            pae = exposure_average_excess(hd, 3, rho, keep=2)
-            if metrics.excess != fwd_excess + pae:
-                raise CertificateError("3-cut exposure transfer identity failed")
-            return promise_fwd + pae
+        def certify(metrics, averages, promise_fwd):
+            return promise_fwd + red.average_excess
 
         return red, part_sets, partials, certify
 
@@ -561,9 +558,9 @@ def driver_2cut(
         wgs = weighted_reduce(red.forward, part_sets)
         partials = [_greedy_part(vs, wg.weights, rng) for vs, wg in zip(part_sets, wgs)]
 
-        def certify(metrics, averages, promise_fwd, fwd_excess):
+        def certify(metrics, averages, promise_fwd):
             weighted_identity_check(wgs, partials, averages)
-            promise_hd = promise_fwd / 2 + (red.conditional_size - red.base_size)
+            promise_hd = promise_fwd / 2 + red.average_excess
             if metrics.excess < promise_hd:
                 raise GuaranteeViolation("doubled-exposure promise missed")
             return promise_hd
@@ -580,7 +577,7 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
     red = _double_exposure(h, u_set, random.Random(f"nobad:{params.seed}"), params)
     if red is None:
         raise SearchFailed("no exposure of the bad vertices met the bar")
-    gain = red.conditional_size - red.base_size
+    gain = red.average_excess
     inner_cut, _, inner_ledger = driver_2cut(red.forward, params, u_set=None)
     best, metrics, ledger = _carry_back(
         red,
@@ -664,13 +661,12 @@ def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
             metrics.excess,
         )
         return "es-lift", lifted, metrics, order
-    for _, pae, red in _exposures(h, r, 2, "es-expose", params):
+    for _, red in _exposures(h, r, 2, "es-expose", params):
         order = order_for_W(red.forward, 4, params.seed)
         c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
         merged, metrics = red.back_map(c2)
-        if metrics.excess != cut_metrics(red.forward, c2).excess + pae:
-            raise CertificateError("exposure baseline transfer identity failed")
-        ledger.add("exposure + deferred engine", es_ledger.guaranteed_excess + pae, metrics.excess)
+        promise = es_ledger.guaranteed_excess + red.average_excess
+        ledger.add("exposure + deferred engine", promise, metrics.excess)
         return "es-expose", merged, metrics, order
     raise SearchFailed("no viable exposure for the deferred engine")
 
@@ -772,9 +768,10 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
     """Random exposures of parts {keep+1..r}, up to ``params.retry_budget`` draws.
 
     Each vertex stays starred with probability keep/r, else takes a
-    uniform exposed part.  Yields (rho, average excess, reduction) for
-    every draw whose average excess is nonnegative and whose forward
-    instance keeps an edge.
+    uniform exposed part.  Each draw is built, and (rho, exposure) is
+    yielded when its average excess is nonnegative and its forward
+    instance keeps an edge; the exposure's back-map certifies that
+    average excess, so a promise may add it to a forward promise.
     """
     rng = random.Random(f"{label}:{params.seed}")
     for _ in range(params.retry_budget):
@@ -782,13 +779,9 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
         for v in range(h.n_vertices):
             if rng.random() >= keep / r:
                 rho[v] = rng.randint(keep + 1, r)
-        pae = exposure_average_excess(h, r, rho, keep=keep)
-        if pae < 0:
-            continue
         red = hpart_expose(h, r, rho, keep=keep)
-        if red.forward.m == 0:
-            continue
-        yield rho, pae, red
+        if red.average_excess >= 0 and red.forward.m:
+            yield rho, red
 
 
 def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str, promise_of):
@@ -838,7 +831,7 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
 
 def _driver_expose_2(h, r, sr, params):
     """r <= k-2: expose parts {3..r}, drive the mixed 2-cut engine, merge."""
-    for rho, pae, red in _exposures(h, r, 2, "expose2", params):
+    for rho, red in _exposures(h, r, 2, "expose2", params):
         stars = {v for v in range(h.n_vertices) if v not in rho}
         u = stars & sr.u_set
         try:
@@ -848,15 +841,16 @@ def _driver_expose_2(h, r, sr, params):
         except (SearchFailed, DriverInapplicable):
             continue
         return _carry_back(
-            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + pae
+            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + red.average_excess
         )
     raise SearchFailed("no viable exposure for the 2-cut driver")
 
 
 def _driver_expose_3(h, r, params):
     """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
-    for _, pae, red in _exposures(h, r, 3, "expose3", params):
+    for _, red in _exposures(h, r, 3, "expose3", params):
+        sub_cut, sub_ledger = solve(red.forward, 3, params)
         return _carry_back(
-            red, *solve(red.forward, 3, params), "exposed ", "exposure transfer", lambda p: p + pae
+            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + red.average_excess
         )
     raise SearchFailed("no viable exposure for the 3-cut reduction")

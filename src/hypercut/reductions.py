@@ -5,8 +5,11 @@ forward instance into a cut of the original and verifies the exact size
 relation on the spot; a mismatch raises ``CertificateError`` and means a
 bug, never bad input.  It returns the original cut together with the
 ``CutMetrics`` its certificate computed for it, so callers never score
-that cut again.  The proofs chain several of these reductions, so this
-per-run checking is the artifact's central safety mechanism.
+that cut again.  A partial exposure (``Exposure``) also reads E[Z | rho]
+off its forward instance, and its back-map certifies that value against
+an oracle on the original.  The proofs chain several of these
+reductions, so this per-run checking is the artifact's central safety
+mechanism.
 """
 
 from __future__ import annotations
@@ -115,15 +118,31 @@ def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:
     return np.sort(np.where(labels[sub] == 0, sub, h.n_vertices), axis=1)
 
 
-def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
+@dataclass
+class Exposure(Reduction):
+    """A partial exposure rho, with the sizes its back-map certifies."""
+
+    conditional_size: Fraction  # E[Z | rho]
+    base_size: Fraction  # E[Z]
+
+    @property
+    def average_excess(self) -> Fraction:
+        """E[Z | rho] - E[Z], what the exposure adds to a forward cut's excess."""
+        return self.conditional_size - self.base_size
+
+
+def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
     """Partial exposure of the top parts; the rest becomes a smaller cut problem.
 
     ``rho`` assigns parts {keep+1..r} to some vertices; the others
     ("starred") stay free over {1..keep}.  An edge survives iff its
-    rho-image covers every exposed part and enough of it is starred:
-    at least 2 starred vertices when keep=2 (mixed (k-r+2)-multigraph),
-    exactly 3 when keep=3 (3-multigraph).  A keep-cut of the forward
-    instance merged with rho is an r-cut of h of exactly the same size.
+    rho-image covers every exposed part and at least ``keep`` of its
+    vertices are starred; its starred vertices form a forward edge of at
+    most k - r + keep vertices.  A keep-cut of the forward instance merged
+    with rho is an r-cut of h of exactly the same size, so E[Z | rho], with
+    the starred vertices uniform over {1..keep}, is the forward instance's
+    uniform keep-cut expectation.  The back-map certifies both: the size
+    relation, and that value against ``exposure_average_excess``.
     """
     if keep not in (2, 3):
         raise InvalidParams("keep must be 2 or 3")
@@ -137,28 +156,28 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Reduction:
     labels[h.n_vertices] = r + 1  # padding sentinel
     labels[list(rho)] = list(rho.values())
     image = labels[h.edge_array]
-    covered = np.logical_and.reduce([(image == p).any(axis=1) for p in range(keep + 1, r + 1)])
-    n_star = (image == 0).sum(axis=1)
-    kept = np.flatnonzero(covered & ((n_star >= 2) if keep == 2 else (n_star == 3)))
-    arity = (h.max_arity - r + 2) if keep == 2 else 3
-    forward = Hypergraph._from_rows(h.n_vertices, arity, _unexposed_rows(h, labels, kept))
+    covered = np.logical_and.reduce([(image == p).any(axis=1) for p in exposed])
+    kept = np.flatnonzero(covered & ((image == 0).sum(axis=1) >= keep))
+    forward = Hypergraph._from_rows(
+        h.n_vertices, h.max_arity - r + keep, _unexposed_rows(h, labels, kept)
+    )
+    cond, base = uniform_expected_size(forward, keep), uniform_expected_size(h, r)
 
     def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != keep or len(cut.assignment) != h.n_vertices:
             raise InvalidParams(f"expected a {keep}-cut on the shared vertex set")
-        merged = tuple(
-            rho.get(v, cut.assignment[v]) for v in range(h.n_vertices)
-        )
-        out = Cut(r, merged)
+        out = Cut(r, tuple(rho.get(v, p) for v, p in enumerate(cut.assignment)))
         z_fwd = cut_metrics(forward, cut).size
         metrics = cut_metrics(h, out)
         if z_fwd != metrics.size:
             raise CertificateError(
                 f"partial exposure: forward size {z_fwd} != original size {metrics.size}"
             )
+        if cond - base != exposure_average_excess(h, r, rho, keep=keep):
+            raise CertificateError("partial exposure: conditional-size identity failed")
         return out, metrics
 
-    return Reduction(forward, back_map)
+    return Exposure(forward, back_map, cond, base)
 
 
 def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Fraction:
@@ -167,15 +186,7 @@ def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> 
     return partial_average_size(h, pc, free_parts=keep) - uniform_expected_size(h, r)
 
 
-@dataclass
-class DoubleExposure(Reduction):
-    """hpart_double bookkeeping the driver needs for its promise."""
-
-    conditional_size: Fraction = Fraction(0)  # E[Z | exposure]
-    base_size: Fraction = Fraction(0)  # E[Z]
-
-
-def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
+def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
     """Averaging-trick exposure: doubled inside edges plus one-sided stubs.
 
     The forward instance on W holds two copies of each edge inside W and
@@ -184,10 +195,10 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]) where
     x' is phi's forward excess; the underlying average-size identity is
     checked exactly on every back-map, which returns the better side with
-    its metrics.  E[Z|rho] comes from ``partial_average_size`` on h, and
-    the back-map checks it against the built forward instance; the
-    driver tests a draw on that value before it calls this, so it builds
-    only the draw it keeps.
+    its metrics.  E[Z|rho] is read off the built forward instance: half
+    its uniform 2-cut expectation, plus 1/2 per stub and 1 per edge whose
+    exposed vertices show both parts; the back-map certifies that value
+    against ``partial_average_size`` on h.
     """
     w = frozenset(w_set)
     outside = set(range(h.n_vertices)) - w
@@ -211,20 +222,14 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
     # each doubled edge's two copies sit next to each other
     rows = np.repeat(_unexposed_rows(h, labels, kept), doubled[kept] + 1, axis=0)
     forward = Hypergraph._from_rows(h.n_vertices, h.max_arity, rows)
-    cond = partial_average_size(h, PartialCut(2, dict(rho)))
+    cond = uniform_expected_size(forward, 2) / 2 + Fraction(n_undet, 2) + n_multi
     base = uniform_expected_size(h, 2)
 
     def back_map(phi: Cut) -> tuple[Cut, CutMetrics]:
         if phi.r != 2 or len(phi.assignment) != h.n_vertices:
             raise InvalidParams("expected a 2-cut on the shared vertex set")
-        merged = tuple(
-            rho[v] if v in rho else phi.assignment[v] for v in range(h.n_vertices)
-        )
-        flipped = tuple(
-            rho[v] if v in rho else 3 - phi.assignment[v]
-            for v in range(h.n_vertices)
-        )
-        omega, omega_bar = Cut(2, merged), Cut(2, flipped)
+        omega = Cut(2, tuple(rho.get(v, p) for v, p in enumerate(phi.assignment)))
+        omega_bar = Cut(2, tuple(rho.get(v, 3 - p) for v, p in enumerate(phi.assignment)))
         m1, m2 = cut_metrics(h, omega), cut_metrics(h, omega_bar)
         z1, z2 = m1.size, m2.size
         fwd_metrics = cut_metrics(forward, phi)
@@ -234,19 +239,14 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> DoubleExposure:
                 "averaging identity failed: "
                 f"{z1}+{z2} != {z_part} + {n_undet} + 2*{n_multi}"
             )
-        if cond != fwd_metrics.expected / 2 + Fraction(n_undet, 2) + n_multi:
-            raise CertificateError("conditional-size identity failed")
+        if cond != partial_average_size(h, PartialCut(2, dict(rho))):
+            raise CertificateError("doubled exposure: conditional-size identity failed")
         best = (omega, m1) if z1 >= z2 else (omega_bar, m2)
         if max(z1, z2) - base < fwd_metrics.excess / 2 + (cond - base):
             raise CertificateError("excess-transfer inequality failed")
         return best
 
-    return DoubleExposure(
-        forward=forward,
-        back_map=back_map,
-        conditional_size=cond,
-        base_size=base,
-    )
+    return Exposure(forward, back_map, cond, base)
 
 
 def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:

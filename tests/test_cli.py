@@ -494,3 +494,35 @@ def test_pipeline_rejects_zero_trials(tmp_path, capsys, spec, r):
     code, out, err = run(capsys, "cut", str(path), "--algo", "pipeline", "--r", str(r), "--trials", "0")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: InvalidParams: trials must be >= 1"]
+
+
+@pytest.mark.parametrize("algo", ["auto", "es", "greedy", "chromatic", "pipeline"])
+def test_every_algo_rejects_zero_trials(tmp_path, capsys, algo):
+    # one check for every algorithm: none of them runs a trial it was not given
+    path = tmp_path / "s9.hg"
+    path.write_text(serialize(generate(GenSpec(family="sts", n=9))))
+    code, out, err = run(capsys, "cut", str(path), "--algo", algo, "--r", "2", "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: InvalidParams: trials must be >= 1"]
+
+
+@pytest.mark.parametrize(
+    "algo, spec, r",
+    [
+        # es_route's exposure of part 3
+        ("es", GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 3),
+        # r <= k-2: _driver_expose_2 into driver_2cut
+        ("pipeline", GenSpec(family="linear-random", n=60, k=5, m_target=120, seed=1), 3),
+        # r = k > 3: _driver_expose_3 into a 3-cut solve
+        ("pipeline", GenSpec(family="random", n=30, k=5, p=0.045, seed=0), 5),
+    ],
+)
+def test_exposure_certificates_exit_2(tmp_path, capsys, monkeypatch, algo, spec, r):
+    # every exposure's back-map certifies its own average excess, whoever calls it
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize(generate(spec)))
+    expected = break_exposure_transfer(monkeypatch)
+    code, out, err = run(capsys, "cut", str(path), "--algo", algo, "--r", str(r))
+    error, message = expected()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error.__name__}: {message}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercut.pipeline as pipeline
+import hypercut.reductions as reductions
 from hypercut.core import WeightedGraph, build
 from hypercut.cutspace import cut_metrics, theorem_bound
 from hypercut.derand import erdos_selfridge_2cut, order_for_W
@@ -306,12 +307,12 @@ def test_driver_results_pinned(case, monkeypatch):
 
 
 def break_exposure_transfer(monkeypatch):
-    """driver_3cut: the exposure's average excess reads one too high."""
-    real = pipeline.exposure_average_excess
+    """Every ``hpart_expose`` path: the oracle of its average excess reads one too high."""
+    real = reductions.exposure_average_excess
     monkeypatch.setattr(
-        pipeline, "exposure_average_excess", lambda *a, **kw: real(*a, **kw) + 1
+        reductions, "exposure_average_excess", lambda *a, **kw: real(*a, **kw) + 1
     )
-    return lambda: (CertificateError, "3-cut exposure transfer identity failed")
+    return lambda: (CertificateError, "partial exposure: conditional-size identity failed")
 
 
 def break_weighted_graph(monkeypatch):

@@ -183,6 +183,17 @@ def test_hpart_expose_keep3():
     assert metrics.size == 2
 
 
+def test_hpart_expose_keep3_keeps_edges_with_more_starred_vertices():
+    # at r < k an edge may keep 4 starred vertices, and a 3-cut can still cut it
+    h = build(5, [[0, 1, 2, 3, 4]])
+    red = hpart_expose(h, 4, {4: 4}, keep=3)
+    assert red.forward.edges == ((0, 1, 2, 3),)
+    assert red.forward.max_arity == 5 - 4 + 3
+    cut, metrics = red.back_map(Cut(3, (1, 2, 3, 1, 1)))
+    assert cut.assignment == (1, 2, 3, 1, 4)
+    assert metrics.size == 1
+
+
 def test_hpart_expose_same_size_random():
     rng = random.Random(8)
     for _ in range(20):
@@ -198,17 +209,14 @@ def test_hpart_expose_same_size_random():
 
 
 def old_hpart_expose_edges(h, r, rho, keep):
-    """The per-edge loop hpart_expose used to filter with."""
+    """The per-edge loop hpart_expose used to filter with, under its one rule
+    for both keeps: at least ``keep`` starred vertices."""
     exposed = set(range(keep + 1, r + 1))
     fwd_edges = []
     for e in h.edges:
         image = {rho[v] for v in e if v in rho}
-        if not image >= exposed:
-            continue
         star = tuple(v for v in e if v not in rho)
-        if keep == 2 and len(star) >= 2:
-            fwd_edges.append(star)
-        elif keep == 3 and len(star) == 3:
+        if image >= exposed and len(star) >= keep:
             fwd_edges.append(star)
     return tuple(fwd_edges)
 
@@ -358,6 +366,25 @@ def test_hpart_double_excess_transfer_random():
         assert metrics.size >= cut_metrics(h, flipped).size
         x_fwd = cut_metrics(red.forward, phi).excess
         assert metrics.excess >= x_fwd / 2 + (red.conditional_size - red.base_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.sampled_from((2, 3)), st.data())
+def test_exposure_conditional_size_equals_the_oracle_property(h, keep, data):
+    # each builder's E[Z | rho], read off its forward instance, equals the
+    # oracle's on h before any back-map runs
+    n = h.n_vertices
+    if h.max_arity > keep:
+        r = data.draw(st.integers(keep + 1, h.max_arity))
+        labels = data.draw(st.lists(st.integers(keep, r), min_size=n, max_size=n))
+        rho = {v: p for v, p in enumerate(labels) if p > keep}  # label keep: starred
+        red = hpart_expose(h, r, rho, keep=keep)
+        assert red.conditional_size == partial_average_size(h, PartialCut(r, rho), free_parts=keep)
+    w = data.draw(st.sets(st.integers(0, n - 1)))
+    sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    rho = {v: sides[v] for v in range(n) if v not in w}
+    red = hpart_double(h, w, rho)
+    assert red.conditional_size == partial_average_size(h, PartialCut(2, rho))
 
 
 # --------------------------------------------------------------- weighted
