@@ -85,10 +85,8 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
     with its own ledger line; ``greedy`` runs at r = 2 on any instance, and
     its line stays advisory.  Only ``pipeline`` (the structural driver
     alone, with a conditional-expectations fallback) is the CLI's own.
-    Every algorithm needs ``trials >= 1``.
+    Every algorithm needs ``trials >= 1``, which ``PipelineParams`` checks.
     """
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
     params = PipelineParams(trials=trials, seed=seed)
     if algo == "auto":
         return solve(h, r, params)
@@ -101,7 +99,7 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
         cut, metrics, _ = greedy_route(h, order_for_W(h, min(trials, 8), seed))
-        ledger.add("pair-expansion greedy gains", None, metrics.excess, deterministic=False)
+        ledger.add("pair-expansion greedy gains", None, metrics.excess)
         return cut, ledger
     if algo == "chromatic":
         cut, _ = chromatic_route(h, r, params, ledger)
@@ -342,11 +340,8 @@ def experiment_sweep(config: dict) -> list[dict]:
         row_seed = int.from_bytes(digest[:4], "big")
         h = _sweep_instance(family, n, k, p, m_target, row_seed)
         report = run_report(h, algo, r, trials, row_seed)
-        det = [
-            e.promised
-            for e in report.ledger.entries
-            if e.deterministic and e.promised is not None and e.scope == "instance"
-        ]
+        det = [e.promised for e in report.ledger.entries
+               if e.deterministic and e.scope == "instance"]
         cells = (family, n, report.m, report.k, r, row_seed, algo, report.size,
                  report.expected, report.excess, max(det) if det else "")
         return dict(zip(CSV_COLUMNS, [*map(str, cells), f"{report.runtime_ms:.1f}"]))

@@ -43,7 +43,8 @@ class Cut:
     def __post_init__(self):
         if self.r < 2:
             raise InvalidCut(f"need at least 2 parts, got r={self.r}")
-        if any(p < 1 or p > self.r for p in self.assignment):
+        a = self.assignment
+        if a and (min(a) < 1 or max(a) > self.r):  # an empty assignment is valid
             raise InvalidCut("part labels must lie in {1..r}")
 
 
@@ -55,7 +56,8 @@ class PartialCut:
     assigned: dict  # vertex -> part in {1..r}
 
     def __post_init__(self):
-        if any(p < 1 or p > self.r for p in self.assigned.values()):
+        a = self.assigned.values()
+        if a and (min(a) < 1 or max(a) > self.r):  # an empty assignment is valid
             raise InvalidCut("part labels must lie in {1..r}")
 
 

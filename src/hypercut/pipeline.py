@@ -7,7 +7,8 @@ route the CLI also runs alone (``chromatic_route``, ``es_route``,
 ``greedy_route``) is one function shared by both.  Each ledger
 entry pairs a promised excess with the realized one; deterministic
 promises are hard, any shortfall raises ``GuaranteeViolation`` and means
-a bug in the math layer.
+a bug in the math layer.  A promise crosses a reduction only through the
+reduction's own ``transfer``, which its back-map certifies.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class PipelineParams:
     trials: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidParams("trials must be >= 1")
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -109,24 +114,26 @@ class LedgerEntry:
     ``scope`` distinguishes claims about the instance whose cut is being
     returned ("instance") from claims about an intermediate forward
     instance inside a reduction chain ("stage"); only instance-scope
-    promises may be compared against the final cut's excess.
+    promises may be compared against the final cut's excess.  An entry
+    with no promise is advisory; every other entry is deterministic.
     """
 
     claim: str
     promised: Fraction | None
     realized: Fraction
-    deterministic: bool
     scope: str = "instance"
 
     @property
+    def deterministic(self) -> bool:
+        return self.promised is not None
+
+    @property
     def ok(self) -> bool:
-        if not self.deterministic or self.promised is None:
-            return True
-        return self.realized >= self.promised
+        return not self.deterministic or self.realized >= self.promised
 
     @property
     def status(self) -> str:
-        if not self.deterministic or self.promised is None:
+        if not self.deterministic:
             return "advisory"
         return "ok" if self.ok else "VIOLATED"
 
@@ -135,28 +142,20 @@ class LedgerEntry:
 class GuaranteeLedger:
     entries: list = field(default_factory=list)
 
-    def add(self, claim, promised, realized, deterministic=True, scope="instance"):
-        self.entries.append(
-            LedgerEntry(claim, promised, Fraction(realized), deterministic, scope)
-        )
+    def add(self, claim, promised, realized, scope="instance"):
+        self.entries.append(LedgerEntry(claim, promised, Fraction(realized), scope))
 
     def extend(self, other: "GuaranteeLedger", prefix: str = "", demote: bool = False):
         """Merge entries; ``demote`` marks them all as stage-level claims."""
         for e in other.entries:
             scope = "stage" if demote else e.scope
-            self.entries.append(
-                LedgerEntry(prefix + e.claim, e.promised, e.realized, e.deterministic, scope)
-            )
+            self.entries.append(LedgerEntry(prefix + e.claim, e.promised, e.realized, scope))
 
     def instance_promise(self) -> Fraction:
         """Largest deterministic promise made about this instance's excess."""
         return max(
             [Fraction(0)]
-            + [
-                e.promised
-                for e in self.entries
-                if e.deterministic and e.promised is not None and e.scope == "instance"
-            ]
+            + [e.promised for e in self.entries if e.deterministic and e.scope == "instance"]
         )
 
     def violations(self) -> list:
@@ -406,10 +405,11 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
     ``trial(hd, rng)`` draws one exposure and returns None, or (reduction,
     part sets, partial cuts, certify).  The partial cuts are combined on
     the forward instance (with no part left, its conditional-expectations
-    cut stands in with a zero promise) and mapped back;
-    ``certify(metrics, averages, promise_fwd)`` runs the driver's own
-    certificates and returns the promise on hd.  ``claims``
-    names the two stage entries of the ledger.
+    cut stands in with a zero promise) and mapped back, and the
+    reduction's ``transfer`` carries the forward promise to hd;
+    ``certify(metrics, averages, promise_hd)``, when given, runs the
+    driver's own checks.  ``claims`` names the two stage entries of the
+    ledger.
     """
     hd = h.without_edges(set(gp.deleted_edges))
     best = None
@@ -428,7 +428,9 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
             averages, promise_fwd = (), Fraction(0)
             fwd_excess = cut_metrics(red.forward, fwd_cut).excess
         cut, metrics = red.back_map(fwd_cut)
-        promise_hd = certify(metrics, averages, promise_fwd)
+        promise_hd = red.transfer(promise_fwd)
+        if certify is not None:
+            certify(metrics, averages, promise_hd)
         if best is None or metrics.size > best[1].size:
             best = (cut, metrics, promise_fwd, fwd_excess, promise_hd)
 
@@ -467,8 +469,6 @@ def driver_3cut(
 ) -> tuple[Cut, CutMetrics, GuaranteeLedger]:
     """3-cut via part-3 exposure, per-part greedy cuts, and swap combination:
     (cut, its metrics, ledger)."""
-    if params.trials < 1:
-        raise InvalidParams("trials must be >= 1")
     if h.edge_array.shape[1] > 3:  # the widest edge
         raise DriverInapplicable("driver_3cut needs edge sizes at most 3")
     u_set = set(u_set)
@@ -495,11 +495,7 @@ def driver_3cut(
             if star:
                 part_sets.append(star)
                 partials.append(_greedy_part(star, internal.get(i, ()), rng))
-
-        def certify(metrics, averages, promise_fwd):
-            return promise_fwd + red.average_excess
-
-        return red, part_sets, partials, certify
+        return red, part_sets, partials, None
 
     return _best_trial(
         h, gp, 3, params, trial, ("combined per-part greedy gains", "part-3 exposure transfer")
@@ -511,8 +507,6 @@ def driver_2cut(
 ) -> tuple[Cut, CutMetrics, GuaranteeLedger]:
     """2-cut via the doubled-exposure construction and weighted greedy parts:
     (cut, its metrics, ledger)."""
-    if params.trials < 1:
-        raise InvalidParams("trials must be >= 1")
     n = h.n_vertices
     k = max(h.max_arity, 2)
     if u_set is not None and set(u_set) != set(range(n)):
@@ -558,12 +552,10 @@ def driver_2cut(
         wgs = weighted_reduce(red.forward, part_sets)
         partials = [_greedy_part(vs, wg.weights, rng) for vs, wg in zip(part_sets, wgs)]
 
-        def certify(metrics, averages, promise_fwd):
+        def certify(metrics, averages, promise_hd):
             weighted_identity_check(wgs, partials, averages)
-            promise_hd = promise_fwd / 2 + red.average_excess
             if metrics.excess < promise_hd:
                 raise GuaranteeViolation("doubled-exposure promise missed")
-            return promise_hd
 
         return red, part_sets, partials, certify
 
@@ -577,15 +569,9 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
     red = _double_exposure(h, u_set, random.Random(f"nobad:{params.seed}"), params)
     if red is None:
         raise SearchFailed("no exposure of the bad vertices met the bar")
-    gain = red.average_excess
     inner_cut, _, inner_ledger = driver_2cut(red.forward, params, u_set=None)
     best, metrics, ledger = _carry_back(
-        red,
-        inner_cut,
-        inner_ledger,
-        "inner ",
-        "bad-vertex exposure transfer",
-        lambda inner_promise: inner_promise / 2 + gain,
+        red, inner_cut, inner_ledger, "inner ", "bad-vertex exposure transfer"
     )
     ledger.assert_ok()
     return best, metrics, ledger
@@ -630,7 +616,7 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMet
 def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
     """``solve``'s chromatic entry: (cut, metrics), its advisory line added to ``ledger``."""
     cut, metrics, chi = chromatic_cut(h, r, params.trials, params.seed)
-    ledger.add(f"chromatic balance (chi={chi})", None, metrics.excess, deterministic=False)
+    ledger.add(f"chromatic balance (chi={chi})", None, metrics.excess)
     return cut, metrics
 
 
@@ -665,7 +651,7 @@ def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
         order = order_for_W(red.forward, 4, params.seed)
         c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
         merged, metrics = red.back_map(c2)
-        promise = es_ledger.guaranteed_excess + red.average_excess
+        promise = red.transfer(es_ledger.guaranteed_excess)
         ledger.add("exposure + deferred engine", promise, metrics.excess)
         return "es-expose", merged, metrics, order
     raise SearchFailed("no viable exposure for the deferred engine")
@@ -676,13 +662,15 @@ def greedy_route(h: Hypergraph, order) -> tuple[Cut, CutMetrics, Fraction | None
     (cut, its metrics, promise).
 
     On a 3-graph the triangle expansion certifies the cut, and the promise
-    is half the greedy gains, as each cut triangle cuts two of its pairs;
-    on any other instance the pair expansion promises nothing (None).
+    is its transfer of the greedy gains, half of them, as each cut triangle
+    cuts two of its pairs; on any other instance the pair expansion
+    promises nothing (None).
     """
     if h.edges_all_of_size(3):
         red = expand_3graph(h)
         greedy, gl = greedy_order_cut(red.forward, order)
-        return *red.back_map(flip_local_search(red.forward, greedy)), gl.realized_excess / 2
+        cut, metrics = red.back_map(flip_local_search(red.forward, greedy))
+        return cut, metrics, red.transfer(gl.realized_excess)
     mg = clique_expand(h)
     greedy, _ = greedy_order_cut(mg, order)
     cut = flip_local_search(mg, greedy)
@@ -713,7 +701,7 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
         if metrics is None:
             metrics = cut_metrics(h, cut)
         if claim is not None:
-            ledger.add(claim, promised, metrics.excess, deterministic=promised is not None)
+            ledger.add(claim, promised, metrics.excess)
         scored.append((metrics.size, name, cut))
 
     enter("cond-exp", conditional_rcut(h, r), "conditional-expectations baseline", Fraction(0))
@@ -771,7 +759,7 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
     uniform exposed part.  Each draw is built, and (rho, exposure) is
     yielded when its average excess is nonnegative and its forward
     instance keeps an edge; the exposure's back-map certifies that
-    average excess, so a promise may add it to a forward promise.
+    average excess, which its ``transfer`` adds to a forward promise.
     """
     rng = random.Random(f"{label}:{params.seed}")
     for _ in range(params.retry_budget):
@@ -784,18 +772,18 @@ def _exposures(h: Hypergraph, r: int, keep: int, label: str, params: PipelinePar
             yield rho, red
 
 
-def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str, promise_of):
+def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str):
     """Map a cut of ``red.forward`` and its ledger back to the original instance:
     (cut, the metrics the back-map certified, ledger).
 
     The sub-ledger's entries are kept as stage claims under ``prefix``;
-    one instance line ``claim`` promises ``promise_of`` of the sub-ledger's
-    instance promise and realizes the certified excess.
+    one instance line ``claim`` promises ``red.transfer`` of the
+    sub-ledger's instance promise and realizes the certified excess.
     """
     cut, metrics = red.back_map(sub_cut)
     ledger = GuaranteeLedger()
     ledger.extend(sub_ledger, prefix=prefix, demote=True)
-    ledger.add(claim, promise_of(sub_ledger.instance_promise()), metrics.excess)
+    ledger.add(claim, red.transfer(sub_ledger.instance_promise()), metrics.excess)
     return cut, metrics, ledger
 
 
@@ -812,45 +800,37 @@ def _dispatch_driver(h, r, k, sr: StructureReport, params):
     if r == 2 and k >= 4:
         return driver_2cut(h, params, u_set=sr.u_set)
     if 3 <= r <= k - 2:
-        return _driver_expose_2(h, r, sr, params)
+        return _driver_expose(h, r, 2, sr, params)
     if r == k - 1 and k >= 4:
         if not h.edges_all_of_size(k):
             raise DriverInapplicable("subset expansion needs a k-uniform instance")
         red = rgraph_expand(h, r)
-        return _carry_back(
-            red,
-            *solve(red.forward, r, params),
-            "subset-expansion ",
-            "subset-expansion halving",
-            lambda sub_promise: sub_promise / 2,
-        )
+        sub_cut, sub_ledger = solve(red.forward, r, params)
+        return _carry_back(red, sub_cut, sub_ledger, "subset-expansion ", "subset-expansion halving")
     if r == k and k > 3:
-        return _driver_expose_3(h, r, params)
+        return _driver_expose(h, r, 3, sr, params)
     raise DriverInapplicable(f"no driver for r={r}, k={k}")
 
 
-def _driver_expose_2(h, r, sr, params):
-    """r <= k-2: expose parts {3..r}, drive the mixed 2-cut engine, merge."""
-    for rho, red in _exposures(h, r, 2, "expose2", params):
-        stars = {v for v in range(h.n_vertices) if v not in rho}
-        u = stars & sr.u_set
+def _driver_expose(h, r, keep, sr, params):
+    """Expose parts {keep+1..r}, solve what is left, and merge it back.
+
+    With keep = 2 (r <= k-2) the mixed 2-cut driver runs on the forward
+    instance, on its starred core vertices; with keep = 3 (r = k > 3) the
+    forward instance is a 3-multigraph, and ``solve`` cuts it in 3.  The
+    first draw whose solve succeeds is carried back.
+    """
+    for rho, red in _exposures(h, r, keep, f"expose{keep}", params):
         try:
-            sub_cut, _, sub_ledger = driver_2cut(
-                red.forward, params, u_set=None if u == stars else u
-            )
+            if keep == 3:
+                sub_cut, sub_ledger = solve(red.forward, 3, params)
+            else:
+                stars = {v for v in range(h.n_vertices) if v not in rho}
+                u = stars & sr.u_set
+                sub_cut, _, sub_ledger = driver_2cut(
+                    red.forward, params, u_set=None if u == stars else u
+                )
         except (SearchFailed, DriverInapplicable):
             continue
-        return _carry_back(
-            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + red.average_excess
-        )
-    raise SearchFailed("no viable exposure for the 2-cut driver")
-
-
-def _driver_expose_3(h, r, params):
-    """r = k > 3: expose parts {4..k}, reduce to 3-cuts of a 3-multigraph."""
-    for _, red in _exposures(h, r, 3, "expose3", params):
-        sub_cut, sub_ledger = solve(red.forward, 3, params)
-        return _carry_back(
-            red, sub_cut, sub_ledger, "exposed ", "exposure transfer", lambda p: p + red.average_excess
-        )
-    raise SearchFailed("no viable exposure for the 3-cut reduction")
+        return _carry_back(red, sub_cut, sub_ledger, "exposed ", "exposure transfer")
+    raise SearchFailed(f"no viable exposure for a {keep}-cut of the forward instance")

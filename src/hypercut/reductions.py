@@ -9,7 +9,10 @@ that cut again.  A partial exposure (``Exposure``) also reads E[Z | rho]
 off its forward instance, and its back-map certifies that value against
 an oracle on the original.  The proofs chain several of these
 reductions, so this per-run checking is the artifact's central safety
-mechanism.
+mechanism.  Each reduction also carries ``transfer(p)``, the excess its
+back-map guarantees the original cut when the forward cut's excess is at
+least p, computed from the values its builder certified; callers chain
+promises through it and keep no transfer arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -48,11 +51,14 @@ class Reduction:
     """A forward instance plus a certified map back to the original.
 
     ``back_map(cut)`` returns (cut of the original, its ``CutMetrics`` on
-    the original), the metrics being the ones the certificate computed.
+    the original), the metrics being the ones the certificate computed;
+    ``transfer(p)`` is the excess the back-map guarantees that cut when
+    the forward cut's excess is at least p.  Only the builders set it.
     """
 
     forward: object
     back_map: Callable[[Cut], tuple[Cut, CutMetrics]]
+    transfer: Callable[[Fraction], Fraction]
 
 
 def expand_3graph(h: Hypergraph) -> Reduction:
@@ -60,7 +66,7 @@ def expand_3graph(h: Hypergraph) -> Reduction:
 
     A 2-cut of size z in h is a cut of size exactly 2z in the 3m-edge
     multigraph, a ``WeightedGraph`` whose integer weights are the pair
-    multiplicities; the assignment is shared.
+    multiplicities; the assignment is shared, and excesses halve too.
     """
     if not h.edges_all_of_size(3):
         raise InvalidArity("expand_3graph needs a 3-uniform hypergraph")
@@ -77,7 +83,7 @@ def expand_3graph(h: Hypergraph) -> Reduction:
             )
         return cut, metrics
 
-    return Reduction(forward, back_map)
+    return Reduction(forward, back_map, lambda p: p / 2)
 
 
 def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
@@ -85,7 +91,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
 
     A multicoloured k-edge under k-1 parts repeats exactly one part, so
     exactly two of its k subsets are rainbow; non-multicoloured edges
-    contribute none.
+    contribute none.  Expected sizes halve the same way, so excesses do.
     """
     k = h.max_arity
     if not h.edges_all_of_size(k):
@@ -106,7 +112,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
             )
         return cut, metrics
 
-    return Reduction(forward, back_map)
+    return Reduction(forward, back_map, lambda p: p / 2)
 
 
 def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:
@@ -120,7 +126,11 @@ def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:
 
 @dataclass
 class Exposure(Reduction):
-    """A partial exposure rho, with the sizes its back-map certifies."""
+    """A partial exposure rho, with the sizes its back-map certifies.
+
+    ``transfer`` reads the builder's certified values, never these
+    attributes, so a later write to them changes no promise.
+    """
 
     conditional_size: Fraction  # E[Z | rho]
     base_size: Fraction  # E[Z]
@@ -142,7 +152,8 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
     with rho is an r-cut of h of exactly the same size, so E[Z | rho], with
     the starred vertices uniform over {1..keep}, is the forward instance's
     uniform keep-cut expectation.  The back-map certifies both: the size
-    relation, and that value against ``exposure_average_excess``.
+    relation, and that value against ``exposure_average_excess``; so a
+    forward excess p transfers to p + (E[Z | rho] - E[Z]).
     """
     if keep not in (2, 3):
         raise InvalidParams("keep must be 2 or 3")
@@ -177,7 +188,7 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
             raise CertificateError("partial exposure: conditional-size identity failed")
         return out, metrics
 
-    return Exposure(forward, back_map, cond, base)
+    return Exposure(forward, back_map, lambda p: p + (cond - base), cond, base)
 
 
 def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Fraction:
@@ -193,9 +204,9 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
     a stub e∩W for each edge whose exposed remainder shows only one part.
     Completing a 2-cut phi of the forward instance with rho, the better
     of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]) where
-    x' is phi's forward excess; the underlying average-size identity is
-    checked exactly on every back-map, which returns the better side with
-    its metrics.  E[Z|rho] is read off the built forward instance: half
+    x' is phi's forward excess, the ``transfer`` of x'; the underlying
+    average-size identity and that inequality are checked exactly on every
+    back-map, which returns the better side with its metrics.  E[Z|rho] is read off the built forward instance: half
     its uniform 2-cut expectation, plus 1/2 per stub and 1 per edge whose
     exposed vertices show both parts; the back-map certifies that value
     against ``partial_average_size`` on h.
@@ -241,12 +252,14 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
             )
         if cond != partial_average_size(h, PartialCut(2, dict(rho))):
             raise CertificateError("doubled exposure: conditional-size identity failed")
-        best = (omega, m1) if z1 >= z2 else (omega_bar, m2)
-        if max(z1, z2) - base < fwd_metrics.excess / 2 + (cond - base):
+        if max(z1, z2) - base < transfer(fwd_metrics.excess):
             raise CertificateError("excess-transfer inequality failed")
-        return best
+        return (omega, m1) if z1 >= z2 else (omega_bar, m2)
 
-    return Exposure(forward, back_map, cond, base)
+    def transfer(p: Fraction) -> Fraction:
+        return p / 2 + (cond - base)
+
+    return Exposure(forward, back_map, transfer, cond, base)
 
 
 def weighted_reduce(h: Hypergraph, parts) -> list[WeightedGraph]:

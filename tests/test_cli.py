@@ -18,7 +18,7 @@ from hypercut.errors import (
 )
 
 from conftest import FANO_LINES
-from test_pipeline import break_exposure_transfer, break_weighted_graph, inflate_conditional_size
+from test_pipeline import break_exposure_transfer, break_weighted_graph, inflate_transfer
 
 
 def run(capsys, *argv):
@@ -466,7 +466,7 @@ def test_pipeline_certificate_failure_exit_code(tmp_path, capsys, monkeypatch):
     [
         (break_exposure_transfer, GenSpec(family="sts", n=21), 3),
         (break_weighted_graph, GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),
-        (inflate_conditional_size, GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),
+        (inflate_transfer, GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 2),
     ],
 )
 def test_pipeline_driver_certificates_exit_2(tmp_path, capsys, monkeypatch, tamper, spec, r):
@@ -511,9 +511,9 @@ def test_every_algo_rejects_zero_trials(tmp_path, capsys, algo):
     [
         # es_route's exposure of part 3
         ("es", GenSpec(family="linear-random", n=60, k=4, m_target=120, seed=1), 3),
-        # r <= k-2: _driver_expose_2 into driver_2cut
+        # r <= k-2: _driver_expose with keep 2 into driver_2cut
         ("pipeline", GenSpec(family="linear-random", n=60, k=5, m_target=120, seed=1), 3),
-        # r = k > 3: _driver_expose_3 into a 3-cut solve
+        # r = k > 3: _driver_expose with keep 3 into a 3-cut solve
         ("pipeline", GenSpec(family="random", n=30, k=5, p=0.045, seed=0), 5),
     ],
 )

@@ -333,13 +333,14 @@ def break_weighted_graph(monkeypatch):
     return lambda: (CertificateError, f"part {tampered[0]}: weighted excess")
 
 
-def inflate_conditional_size(monkeypatch):
-    """driver_2cut: E[Z | exposure] is raised after the exposure is built."""
+def inflate_transfer(monkeypatch):
+    """driver_2cut: the doubled exposure's transfer promises m + 1 more than it certified."""
     real = pipeline.hpart_double
 
     def double(h, w, rho):
         red = real(h, w, rho)
-        red.conditional_size += h.m + 1
+        transfer = red.transfer
+        red.transfer = lambda p: transfer(p) + h.m + 1
         return red
 
     monkeypatch.setattr(pipeline, "hpart_double", double)
@@ -351,7 +352,7 @@ def inflate_conditional_size(monkeypatch):
     [
         (break_exposure_transfer, "3cut-sts21"),
         (break_weighted_graph, "2cut-linear4"),
-        (inflate_conditional_size, "2cut-linear4"),
+        (inflate_transfer, "2cut-linear4"),
     ],
 )
 def test_driver_certificates_fire(tamper, case, monkeypatch):
@@ -362,6 +363,24 @@ def test_driver_certificates_fire(tamper, case, monkeypatch):
     error, message = expected()
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+def test_writing_exposure_sizes_after_the_build_changes_no_promise(monkeypatch):
+    # the transfer reads the values hpart_double certified, not its attributes
+    real = pipeline.hpart_double
+
+    def double(h, w, rho):
+        red = real(h, w, rho)
+        red.conditional_size += h.m + 1
+        return red
+
+    monkeypatch.setattr(pipeline, "hpart_double", double)
+    run, assignment, entries = PINNED_DRIVER_RUNS["2cut-linear4"]
+    cut, _, ledger = run()
+    assert "".join(map(str, cut.assignment)) == assignment
+    assert [
+        (e.claim, str(e.promised), str(e.realized), e.scope) for e in ledger.entries
+    ] == entries
 
 
 def test_driver_2cut_runs_the_average_excess_oracle_once_per_combine(monkeypatch):

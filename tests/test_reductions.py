@@ -14,7 +14,6 @@ from hypercut.cutspace import (
     partial_average_excesses,
     partial_average_size,
 )
-from hypercut.derand import greedy_order_cut
 from hypercut.errors import (
     CertificateError,
     HypercutError,
@@ -36,7 +35,7 @@ from hypercut.reductions import (
     weighted_reduce,
 )
 
-from conftest import brute_expected_size, brute_force_maxcut, plain_weighted_reduce
+from conftest import brute_expected_size, plain_weighted_reduce
 from test_derand import random_mixed
 from test_state_codes import instances
 
@@ -385,6 +384,36 @@ def test_exposure_conditional_size_equals_the_oracle_property(h, keep, data):
     rho = {v: sides[v] for v in range(n) if v not in w}
     red = hpart_double(h, w, rho)
     assert red.conditional_size == partial_average_size(h, PartialCut(2, rho))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_every_back_map_meets_its_transfer_property(h, data):
+    # a forward cut of excess x maps back to a cut of excess >= transfer(x),
+    # for the two expansions, the exposure (either keep) and the doubled one
+    n = h.n_vertices
+
+    def assert_transfer(red, r):
+        c = Cut(r, tuple(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))))
+        if isinstance(red.forward, WeightedGraph):
+            x = red.forward.crossing_weight(c.assignment) - Fraction(red.forward.total_weight, 2)
+        else:
+            x = cut_metrics(red.forward, c).excess
+        assert red.back_map(c)[1].excess >= red.transfer(x)
+
+    assert_transfer(expand_3graph(build(n, [e for e in h.edges if len(e) == 3], max_arity=3)), 2)
+    k = h.max_arity
+    if k >= 4:
+        assert_transfer(rgraph_expand(build(n, [e for e in h.edges if len(e) == k]), k - 1), k - 1)
+    keep = data.draw(st.sampled_from((2, 3)))
+    if k > keep:
+        r = data.draw(st.integers(keep + 1, k))
+        labels = data.draw(st.lists(st.integers(keep, r), min_size=n, max_size=n))
+        rho = {v: p for v, p in enumerate(labels) if p > keep}  # label keep: starred
+        assert_transfer(hpart_expose(h, r, rho, keep=keep), keep)
+    w = data.draw(st.sets(st.integers(0, n - 1)))
+    sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    assert_transfer(hpart_double(h, w, {v: sides[v] for v in range(n) if v not in w}), 2)
 
 
 # --------------------------------------------------------------- weighted
