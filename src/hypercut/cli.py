@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import hgio
 from .core import Hypergraph
 from .cutspace import cut_metrics, theorem_bound, theorem_bound_claim
-from .derand import conditional_rcut, order_for_W
+from .derand import conditional_rcut
 from .errors import (
     CertificateError,
     DriverInapplicable,
@@ -39,10 +39,12 @@ from .instances import (
 from .pipeline import (
     GuaranteeLedger,
     PipelineParams,
+    Route,
     _dispatch_driver,
     check_parts,
     chromatic_route,
     codegree_structure,
+    engine_order,
     es_route,
     goodness_audit,
     greedy_route,
@@ -79,42 +81,38 @@ class RunReport:
 
 
 def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
-    """Returns (cut, ledger).  The ledger may be empty for sampled heuristics.
+    """Returns (cut, ledger); every algorithm writes at least one ledger line.
 
-    ``es``, ``greedy`` and ``chromatic`` run ``solve``'s own routes, each
-    with its own ledger line; ``greedy`` runs at r = 2 on any instance, and
-    its line stays advisory.  Only ``pipeline`` (the structural driver
-    alone, with a conditional-expectations fallback) is the CLI's own.
-    Every algorithm needs ``trials >= 1``, which ``PipelineParams`` checks.
+    ``es`` and ``chromatic`` run ``solve``'s own routes and print their
+    lines; ``greedy`` runs ``solve``'s greedy route at r = 2 on any
+    instance, with one advisory line of its own.  Only ``pipeline`` (the
+    structural driver alone, with a conditional-expectations fallback) is
+    the CLI's own.  Every algorithm needs ``trials >= 1``, which
+    ``PipelineParams`` checks.
     """
     params = PipelineParams(trials=trials, seed=seed)
     if algo == "auto":
         return solve(h, r, params)
     k = check_parts(h, r)
-    ledger = GuaranteeLedger()
     if algo == "es":
-        _, cut, _, _ = es_route(h, r, params, ledger)
-        return cut, ledger
-    if algo == "greedy":
+        route = es_route(h, r, params)
+    elif algo == "greedy":
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
-        cut, metrics, _ = greedy_route(h, order_for_W(h, min(trials, 8), seed))
-        ledger.add("pair-expansion greedy gains", None, metrics.excess)
-        return cut, ledger
-    if algo == "chromatic":
-        cut, _ = chromatic_route(h, r, params, ledger)
-        return cut, ledger
-    if algo == "pipeline":
-        sr = codegree_structure(h)
+        route = greedy_route(h, engine_order(h, params))
+        route = Route.of("greedy", route.cut, route.metrics, "pair-expansion greedy gains")
+    elif algo == "chromatic":
+        route = chromatic_route(h, r, params)
+    elif algo == "pipeline":
         try:
-            cut, _, driver_ledger = _dispatch_driver(h, r, k, sr, params)
+            route = _dispatch_driver(h, r, k, codegree_structure(h), params)
         except (SearchFailed, DriverInapplicable):
             cut = conditional_rcut(h, r)
-            ledger.add("conditional-expectations fallback", Fraction(0), cut_metrics(h, cut).excess)
-            return cut, ledger
-        ledger.extend(driver_ledger)
-        return cut, ledger
-    raise HypercutError(f"unknown algorithm {algo!r}")
+            claim = "conditional-expectations fallback"
+            route = Route.of("fallback", cut, cut_metrics(h, cut), claim, Fraction(0))
+    else:
+        raise HypercutError(f"unknown algorithm {algo!r}")
+    return route.cut, route.ledger
 
 
 def run_report(h: Hypergraph, algo: str, r: int, trials: int, seed: int) -> RunReport:

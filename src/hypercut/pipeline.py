@@ -1,14 +1,14 @@
 """Top-level solver: structure analysis, good-partition drivers, baselines.
 
-The solver runs every applicable route (conditional-expectations
-baselines, chromatic balancing, the partial-exposure drivers) and
-returns the best cut together with a guarantee ledger.  Each baseline
-route the CLI also runs alone (``chromatic_route``, ``es_route``,
-``greedy_route``) is one function shared by both.  Each ledger
-entry pairs a promised excess with the realized one; deterministic
-promises are hard, any shortfall raises ``GuaranteeViolation`` and means
-a bug in the math layer.  A promise crosses a reduction only through the
-reduction's own ``transfer``, which its back-map certifies.
+Each route (one way of building a cut: the conditional-expectations
+baselines, chromatic balancing, the partial-exposure drivers) returns a
+``Route``: its cut, the metrics that scored it once and its own ledger
+lines.  ``solve`` runs every applicable route, then orders their lines
+and ranks their cuts; the CLI runs the baseline routes alone.  Each
+ledger entry pairs a promised excess with the realized one; a shortfall
+on a deterministic promise raises ``GuaranteeViolation``, a bug in the
+math layer.  A promise crosses a reduction only through the reduction's
+own ``transfer``, which its back-map certifies.
 """
 
 from __future__ import annotations
@@ -167,6 +167,26 @@ class GuaranteeLedger:
             raise GuaranteeViolation(
                 "; ".join(f"{e.claim}: {e.realized} < {e.promised}" for e in bad)
             )
+
+
+@dataclass(frozen=True)
+class Route:
+    """One way of building a cut: its name, the cut, the ``CutMetrics``
+    that scored the cut once, and the ledger lines the route writes."""
+
+    name: str
+    cut: Cut
+    metrics: CutMetrics
+    ledger: GuaranteeLedger
+
+    @classmethod
+    def of(cls, name, cut, metrics, claim=None, promised=None) -> "Route":
+        """A route with one line ``claim`` promising ``promised`` and
+        realizing ``metrics.excess``, or with no line when ``claim`` is None."""
+        ledger = GuaranteeLedger()
+        if claim is not None:
+            ledger.add(claim, promised, metrics.excess)
+        return cls(name, cut, metrics, ledger)
 
 
 # --------------------------------------------------------------- structure
@@ -613,68 +633,61 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMet
     return *best_cut(h, (draw() for _ in range(trials))), chi
 
 
-def chromatic_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
-    """``solve``'s chromatic entry: (cut, metrics), its advisory line added to ``ledger``."""
+def chromatic_route(h: Hypergraph, r: int, params: PipelineParams) -> Route:
+    """``solve``'s chromatic route, with its advisory line."""
     cut, metrics, chi = chromatic_cut(h, r, params.trials, params.seed)
-    ledger.add(f"chromatic balance (chi={chi})", None, metrics.excess)
-    return cut, metrics
+    return Route.of("chromatic", cut, metrics, f"chromatic balance (chi={chi})")
 
 
-def es_route(h: Hypergraph, r: int, params: PipelineParams, ledger):
-    """``solve``'s deferred-engine entry, with its promise added to ``ledger``.
+def engine_order(h: Hypergraph, params: PipelineParams) -> list[int]:
+    """The vertex order of the deferred engine on h, and of the greedy at r = 2."""
+    return order_for_W(h, min(params.trials, 8), params.seed)
 
-    At r = 2 the engine's 2-cut; at r = 3 on a 3-uniform instance that
-    2-cut lifted by opening a third part; otherwise the engine's 2-cut of
-    the first viable exposure of parts {3..r}, merged back.  Returns (name,
-    cut, metrics, order), ``order`` being the vertex order the engine ran
-    on.  Raises ``SearchFailed`` when no exposure is viable.
+
+def es_route(h: Hypergraph, r: int, params: PipelineParams, order=None) -> Route:
+    """``solve``'s deferred-engine route, with its promise line.
+
+    At r = 2 the engine's 2-cut ("es"); at r = 3 on a 3-uniform instance
+    that 2-cut lifted by opening a third part ("es-lift"); otherwise the
+    engine's 2-cut of the first viable exposure of parts {3..r}, merged
+    back ("es-expose"), or ``SearchFailed`` when none is.  The first two
+    run on ``order``, ``engine_order`` unless the caller already has it.
     """
     if r == 2 or (r == 3 and h.edges_all_of_size(3)):
-        order = order_for_W(h, min(params.trials, 8), params.seed)
-        c2, es_ledger = erdos_selfridge_2cut(h, order)
+        c2, es_ledger = erdos_selfridge_2cut(h, engine_order(h, params) if order is None else order)
         if r == 2:
-            ledger.add(
-                "deferred conditional expectations",
-                es_ledger.guaranteed_excess,
-                es_ledger.realized_excess,
-            )
-            return "es", c2, cut_metrics(h, c2), order
+            claim, promise = "deferred conditional expectations", es_ledger.guaranteed_excess
+            return Route.of("es", c2, cut_metrics(h, c2), claim, promise)
         lifted = lift_2cut_to_3cut(h, c2)
-        metrics = cut_metrics(h, lifted)
-        ledger.add(
-            "third-part lift of the deferred engine",
-            Fraction(8, 27) * es_ledger.realized_excess,
-            metrics.excess,
-        )
-        return "es-lift", lifted, metrics, order
+        claim = "third-part lift of the deferred engine"
+        promise = Fraction(8, 27) * es_ledger.realized_excess
+        return Route.of("es-lift", lifted, cut_metrics(h, lifted), claim, promise)
     for _, red in _exposures(h, r, 2, "es-expose", params):
-        order = order_for_W(red.forward, 4, params.seed)
-        c2, es_ledger = erdos_selfridge_2cut(red.forward, order)
+        c2, es_ledger = erdos_selfridge_2cut(red.forward, order_for_W(red.forward, 4, params.seed))
         merged, metrics = red.back_map(c2)
         promise = red.transfer(es_ledger.guaranteed_excess)
-        ledger.add("exposure + deferred engine", promise, metrics.excess)
-        return "es-expose", merged, metrics, order
+        return Route.of("es-expose", merged, metrics, "exposure + deferred engine", promise)
     raise SearchFailed("no viable exposure for the deferred engine")
 
 
-def greedy_route(h: Hypergraph, order) -> tuple[Cut, CutMetrics, Fraction | None]:
-    """Greedy 2-cut of the pair expansion in ``order``, then single flips:
-    (cut, its metrics, promise).
+def greedy_route(h: Hypergraph, order) -> Route:
+    """Greedy 2-cut of the pair expansion in ``order``, then single flips.
 
-    On a 3-graph the triangle expansion certifies the cut, and the promise
-    is its transfer of the greedy gains, half of them, as each cut triangle
-    cuts two of its pairs; on any other instance the pair expansion
-    promises nothing (None).
+    On a 3-graph the triangle expansion certifies the cut, and the route's
+    line promises its transfer of half the greedy gains, as each cut
+    triangle cuts two of its pairs; on any other instance the pair
+    expansion promises nothing, and the route writes no line.
     """
     if h.edges_all_of_size(3):
         red = expand_3graph(h)
         greedy, gl = greedy_order_cut(red.forward, order)
         cut, metrics = red.back_map(flip_local_search(red.forward, greedy))
-        return cut, metrics, red.transfer(gl.realized_excess)
+        promise = red.transfer(gl.realized_excess)
+        return Route.of("greedy-flip", cut, metrics, "triangle-expansion greedy gains (halved)", promise)
     mg = clique_expand(h)
     greedy, _ = greedy_order_cut(mg, order)
     cut = flip_local_search(mg, greedy)
-    return cut, cut_metrics(h, cut), None
+    return Route.of("greedy-flip", cut, cut_metrics(h, cut))
 
 
 # --------------------------------------------------------------- solve
@@ -685,59 +698,46 @@ def solve(h: Hypergraph, r: int, params: PipelineParams | None = None) -> tuple[
 
     Always runs the conditional-expectations and chromatic baselines, so
     the returned excess is never negative; the structure-dependent
-    drivers add their own deterministic promises when they apply.
+    drivers add their own deterministic promises when they apply.  The
+    ledger holds each route's lines in run order, the driver's under
+    "pipeline: ", then the line of the best route's cut after local moves.
     """
     params = params or PipelineParams()
     if h.m == 0:
         raise InvalidParams("instance has no edges")
     k = check_parts(h, r)
-    n = h.n_vertices
-    ledger = GuaranteeLedger()
-    scored: list[tuple[int, str, Cut]] = []
-
-    def enter(name, cut, claim=None, promised=None, metrics=None):
-        """Score a route's cut once (unless ``metrics`` already holds it),
-        write its ledger line from that score, and rank it."""
-        if metrics is None:
-            metrics = cut_metrics(h, cut)
-        if claim is not None:
-            ledger.add(claim, promised, metrics.excess)
-        scored.append((metrics.size, name, cut))
-
-    enter("cond-exp", conditional_rcut(h, r), "conditional-expectations baseline", Fraction(0))
-
-    cut, metrics = chromatic_route(h, r, params, ledger)
-    enter("chromatic", cut, metrics=metrics)
-
-    try:
-        name, cut, metrics, order = es_route(h, r, params, ledger)
-        enter(name, cut, metrics=metrics)
-    except SearchFailed:  # only the exposure branch, at r >= 3, can fail
+    cut = conditional_rcut(h, r)
+    routes = [
+        Route.of("cond-exp", cut, cut_metrics(h, cut), "conditional-expectations baseline", Fraction(0)),
+        chromatic_route(h, r, params),
+    ]
+    try:  # the order search, or at r >= 3 the exposure, can fail
+        order = engine_order(h, params) if r == 2 else None
+        routes.append(es_route(h, r, params, order))
+        if r == 2 and (h.edges_all_of_size(2) or h.edges_all_of_size(3)):
+            routes.append(greedy_route(h, order))
+    except SearchFailed:
         pass
-    if r == 2 and (h.edges_all_of_size(2) or h.edges_all_of_size(3)):
-        cut, metrics, promise = greedy_route(h, order)
-        claim = None if promise is None else "triangle-expansion greedy gains (halved)"
-        enter("greedy-flip", cut, claim, promise, metrics)
 
     sr = codegree_structure(h)
     if sr.branch == "matching-cut":
         cut, metrics = conditioned_matching_cut(h, sr.matching, r, params.trials, params.seed)
-        enter("matching-cut", cut, f"conditioned matching cut ({len(sr.matching)} pairs)", None, metrics)
-
-    complement = sorted(set(range(n)) - sr.u_set)
+        claim = f"conditioned matching cut ({len(sr.matching)} pairs)"
+        routes.append(Route.of("matching-cut", cut, metrics, claim))
+    complement = sorted(set(range(h.n_vertices)) - sr.u_set)
     if len(complement) >= r:
         cut, metrics = dense_subset_cut(h, complement, r, params.trials, params.seed)
-        enter("dense-subset", cut, "equitable cut of the heavy complement", None, metrics)
-
+        routes.append(Route.of("dense-subset", cut, metrics, "equitable cut of the heavy complement"))
     try:
-        driver_cut, metrics, driver_ledger = _dispatch_driver(h, r, k, sr, params)
-        ledger.extend(driver_ledger, prefix="pipeline: ")
-        enter("pipeline", driver_cut, metrics=metrics)
+        routes.append(_dispatch_driver(h, r, k, sr, params))
     except (SearchFailed, DriverInapplicable):
         pass
 
-    _, _, top = min(scored, key=lambda s: (-s[0], s[1]))
-    best = point_local_search(h, top)
+    ledger = GuaranteeLedger()
+    for route in routes:
+        ledger.extend(route.ledger, prefix="pipeline: " if route.name == "pipeline" else "")
+    top = min(routes, key=lambda route: (-route.metrics.size, route.name))
+    best = point_local_search(h, top.cut)
     final = cut_metrics(h, best)
     ledger.add("best-of selection with local moves", ledger.instance_promise(), final.excess)
     ledger.assert_ok()
@@ -787,29 +787,28 @@ def _carry_back(red, sub_cut, sub_ledger, prefix: str, claim: str):
     return cut, metrics, ledger
 
 
-def _dispatch_driver(h, r, k, sr: StructureReport, params):
-    """Route to the structural driver fitting (r, k), certified end to end:
-    (cut, its metrics, ledger).
-
-    Raises ``DriverInapplicable`` with the reason when no driver fits.
-    """
+def _dispatch_driver(h, r, k, sr: StructureReport, params) -> Route:
+    """The structural driver fitting (r, k) as the route "pipeline", certified
+    end to end; ``DriverInapplicable`` with the reason when none fits."""
     if sr.branch == "matching-cut":
         raise DriverInapplicable("no driver on the matching-cut branch")
     if r == 3 and k == 3:
-        return driver_3cut(h, sr.u_set, params)
-    if r == 2 and k >= 4:
-        return driver_2cut(h, params, u_set=sr.u_set)
-    if 3 <= r <= k - 2:
-        return _driver_expose(h, r, 2, sr, params)
-    if r == k - 1 and k >= 4:
+        found = driver_3cut(h, sr.u_set, params)
+    elif r == 2 and k >= 4:
+        found = driver_2cut(h, params, u_set=sr.u_set)
+    elif 3 <= r <= k - 2:
+        found = _driver_expose(h, r, 2, sr, params)
+    elif r == k - 1 and k >= 4:
         if not h.edges_all_of_size(k):
             raise DriverInapplicable("subset expansion needs a k-uniform instance")
         red = rgraph_expand(h, r)
         sub_cut, sub_ledger = solve(red.forward, r, params)
-        return _carry_back(red, sub_cut, sub_ledger, "subset-expansion ", "subset-expansion halving")
-    if r == k and k > 3:
-        return _driver_expose(h, r, 3, sr, params)
-    raise DriverInapplicable(f"no driver for r={r}, k={k}")
+        found = _carry_back(red, sub_cut, sub_ledger, "subset-expansion ", "subset-expansion halving")
+    elif r == k and k > 3:
+        found = _driver_expose(h, r, 3, sr, params)
+    else:
+        raise DriverInapplicable(f"no driver for r={r}, k={k}")
+    return Route("pipeline", *found)
 
 
 def _driver_expose(h, r, keep, sr, params):

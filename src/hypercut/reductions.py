@@ -203,13 +203,15 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
     The forward instance on W holds two copies of each edge inside W and
     a stub e∩W for each edge whose exposed remainder shows only one part.
     Completing a 2-cut phi of the forward instance with rho, the better
-    of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]) where
-    x' is phi's forward excess, the ``transfer`` of x'; the underlying
-    average-size identity and that inequality are checked exactly on every
-    back-map, which returns the better side with its metrics.  E[Z|rho] is read off the built forward instance: half
-    its uniform 2-cut expectation, plus 1/2 per stub and 1 per edge whose
-    exposed vertices show both parts; the back-map certifies that value
-    against ``partial_average_size`` on h.
+    of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]), where
+    x' is phi's forward excess; that bound is the ``transfer`` of x'.  Every
+    back-map checks it, and the average-size identity under it, exactly,
+    and returns the better side with its metrics.
+
+    E[Z|rho] is read off the built forward instance: half its uniform
+    2-cut expectation, plus 1/2 per stub and 1 per edge whose exposed
+    vertices show both parts.  The back-map certifies that value against
+    ``partial_average_size`` on h.
     """
     w = frozenset(w_set)
     outside = set(range(h.n_vertices)) - w

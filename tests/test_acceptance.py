@@ -9,9 +9,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
-
-import pytest
 
 from hypercut.core import build
 from hypercut.cutspace import (
@@ -24,7 +21,6 @@ from hypercut.cutspace import (
 from hypercut.derand import (
     combine_partial_cuts,
     erdos_selfridge_2cut,
-    first_two_vertex_set,
     order_for_W,
 )
 from hypercut.instances import (

@@ -319,13 +319,13 @@ def test_cut_greedy_returns_the_greedy_route_cut(spec):
     # --algo greedy runs solve's greedy route on any instance, with one advisory line
     h = generate(spec)
     cut, ledger = _run_algorithm(h, "greedy", 2, 32, 5)
-    want, metrics, promise = greedy_route(h, order_for_W(h, 8, 5))
-    assert cut == want
+    route = greedy_route(h, order_for_W(h, 8, 5))
+    assert cut == route.cut
     (entry,) = ledger.entries
     assert (entry.claim, entry.promised, entry.status) == ("pair-expansion greedy gains", None, "advisory")
-    assert entry.realized == metrics.excess == cut_metrics(h, cut).excess
+    assert entry.realized == route.metrics.excess == cut_metrics(h, cut).excess
     # only the triangle expansion of a 3-graph certifies a promise
-    assert (promise is not None) == h.edges_all_of_size(3)
+    assert bool(route.ledger.entries) == h.edges_all_of_size(3)
 
 
 def test_gen_infeasible_exit_code(capsys):

@@ -34,6 +34,7 @@ from hypercut.pipeline import (
 
 import conftest
 from conftest import plain_double_exposure, plain_greedy_part
+from test_cli_snapshot import corpus_runs
 from test_derand import random_mixed
 from test_state_codes import instances
 
@@ -49,7 +50,7 @@ def test_arity_checks_read_the_size_histogram():
     with pytest.raises(DriverInapplicable, match="driver_3cut needs edge sizes at most 3"):
         driver_3cut(mixed, range(7), PARAMS)
     # r = 3 on a mixed instance: no lift, so the engine runs on an exposure of part 3
-    assert pipeline.es_route(mixed, 3, PARAMS, GuaranteeLedger())[0] == "es-expose"
+    assert pipeline.es_route(mixed, 3, PARAMS).name == "es-expose"
     with pytest.raises(DriverInapplicable, match="subset expansion needs a k-uniform instance"):
         pipeline._dispatch_driver(mixed, 3, 4, codegree_structure(mixed), PARAMS)
     # driver_2cut needs m/(4k) edges of size >= 4: two of five are enough, none is not
@@ -468,8 +469,9 @@ def test_solve_scores_the_driver_cut_once(monkeypatch):
     import hypercut.cutspace as cutspace
 
     h, params = _sts(21), PipelineParams(trials=8, seed=5)
-    cut, metrics, _ = pipeline._dispatch_driver(h, 3, 3, codegree_structure(h), params)
-    assert metrics == cut_metrics(h, cut)
+    route = pipeline._dispatch_driver(h, 3, 3, codegree_structure(h), params)
+    cut = route.cut
+    assert route.metrics == cut_metrics(h, cut)
 
     scored = []
     real = cutspace.cut_metrics
@@ -485,6 +487,29 @@ def test_solve_scores_the_driver_cut_once(monkeypatch):
     assert ledger.entries[-2].claim == "pipeline: deleted-edge restoration"
     assert scored.count((True, cut.assignment)) == 1
     assert len(scored) == 40  # 41 when solve scored the driver's cut again
+
+
+def test_each_route_scores_its_own_cut_and_lines():
+    # a route's metrics are its cut's, and its instance lines realize that excess
+    params = PipelineParams(trials=8, seed=3)
+    for _, h, r in corpus_runs():
+        sr = codegree_structure(h)
+        makers = [
+            lambda: pipeline.chromatic_route(h, r, params),
+            lambda: pipeline.es_route(h, r, params),
+            lambda: pipeline._dispatch_driver(h, r, pipeline.check_parts(h, r), sr, params),
+        ]
+        if r == 2:
+            makers.append(lambda: pipeline.greedy_route(h, pipeline.engine_order(h, params)))
+        for make in makers:
+            try:
+                route = make()
+            except (SearchFailed, DriverInapplicable):
+                continue
+            assert route.metrics == cut_metrics(h, route.cut)
+            for entry in route.ledger.entries:
+                if entry.scope == "instance":
+                    assert entry.realized == route.metrics.excess
 
 
 @pytest.mark.parametrize(
@@ -632,8 +657,6 @@ def test_codegree_structure_core_size_bound():
 
 
 def test_ledger_floor_ignores_stage_promises():
-    from hypercut.pipeline import GuaranteeLedger
-
     ledger = GuaranteeLedger()
     ledger.add("forward-stage claim", Fraction(5), Fraction(6), scope="stage")
     ledger.add("instance claim", Fraction(1, 2), Fraction(2))
