@@ -170,22 +170,14 @@ def _cmd_exact(args) -> int:
 
 
 def _connected(h: Hypergraph) -> bool:
-    if h.n_vertices == 0:
-        return True
-    parent = list(range(h.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in h.edges:
-        for v in e[1:]:
-            ra, rb = find(e[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in range(h.n_vertices)}) == 1
+    todo = [0] if h.n_vertices else []  # a search from vertex 0 over shared edges
+    reached = set(todo)
+    while todo:
+        for ei in h.incidence[todo.pop()]:
+            new = set(h.edges[ei]) - reached
+            reached |= new
+            todo += new
+    return len(reached) == h.n_vertices
 
 
 def _cmd_bounds(args) -> int:

@@ -1,18 +1,18 @@
 """Immutable mixed multihypergraph and pair-graph data model.
 
-Vertices are dense 0-based integers.  Edges are stored as strictly
-increasing tuples; coincident edges are kept as distinct entries, so
-multiplicity is a first-class concept.  A multigraph is a
-``WeightedGraph`` with integer weights, the pair multiplicities.
-Instances never change their value after construction and every
-operation here is pure; a ``Hypergraph`` builds its padded edge array,
-its row sizes and its incidence tuples on first use and keeps them,
-outside its equality and hash.  An instance cut out of another's array
-(``without_edges``, the exposure reductions) gets that array when it is
-built.  Every pass that only counts (degrees, codegrees, clique weights,
+Vertices are dense 0-based integers.  A ``Hypergraph`` keeps its edges in
+one read-only padded array, a row per edge: its vertices increasing, then
+the padding vertex n.  Coincident edges are distinct rows, so
+multiplicity is a first-class concept, and equality compares n,
+max_arity and the edges in order.  ``Hypergraph.from_rows`` makes every
+instance, from rows that ``build`` checks or that another instance's
+array gives.  A multigraph is a ``WeightedGraph`` with integer weights,
+the pair multiplicities.  Instances never change their value after
+construction and every operation here is pure; a ``Hypergraph`` derives
+its row sizes, incidence tuples and edge tuples on first use and keeps
+them.  Every pass that only counts (degrees, codegrees, clique weights,
 incidences, size histograms, induced edges, within-part pairs) is
-whole-array numpy work over that edge array, and returns exact Python
-ints.
+whole-array numpy work over that edge array, and returns exact Python ints.
 """
 
 from __future__ import annotations
@@ -21,38 +21,50 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidEdge, InvalidParams, InvalidVertex
 
-Edge = tuple[int, ...]
 Weight = int | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """A mixed k-multihypergraph: edge sizes <= max_arity, repeats allowed."""
+    """A mixed k-multihypergraph: edge sizes <= max_arity, repeats allowed;
+    ``edge_array`` is its one edge representation, ``from_rows`` makes every
+    instance, and equality compares n, max_arity and the edges in order."""
 
     n_vertices: int
     max_arity: int
-    edges: tuple[Edge, ...]
+    edge_array: np.ndarray  # (m, w), w the largest realized edge size
+
+    @classmethod
+    def from_rows(cls, n: int, max_arity: int, rows: np.ndarray) -> "Hypergraph":
+        """The instance with a read-only copy of ``rows`` trimmed to its widest edge."""
+        arr = np.array(rows[:, : (rows != n).sum(axis=1).max(initial=0)], dtype=np.intp)
+        arr.flags.writeable = False
+        return cls(n, max_arity, arr)
+
+    def _key(self) -> tuple:
+        return self.n_vertices, self.max_arity, self.edge_array.shape, self.edge_array.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Hypergraph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Read-only (m, w) vertex array, w the largest realized edge size;
-        shorter edges are padded with the sentinel vertex n."""
-        w = max((len(e) for e in self.edges), default=0)
-        pad = (self.n_vertices,) * w
-        arr = np.array([e + pad[len(e):] for e in self.edges], dtype=np.intp)
-        arr = arr.reshape(self.m, w)
-        arr.flags.writeable = False
-        return arr
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as increasing vertex tuples, in row order, built once."""
+        rows, sizes = self.edge_array.tolist(), self.edge_sizes.tolist()
+        return tuple(tuple(row[:s]) for row, s in zip(rows, sizes))
 
     @cached_property
     def edge_sizes(self) -> np.ndarray:
@@ -105,23 +117,7 @@ class Hypergraph:
         """Copy with the edges at the given indices removed."""
         kept = np.ones(self.m, dtype=bool)
         kept[[i for i in drop if 0 <= i < self.m]] = False
-        return Hypergraph._from_rows(self.n_vertices, self.max_arity, self.edge_array[kept])
-
-    @classmethod
-    def _from_rows(cls, n: int, max_arity: int, rows: np.ndarray) -> "Hypergraph":
-        """The instance whose padded edge array is ``rows`` trimmed to its widest edge.
-
-        Each row holds one edge's vertices in increasing order, then the
-        padding vertex n.  The edges are read off the rows, and the trimmed
-        array fills the ``edge_array`` cache: the very array the edges
-        would build, so no caller rebuilds it from tuples.
-        """
-        sizes = (rows != n).sum(axis=1)
-        arr = np.array(rows[:, : sizes.max(initial=0)], dtype=np.intp)
-        h = cls(n, max_arity, tuple(tuple(row[:s]) for row, s in zip(arr.tolist(), sizes.tolist())))
-        arr.flags.writeable = False
-        h.__dict__["edge_array"] = arr  # where cached_property keeps it
-        return h
+        return Hypergraph.from_rows(self.n_vertices, self.max_arity, self.edge_array[kept])
 
 
 @dataclass(frozen=True)
@@ -170,26 +166,37 @@ def build(n: int, raw_edges, max_arity: int | None = None) -> Hypergraph:
     declare a bound larger than any realized edge size (mixed semantics);
     by default it is the largest realized size.
     """
-    if n < 0:
-        raise InvalidParams(f"negative vertex count {n}")
+    if not 0 <= n <= np.iinfo(np.intp).max:  # n pads the edge array
+        raise InvalidParams(f"vertex count {n} is negative or too large")
     if max_arity is not None and max_arity < 0:
         raise InvalidParams(f"negative max_arity {max_arity}")
-    edges: list[Edge] = []
-    realized = 0
-    for raw in raw_edges:
-        e = tuple(sorted(raw))
-        if len(e) == 0:
-            raise InvalidEdge("empty edge")
-        if any(e[i] == e[i + 1] for i in range(len(e) - 1)):
-            raise InvalidEdge(f"repeated vertex inside edge {raw!r}")
-        if e[0] < 0 or e[-1] >= n:
-            raise InvalidVertex(f"vertex id out of range in edge {raw!r} (n={n})")
-        realized = max(realized, len(e))
-        edges.append(e)
+    raw_edges = list(raw_edges)
+    flat = list(chain.from_iterable(raw_edges))
+    sizes = np.fromiter(map(len, raw_edges), dtype=np.intp, count=len(raw_edges))
+    if flat and not 0 <= min(flat) <= max(flat) < n or not sizes.all():
+        _reject(raw_edges, n)
+    realized = int(sizes.max(initial=0))
+    rows = np.full((len(sizes), realized), n, dtype=np.intp)
+    rows[np.arange(realized) < sizes[:, None]] = flat  # each row's first entries, in row order
+    rows.sort(axis=1)  # the padding n sorts last
+    if ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != n)).any():
+        _reject(raw_edges, n)
     k = realized if max_arity is None else max_arity
     if k < realized:
         raise InvalidEdge(f"declared max_arity {k} below realized edge size {realized}")
-    return Hypergraph(n, k, tuple(edges))
+    return Hypergraph.from_rows(n, k, rows)
+
+
+def _reject(raw_edges, n: int) -> None:
+    """Raise the error of the first raw edge that is no edge of an n-vertex instance."""
+    for raw in raw_edges:
+        e = sorted(raw)
+        if not e:
+            raise InvalidEdge("empty edge")
+        if any(a == b for a, b in zip(e, e[1:])):
+            raise InvalidEdge(f"repeated vertex inside edge {raw!r}")
+        if e[0] < 0 or e[-1] >= n:
+            raise InvalidVertex(f"vertex id out of range in edge {raw!r} (n={n})")
 
 
 def part_labels(n: int, parts, who: str) -> np.ndarray:
@@ -264,8 +271,7 @@ def induce(h: Hypergraph, u_set) -> Hypergraph:
 
     Vertex ids are preserved; the result lives on the same [0, n) id space.
     """
-    kept = tuple(compress(h.edges, h.inside_rows(u_set).tolist()))
-    return Hypergraph(h.n_vertices, h.max_arity, kept)
+    return Hypergraph.from_rows(h.n_vertices, h.max_arity, h.edge_array[h.inside_rows(u_set)])
 
 
 def clique_expand(h: Hypergraph) -> WeightedGraph:

@@ -601,7 +601,7 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
     n = h.n_vertices
     if len(cut.assignment) != n:
         raise InvalidCut("assignment length mismatch")
-    inc, edges = h.incidence, h.edges
+    inc, rows = h.incidence, h.edge_array.tolist()
     part = list(cut.assignment)
     base = h.edge_array.shape[1] + 1
     unit = [0] + [base**p for p in range(r)]
@@ -616,8 +616,10 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
 
     missing_of = _Memo(only_missing)
     tally = Counter()  # reused: v's edges by code
-    dirty = [True] * n  # moved, or an edge's code changed, since the last evaluation
-    while any(dirty):
+    # moved, or an edge's code changed, since the last evaluation; entry n,
+    # which the padding vertex in an edge's row marks, is never read
+    dirty = [True] * (n + 1)
+    while any(dirty[:n]):
         for v in range(n):
             if not dirty[v]:
                 continue
@@ -641,7 +643,7 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
                 step = unit[q] - up
                 for ei in inc[v]:
                     code[ei] += step
-                    for u in edges[ei]:
+                    for u in rows[ei]:
                         dirty[u] = True
                 part[v] = q
     return Cut(r, tuple(part))

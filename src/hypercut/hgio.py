@@ -15,7 +15,7 @@ from .errors import InvalidParams
 def serialize(h: Hypergraph) -> str:
     lines = [f"hg 1 {h.max_arity} {h.n_vertices} {h.m}"]
     for e in h.edges:
-        lines.append(" ".join(str(v) for v in e))
+        lines.append(" ".join(map(str, e)))
     return "\n".join(lines) + "\n"
 
 

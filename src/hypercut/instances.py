@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import Hypergraph, build
+from .core import Hypergraph, build, degree_profile
 from .cutspace import Cut, expected_fraction
 from .errors import InvalidEdge, InvalidParams, InvalidVertex, OracleInfeasible
 
@@ -79,17 +79,15 @@ def _sts_skolem(n: int) -> list[list[int]]:
 
 def validate_steiner(h: Hypergraph) -> None:
     """Every pair of vertices must lie in exactly one triple."""
-    seen = set()
-    for e in h.edges:
-        if len(e) != 3:
-            raise InvalidParams("Steiner systems are 3-uniform")
-        for pair in combinations(e, 2):
-            if pair in seen:
-                raise InvalidParams(f"pair {pair} covered twice")
-            seen.add(pair)
+    if not h.edges_all_of_size(3):
+        raise InvalidParams("Steiner systems are 3-uniform")
+    codegree = degree_profile(h).codegree
+    twice = next((pair for pair, c in codegree.items() if c > 1), None)
+    if twice is not None:
+        raise InvalidParams(f"pair {twice} covered twice")
     want = h.n_vertices * (h.n_vertices - 1) // 2
-    if len(seen) != want:
-        raise InvalidParams(f"covered {len(seen)} pairs, expected {want}")
+    if len(codegree) != want:
+        raise InvalidParams(f"covered {len(codegree)} pairs, expected {want}")
 
 
 def generate(spec: GenSpec) -> Hypergraph:
@@ -225,12 +223,11 @@ def exact_maxcut(h: Hypergraph, r: int) -> tuple[int, Cut]:
         raise OracleInfeasible(f"n={n} exceeds the r={r} enumeration limit {limit}")
     if r == 2:
         return _exact_maxcut_2(h)
-    edges = [tuple(e) for e in h.edges]
     best_value = -1
     best = None
     full = frozenset(range(r))
     for a in _rgs_strings(n, r):
-        value = sum(1 for e in edges if {a[v] for v in e} == full)
+        value = sum(1 for e in h.edges if {a[v] for v in e} == full)
         if value > best_value:
             best_value = value
             best = tuple(p + 1 for p in a)

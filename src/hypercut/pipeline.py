@@ -504,7 +504,7 @@ def driver_3cut(
         red = hpart_expose(hd, 3, rho, keep=2)  # its back-map certifies the transfer
         # forward edges are pairs of starred vertices
         internal = defaultdict(list)
-        for u, v in red.forward.edges:
+        for u, v in red.forward.edge_array.tolist():
             pu = part_of.get(u)
             if pu is not None and pu == part_of.get(v):
                 internal[pu].append((u, v, 1))
@@ -544,9 +544,10 @@ def driver_2cut(
     # pairs (property iii), so that pair is the edge's only one
     _, vertex, i, j, together = within_part_pairs(h, part_labels(n, gp.parts, "driver_2cut"), kept)
     r, c = np.nonzero(together)
+    rows, sizes = h.edge_array[kept[r]].tolist(), h.edge_sizes[kept[r]].tolist()
     paired = [
-        (h.edges[e], (u, v))
-        for e, u, v in zip(kept[r].tolist(), vertex[r, i[c]].tolist(), vertex[r, j[c]].tolist())
+        (row[:s], (u, v))  # trimmed: the padding vertex n, never in W, would count as outside
+        for row, s, u, v in zip(rows, sizes, vertex[r, i[c]].tolist(), vertex[r, j[c]].tolist())
     ]
 
     def trial(hd, rng):

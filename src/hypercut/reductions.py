@@ -98,8 +98,9 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
         raise InvalidArity("rgraph_expand needs a k-uniform hypergraph")
     if r != k - 1 or r < 3:
         raise InvalidParams(f"rgraph_expand needs r = k-1 >= 3, got r={r}, k={k}")
-    sub_edges = [c for e in h.edges for c in combinations(e, r)]
-    forward = Hypergraph(h.n_vertices, r, tuple(sub_edges))
+    subsets = list(combinations(range(k), r))  # each row's, in edge order; edgeless is (0, 0)
+    rows = h.edge_array.reshape(h.m, k)[:, subsets].reshape(-1, r)
+    forward = Hypergraph.from_rows(h.n_vertices, r, rows)
 
     def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
         if cut.r != r or len(cut.assignment) != h.n_vertices:
@@ -169,7 +170,7 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
     image = labels[h.edge_array]
     covered = np.logical_and.reduce([(image == p).any(axis=1) for p in exposed])
     kept = np.flatnonzero(covered & ((image == 0).sum(axis=1) >= keep))
-    forward = Hypergraph._from_rows(
+    forward = Hypergraph.from_rows(
         h.n_vertices, h.max_arity - r + keep, _unexposed_rows(h, labels, kept)
     )
     cond, base = uniform_expected_size(forward, keep), uniform_expected_size(h, r)
@@ -234,7 +235,7 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
     kept = np.flatnonzero(doubled | stub)
     # each doubled edge's two copies sit next to each other
     rows = np.repeat(_unexposed_rows(h, labels, kept), doubled[kept] + 1, axis=0)
-    forward = Hypergraph._from_rows(h.n_vertices, h.max_arity, rows)
+    forward = Hypergraph.from_rows(h.n_vertices, h.max_arity, rows)
     cond = uniform_expected_size(forward, 2) / 2 + Fraction(n_undet, 2) + n_multi
     base = uniform_expected_size(h, 2)
 

@@ -591,7 +591,7 @@ def plain_good_partition_search(h, h_sub, vertex_set, params, seed=None):
                 kept_sub[e] -= 1
         h_del = h.without_edges(drop)
         sub_del_edges = [e for e, c in kept_sub.items() for _ in range(c)]
-        sub_del = Hypergraph(h.n_vertices, h_sub.max_arity, tuple(sub_del_edges))
+        sub_del = build(h.n_vertices, sub_del_edges, max_arity=h_sub.max_arity)
         post = plain_goodness_audit(h_del, sub_del, parts, vset)
         if (
             post.violations_spread

@@ -12,6 +12,7 @@ from hypercut.core import (
 from hypercut.cutspace import Cut
 from hypercut.derand import first_two_vertex_set, point_local_search
 from hypercut.errors import InvalidEdge, InvalidParams, InvalidVertex
+from hypercut.hgio import parse, serialize
 
 from conftest import (
     FANO_LINES,
@@ -80,6 +81,68 @@ def test_build_rejects_negative_arity():
 def test_build_canonicalizes_order():
     h = build(4, [[3, 1, 0]])
     assert h.edges == ((0, 1, 3),)
+
+
+# Pairs of instances that differ in one thing the edge representation must
+# see: how often an edge repeats, the order of the edges, mixed sizes
+# padded, the array's shape when its entries agree, a declared max_arity
+# above the realized one, and the edgeless instance.
+REPRESENTATION_CASES = {
+    "repeats": (build(4, [[0, 1], [0, 1], [2, 3]]), build(4, [[0, 1], [2, 3], [2, 3]])),
+    "order": (build(4, [[0, 1], [2, 3]]), build(4, [[2, 3], [0, 1]])),
+    "mixed": (build(5, [[4, 3], [2], [0, 1, 3]]), build(5, [[4, 3], [2], [0, 1, 2]])),
+    "shape": (build(5, [[0, 1], [2, 3]], max_arity=4), build(5, [[0, 1, 2, 3]])),
+    "declared arity": (build(3, [[0, 1]], max_arity=3), build(3, [[0, 1]])),
+    "edgeless": (build(3, []), build(4, [])),
+}
+
+
+@pytest.mark.parametrize("case", REPRESENTATION_CASES)
+def test_equality_and_hash_follow_the_edges_in_order(case):
+    h, other = REPRESENTATION_CASES[case]
+    n, k = h.n_vertices, h.max_arity
+    again = build(n, [list(e) for e in h.edges], max_arity=k)
+    assert again == h and hash(again) == hash(h)
+    assert h != other and other != h
+    assert h != h.edges  # an instance equals no tuple of its edges
+
+
+def test_without_the_widest_edge_equals_the_build_of_the_rest():
+    h = build(6, [[0, 1], [1, 2, 3, 4, 5], [2], [2, 3, 4]], max_arity=5)
+    for drop, rest in (({1}, [[0, 1], [2], [2, 3, 4]]), ({1, 3}, [[0, 1], [2]])):
+        got, want = h.without_edges(drop), build(6, rest, max_arity=5)
+        assert got == want and hash(got) == hash(want)
+        assert got.edge_array.shape == want.edge_array.shape == (len(rest), max(map(len, rest)))
+    assert h.without_edges(set(range(h.m))) == build(6, [], max_arity=5)
+    assert h.without_edges(set(range(h.m))).edge_array.shape == (0, 0)
+
+
+@pytest.mark.parametrize("case", REPRESENTATION_CASES)
+def test_edges_are_derived_once_in_build_order(case):
+    for h in REPRESENTATION_CASES[case]:
+        assert h.edges is h.edges  # cached
+        rows = h.edge_array.tolist()
+        assert h.edges == tuple(tuple(v for v in row if v != h.n_vertices) for row in rows)
+    h = build(6, [[5, 0], [3], [4, 2, 1], [5, 0]])
+    assert h.edges == ((0, 5), (3,), (1, 2, 4), (0, 5))
+    assert h.edge_array.tolist() == [[0, 5, 6], [3, 6, 6], [1, 2, 4], [0, 5, 6]]
+
+
+@pytest.mark.parametrize("case", REPRESENTATION_CASES)
+def test_edge_array_is_read_only(case):
+    for h in REPRESENTATION_CASES[case]:
+        assert not h.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            h.edge_array[...] = 0
+
+
+@pytest.mark.parametrize("case", REPRESENTATION_CASES)
+def test_hgio_round_trips_are_exact(case):
+    for h in REPRESENTATION_CASES[case]:
+        text = serialize(h)
+        back = parse(text)
+        assert back == h and serialize(back) == text
+        assert back.edges == h.edges and back.max_arity == h.max_arity
 
 
 def test_degree_profile_fano(fano):

@@ -32,6 +32,16 @@ def test_sts_valid_and_sized(n):
     validate_steiner(h)  # every pair exactly once
 
 
+def test_validate_steiner_names_what_fails(fano):
+    lines = [list(e) for e in fano.edges]
+    with pytest.raises(InvalidParams, match=r"^pair \(0, 1\) covered twice$"):
+        validate_steiner(build(7, [*lines, [0, 1, 2]]))
+    with pytest.raises(InvalidParams, match=r"^covered 18 pairs, expected 21$"):
+        validate_steiner(build(7, lines[1:]))
+    with pytest.raises(InvalidParams, match=r"^Steiner systems are 3-uniform$"):
+        validate_steiner(build(7, [*lines[1:], [0, 1], [0, 2], [1, 2]]))
+
+
 def test_sts_infeasible():
     for n in (8, 11, 12):
         with pytest.raises(InvalidParams):

@@ -310,7 +310,7 @@ def assert_array_given_at_build(forward):
     edge array its edge tuples would build."""
     assert "edge_array" in forward.__dict__  # set by the reduction, not on first use
     got = forward.edge_array
-    want = Hypergraph(forward.n_vertices, forward.max_arity, forward.edges).edge_array
+    want = build(forward.n_vertices, forward.edges, max_arity=forward.max_arity).edge_array
     assert got.shape == want.shape and got.dtype == want.dtype
     assert not got.flags.writeable
     assert np.array_equal(got, want)
