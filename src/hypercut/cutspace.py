@@ -6,12 +6,13 @@ probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
 ``multicolour_table`` carries the uniform-completion probabilities as
 integers scaled by r^(k-1), the one form the derandomization engines use.
-Every function here takes a ``Hypergraph``; a multigraph is a 2-uniform
-one with repeated edges.  ``cut_metrics`` is the one hypergraph cut
-scorer: each part owns one bit, each edge ORs its vertices' bits over the
-columns of the instance's padded edge array, and an edge is multicoloured
-when the popcount of its OR is r, an exact integer count; its expectation
-is cached per (size histogram, r).  The partial-cut oracles
+Every function here takes a ``Hypergraph``, repeated edges allowed; a
+multigraph is ``core``'s integer-weighted ``WeightedGraph``, never read
+here.  ``cut_metrics`` is the one hypergraph cut scorer: each part owns
+one bit, each edge ORs its vertices' bits over the columns of the
+instance's padded edge array, and an edge is multicoloured when the
+popcount of its OR is r, an exact integer count; its expectation is
+cached per (size histogram, r).  The partial-cut oracles
 ``partial_average_size`` and ``partial_average_excesses`` count each
 edge's (missing-part, free-vertex) key with numpy over the same array;
 their sums stay exact, integer numerators built from
@@ -68,21 +69,11 @@ class CutMetrics:
     excess: Fraction
 
 
-@lru_cache(maxsize=None)
-def stirling2(k: int, r: int) -> int:
-    """Number of unlabelled partitions of a k-set into r nonempty sets."""
-    if k == 0 and r == 0:
-        return 1
-    if k == 0 or r == 0 or r > k:
-        return 0
-    return r * stirling2(k - 1, r) + stirling2(k - 1, r - 1)
-
-
 def expected_fraction(k: int, r: int) -> Fraction:
     """Probability a size-k edge is multicoloured under a uniform r-cut."""
     if r < 2 or r > k:
         raise InvalidParams(f"expected_fraction needs 2 <= r <= k, got k={k}, r={r}")
-    return Fraction(stirling2(k, r) * math.factorial(r), r**k)
+    return _inclusion_exclusion(r, k, r)
 
 
 @lru_cache(maxsize=None)

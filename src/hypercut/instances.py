@@ -315,6 +315,8 @@ def moment_audit(h: Hypergraph, w_set, pair, samples: int, seed) -> MomentAudit:
         raise InvalidParams("need at least 10^4 samples")
     w = frozenset(w_set)
     u, v = pair
+    if u == v:
+        raise InvalidParams(f"the audited pair repeats vertex {u}")
     if u not in w or v not in w:
         raise InvalidParams("the audited pair must lie inside W")
     random_edges = []

@@ -31,10 +31,8 @@ from .core import (
 from .cutspace import (
     Cut,
     CutMetrics,
-    PartialCut,
     best_cut,
     cut_metrics,
-    partial_average_size,
     uniform_expected_size,
 )
 from .derand import (
@@ -470,17 +468,15 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
 def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
     """First doubled exposure of the vertices outside W meeting E[Z], or None.
 
-    Each draw rho is tested on h alone, E[Z | rho] >= E[Z], before anything
-    is built; only the accepted draw goes through ``hpart_double``, whose
-    back-map certifies the value it reads off its forward instance
-    against the same oracle.
+    Each draw rho is built by ``hpart_double`` and kept when its average
+    excess E[Z | rho] - E[Z] is nonnegative, the value its back-map
+    certifies; the rule ``_exposures`` applies.
     """
     outside = [v for v in range(h.n_vertices) if v not in w]
-    base = uniform_expected_size(h, 2)
     for _ in range(params.retry_budget):
-        rho = {v: rng.choice((1, 2)) for v in outside}
-        if partial_average_size(h, PartialCut(2, rho)) >= base:
-            return hpart_double(h, w, rho)
+        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
+        if red.average_excess >= 0:
+            return red
     return None
 
 

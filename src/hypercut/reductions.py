@@ -5,14 +5,17 @@ forward instance into a cut of the original and verifies the exact size
 relation on the spot; a mismatch raises ``CertificateError`` and means a
 bug, never bad input.  It returns the original cut together with the
 ``CutMetrics`` its certificate computed for it, so callers never score
-that cut again.  A partial exposure (``Exposure``) also reads E[Z | rho]
-off its forward instance, and its back-map certifies that value against
-an oracle on the original.  The proofs chain several of these
-reductions, so this per-run checking is the artifact's central safety
-mechanism.  Each reduction also carries ``transfer(p)``, the excess its
-back-map guarantees the original cut when the forward cut's excess is at
-least p, computed from the values its builder certified; callers chain
-promises through it and keep no transfer arithmetic of their own.
+that cut again.  Both expansions share one back-map, ``_halving``'s:
+forward size = 2 * original size.  A partial exposure (``Exposure``)
+also reads E[Z | rho] off its forward instance, and its back-map
+certifies that value against an oracle on the original; callers keep a
+draw by that certified ``average_excess`` alone.  The proofs chain
+several of these reductions, so this per-run checking is the artifact's
+central safety mechanism.  Each reduction also carries ``transfer(p)``,
+the excess its back-map guarantees the original cut when the forward
+cut's excess is at least p, computed from the values its builder
+certified; callers chain promises through it and keep no transfer
+arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -61,29 +64,34 @@ class Reduction:
     transfer: Callable[[Fraction], Fraction]
 
 
+def _halving(h: Hypergraph, r: int, forward, forward_size, name: str) -> Reduction:
+    """The reduction of h to an expansion on its vertices that doubles every
+    r-cut's size: the back-map certifies ``forward_size(cut)``, the cut
+    counted on ``forward``, against twice its size in h; excesses halve."""
+
+    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
+        if cut.r != r or len(cut.assignment) != h.n_vertices:
+            raise InvalidParams(f"expected a {r}-cut on the shared vertex set")
+        z_fwd = forward_size(cut)
+        metrics = cut_metrics(h, cut)
+        if z_fwd != 2 * metrics.size:
+            raise CertificateError(f"{name}: forward size {z_fwd} != 2*{metrics.size}")
+        return cut, metrics
+
+    return Reduction(forward, back_map, lambda p: p / 2)
+
+
 def expand_3graph(h: Hypergraph) -> Reduction:
     """3-graph 2-cuts as multigraph cuts on the triangle expansion.
 
     A 2-cut of size z in h is a cut of size exactly 2z in the 3m-edge
     multigraph, a ``WeightedGraph`` whose integer weights are the pair
-    multiplicities; the assignment is shared, and excesses halve too.
+    multiplicities; the assignment is shared.
     """
     if not h.edges_all_of_size(3):
         raise InvalidArity("expand_3graph needs a 3-uniform hypergraph")
     forward = clique_expand(h)
-
-    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
-        if cut.r != 2 or len(cut.assignment) != h.n_vertices:
-            raise InvalidParams("expected a 2-cut on the shared vertex set")
-        z_graph = forward.crossing_weight(cut.assignment)
-        metrics = cut_metrics(h, cut)
-        if z_graph != 2 * metrics.size:
-            raise CertificateError(
-                f"triangle expansion: multigraph size {z_graph} != 2*{metrics.size}"
-            )
-        return cut, metrics
-
-    return Reduction(forward, back_map, lambda p: p / 2)
+    return _halving(h, 2, forward, lambda c: forward.crossing_weight(c.assignment), "triangle expansion")
 
 
 def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
@@ -91,7 +99,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
 
     A multicoloured k-edge under k-1 parts repeats exactly one part, so
     exactly two of its k subsets are rainbow; non-multicoloured edges
-    contribute none.  Expected sizes halve the same way, so excesses do.
+    contribute none.
     """
     k = h.max_arity
     if not h.edges_all_of_size(k):
@@ -101,19 +109,7 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     subsets = list(combinations(range(k), r))  # each row's, in edge order; edgeless is (0, 0)
     rows = h.edge_array.reshape(h.m, k)[:, subsets].reshape(-1, r)
     forward = Hypergraph.from_rows(h.n_vertices, r, rows)
-
-    def back_map(cut: Cut) -> tuple[Cut, CutMetrics]:
-        if cut.r != r or len(cut.assignment) != h.n_vertices:
-            raise InvalidParams("expected an r-cut on the shared vertex set")
-        z_fwd = cut_metrics(forward, cut).size
-        metrics = cut_metrics(h, cut)
-        if z_fwd != 2 * metrics.size:
-            raise CertificateError(
-                f"subset expansion: forward size {z_fwd} != 2*{metrics.size}"
-            )
-        return cut, metrics
-
-    return Reduction(forward, back_map, lambda p: p / 2)
+    return _halving(h, r, forward, lambda c: cut_metrics(forward, c).size, "subset expansion")
 
 
 def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:

@@ -17,7 +17,13 @@ from math import comb, factorial
 import pytest
 
 from hypercut.core import Hypergraph, WeightedGraph, build
-from hypercut.cutspace import Cut, multicolour_table
+from hypercut.cutspace import (
+    Cut,
+    PartialCut,
+    multicolour_table,
+    partial_average_size,
+    uniform_expected_size,
+)
 from hypercut.derand import CombinePlan, EsLedger, greedy_on_adjacency
 from hypercut.errors import (
     CertificateError,
@@ -651,12 +657,14 @@ def plain_weighted_reduce(h, parts):
 
 
 def plain_double_exposure(h, w, rng, params):
-    """First doubled exposure meeting E[Z], each draw built and then tested."""
+    """First doubled exposure meeting E[Z], each draw tested on h by the oracle
+    before only the accepted one is built."""
     outside = [v for v in range(h.n_vertices) if v not in w]
+    base = uniform_expected_size(h, 2)
     for _ in range(params.retry_budget):
-        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
-        if red.conditional_size >= red.base_size:
-            return red
+        rho = {v: rng.choice((1, 2)) for v in outside}
+        if partial_average_size(h, PartialCut(2, rho)) >= base:
+            return hpart_double(h, w, rho)
     return None
 
 

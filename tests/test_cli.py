@@ -231,6 +231,8 @@ _MONO = (*_CHECK, "--kind", "monotonicity", "--r", "3")
                      id="pair-one-id"),
         pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1"), "InvalidParams",
                      id="pair-missing"),
+        pytest.param((*_CHECK, "--kind", "moments", "--w", "0,1", "--pair", "0,0"), "InvalidParams",
+                     id="pair-repeats-a-vertex"),
         pytest.param(("sweep", "--families", "sts", "--sizes", "9,x", "-o", "{out}"),
                      "InvalidParams", id="sweep-sizes-not-int"),
     ],

@@ -20,7 +20,6 @@ from hypercut.cutspace import (
     partial_average_excess,
     partial_average_excesses,
     partial_average_size,
-    stirling2,
     theorem_bound,
     theorem_bound_claim,
     uniform_expected_size,
@@ -51,13 +50,6 @@ def test_expected_fraction_rejects_bad_params():
     for k, r in [(3, 4), (3, 1), (2, 0)]:
         with pytest.raises(InvalidParams):
             expected_fraction(k, r)
-
-
-def test_stirling_base_cases():
-    assert stirling2(0, 0) == 1
-    assert stirling2(5, 1) == 1
-    assert stirling2(4, 2) == 7
-    assert stirling2(4, 5) == 0
 
 
 def _enumerate_multicolour(hit, free, r):

@@ -265,6 +265,12 @@ def test_moment_audit_disjoint_five_edges():
     assert res.kurtosis <= 9.0**3 * 1.1
 
 
+def test_moment_audit_rejects_a_pair_that_repeats_a_vertex():
+    h = build(4, [[0, 1, 2, 3]])
+    with pytest.raises(InvalidParams, match="repeats vertex 0"):
+        moment_audit(h, {0, 1}, (0, 0), samples=10_000, seed=0)
+
+
 def test_moment_audit_requires_samples():
     h = build(4, [[0, 1, 2, 3]])
     with pytest.raises(InvalidParams):

@@ -414,19 +414,21 @@ def test_driver_2cut_runs_the_average_excess_oracle_once_per_combine(monkeypatch
 
 
 def _check_double_exposure(h, w, seed, budget):
-    """``_double_exposure`` against the build-then-test loop it replaced;
+    """``_double_exposure`` against the oracle-first loop it replaced;
     returns its result."""
     params = PipelineParams(retry_budget=budget)
     rng, plain_rng = random.Random(seed), random.Random(seed)
     with mock.patch.object(pipeline, "hpart_double", wraps=pipeline.hpart_double) as built, \
-            mock.patch.object(conftest, "hpart_double", wraps=conftest.hpart_double) as plain_built:
+            mock.patch.object(conftest, "hpart_double", wraps=conftest.hpart_double) as plain_built, \
+            mock.patch.object(conftest, "partial_average_size",
+                              wraps=conftest.partial_average_size) as tested:
         got = pipeline._double_exposure(h, w, rng, params)
         want = plain_double_exposure(h, w, plain_rng, params)
     assert rng.getstate() == plain_rng.getstate()  # later draws read the same stream
+    assert built.call_count == tested.call_count  # one build per draw the oracle tested
     if want is None:
-        assert got is None and built.call_count == 0
+        assert got is None
         return got
-    assert built.call_count == 1  # only the accepted draw is built
     assert built.call_args == plain_built.call_args  # the same accepted rho
     assert got.forward.edges == want.forward.edges
     assert (got.conditional_size, got.base_size) == (want.conditional_size, want.base_size)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hypercut.reductions as reductions
 from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import (
     Cut,
@@ -138,6 +140,37 @@ def test_rgraph_random_certificates():
         red = rgraph_expand(h, k - 1)
         cut = Cut(k - 1, tuple(rng.randint(1, k - 1) for _ in range(n)))
         red.back_map(cut)
+
+
+def _triangle_count_one_too_high(monkeypatch):
+    real = WeightedGraph.crossing_weight
+    monkeypatch.setattr(WeightedGraph, "crossing_weight", lambda g, a: real(g, a) + 1)
+    return expand_3graph(build(3, [[0, 1, 2]])), Cut(2, (1, 1, 2))
+
+
+def _subset_count_one_too_high(monkeypatch):
+    red, real = rgraph_expand(build(4, [[0, 1, 2, 3]]), 3), reductions.cut_metrics
+
+    def counted(g, cut):
+        metrics = real(g, cut)
+        return replace(metrics, size=metrics.size + 1) if g is red.forward else metrics
+
+    monkeypatch.setattr(reductions, "cut_metrics", counted)
+    return red, Cut(3, (1, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "faulty, message",
+    [
+        (_triangle_count_one_too_high, "triangle expansion: forward size 3 != 2*1"),
+        (_subset_count_one_too_high, "subset expansion: forward size 3 != 2*1"),
+    ],
+)
+def test_expansion_back_maps_certify_the_halving(monkeypatch, faulty, message):
+    red, cut = faulty(monkeypatch)
+    with pytest.raises(CertificateError) as err:
+        red.back_map(cut)
+    assert str(err.value) == message
 
 
 # --------------------------------------------------------------- hpart_expose
