@@ -180,6 +180,14 @@ def _connected(h: Hypergraph) -> bool:
     return len(reached) == h.n_vertices
 
 
+#: The 2-cut bounds of a uniform instance, by its edge size: the bound in m,
+#: the bound in n of a connected instance, and the one with no isolated vertex.
+_UNIFORM_BOUNDS = {
+    2: ("graph-2cut-m", "connected-graph", "nonisolated-graph"),
+    3: ("sts-2cut", "connected-3graph", "nonisolated-3graph"),
+}
+
+
 def _cmd_bounds(args) -> int:
     h = hgio.load(args.instance)
     if args.r != 2:
@@ -189,18 +197,13 @@ def _cmd_bounds(args) -> int:
     uniform = k_real if h.m and h.edges_all_of_size(k_real) else None  # the one edge size, if any
     nonisolated = len(h.vertices_in_edges_of_size_at_least(1)) == h.n_vertices
     printed = []
-    if uniform == 2:
-        printed.append(("graph-2cut-m", theorem_bound("graph-2cut-m", m=h.m)))
+    if uniform in _UNIFORM_BOUNDS:
+        by_m, connected, by_n = _UNIFORM_BOUNDS[uniform]
+        printed.append((by_m, theorem_bound(by_m, m=h.m)))
         if _connected(h):
-            printed.append(("connected-graph", theorem_bound("connected-graph", n=h.n_vertices)))
+            printed.append((connected, theorem_bound(connected, n=h.n_vertices)))
         if nonisolated:
-            printed.append(("nonisolated-graph", theorem_bound("nonisolated-graph", n=h.n_vertices)))
-    if uniform == 3:
-        printed.append(("sts-2cut", theorem_bound("sts-2cut", m=h.m)))
-        if _connected(h):
-            printed.append(("connected-3graph", theorem_bound("connected-3graph", n=h.n_vertices)))
-        if nonisolated:
-            printed.append(("nonisolated-3graph", theorem_bound("nonisolated-3graph", n=h.n_vertices)))
+            printed.append((by_n, theorem_bound(by_n, n=h.n_vertices)))
     if k_real >= 3:
         n3 = len(h.vertices_in_edges_of_size_at_least(3))
         printed.append(("mixed-2cut-n", theorem_bound("mixed-2cut-n", k=k_real, n=n3)))

@@ -64,19 +64,12 @@ class EsLedger:
     w_set: frozenset
     guaranteed_excess: Fraction
     realized_excess: Fraction
-    expectation_trace: tuple[Fraction, ...]  # E Z_1 .. E Z_{n+1}
-
-
-@dataclass(frozen=True)
-class GreedyLedger:
-    realized_excess: Fraction
 
 
 @dataclass(frozen=True)
 class CombinePlan:
-    average_excesses: tuple
+    average_excesses: tuple  # its ``total`` is the combined promise
     realized_excess: Fraction
-    promised: Fraction  # the sum of the average excesses
 
 
 class _Memo(dict):
@@ -173,8 +166,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
-    ez = sum(c * table[2][s] for s, c in enumerate(h.size_histogram))
-    trace = [ez]
+    ez = base = sum(c * table[2][s] for s, c in enumerate(h.size_histogram))
     credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
     def snapshot(v):
@@ -275,7 +267,6 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
                 count_deferred(u, -1)
             if ez != before + best_delta:
                 raise CertificateError("factorized maximum disagrees with applied update")
-        trace.append(ez)
         snapshot(v)
 
     for w in list(deferred):
@@ -290,18 +281,12 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     if credit < len(w_set):
         raise GuaranteeViolation("determined-vertex credit fell below |W|")
     guaranteed = Fraction(credit, 2**k_eff)
-    realized_excess = Fraction(realized * scale - trace[0], scale)
+    realized_excess = Fraction(realized * scale - base, scale)
     if realized_excess < guaranteed:
         raise GuaranteeViolation(
             f"realized excess {realized_excess} below guarantee {guaranteed}"
         )
-    ledger = EsLedger(
-        w_set=w_set,
-        guaranteed_excess=guaranteed,
-        realized_excess=realized_excess,
-        expectation_trace=tuple(Fraction(t, scale) for t in trace),
-    )
-    return cut, ledger
+    return cut, EsLedger(w_set, guaranteed, realized_excess)
 
 
 def order_for_W(h: Hypergraph, trials: int, seed) -> list[int]:
@@ -355,11 +340,11 @@ def greedy_on_adjacency(adj: dict, order) -> tuple[dict, Fraction]:
     return part, Fraction(gain, 2)
 
 
-def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, GreedyLedger]:
+def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, Fraction]:
     """One-pass greedy 2-cut: each vertex joins the side cutting more weight.
 
-    Ties go to part 1 (the side the first vertex lands on).  The realized
-    size is exactly total/2 + sum |e_1(v) - e_2(v)|/2.
+    Ties go to part 1 (the side the first vertex lands on).  Returns the
+    cut and its excess, exactly sum |e_1(v) - e_2(v)|/2 over the steps.
     """
     n = g.n_vertices
     if sorted(order) != list(range(n)):
@@ -368,7 +353,7 @@ def greedy_order_cut(g: WeightedGraph, order) -> tuple[Cut, GreedyLedger]:
     cut = Cut(2, tuple(assigned[v] for v in range(n)))
     if 2 * g.crossing_weight(cut.assignment) != g.total_weight + 2 * excess:
         raise CertificateError("greedy size does not match total/2 + gains")
-    return cut, GreedyLedger(excess)
+    return cut, excess
 
 
 def flip_local_search(g: WeightedGraph, start: Cut) -> Cut:
@@ -420,45 +405,41 @@ def _swap_units(rows: np.ndarray, units: np.ndarray, pending: np.ndarray) -> lis
     return fields[:, np.argsort(block[0], kind="stable")].T.tolist()
 
 
-def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, CombinePlan]:
+def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]:
     """Merge disjoint partial 2-cuts into one cut keeping their total excess.
 
-    Each listed part carries a partial cut on exactly its vertices;
-    remaining vertices act as singleton parts.  Each part's labelling is
-    kept or transposed; the swaps are chosen sequentially by exact
-    conditional expectation with the undecided swaps uniform.  Requires
-    every edge to spread over at least |e ∩ (union of parts)| - 1 distinct
-    parts; offending edges are reported, the caller removes them first.
+    Each partial cut's domain is its part; remaining vertices act as
+    singleton parts.  Each part's labelling is kept or transposed; the
+    swaps are chosen sequentially by exact conditional expectation with
+    the undecided swaps uniform.  Requires every edge to spread over at
+    least |e ∩ (union of parts)| - 1 distinct parts; offending edges are
+    reported, the caller removes them first.  The promise is the plan's
+    ``average_excesses.total``.
 
     A swap changes the expectation only through the edges the part shares
     with an earlier part, so only those (edge, part) units are visited
     (``_swap_units``); a part with none keeps its labels, as ties do.
     """
     n = h.n_vertices
-    parts = [frozenset(p) for p in parts]
-    if len(parts) != len(partial_cuts):
-        raise InvalidParams("parts and partial cuts must align")
     seen: set[int] = set()
-    for p, pc in zip(parts, partial_cuts):
-        if p & seen:
+    for pc in partial_cuts:
+        if not seen.isdisjoint(pc):
             raise InvalidParams("parts must be disjoint")
-        seen |= p
-        if set(pc) != set(p):
-            raise InvalidParams("each partial cut must cover exactly its part")
+        seen.update(pc)
         if not {*pc.values()} <= {1, 2}:
             raise InvalidCut("partial cuts are 2-cuts")
-        if p and (min(p) < 0 or max(p) >= n):
+        if pc and (min(pc) < 0 or max(pc) >= n):
             raise InvalidParams(f"partial cut vertex outside the instance (n={n})")
 
     # Per vertex, code 3*block + colour; each vertex outside the parts is a
     # singleton block pinned to colour 1; the padding sentinel n sorts last.
-    n_blocks = len(parts) + n - len(seen)
+    n_blocks = len(partial_cuts) + n - len(seen)
     sentinel = 3 * n_blocks
     codes = np.full(n + 1, sentinel, dtype=np.intp)
     codes[[v for pc in partial_cuts for v in pc]] = [
         3 * b + c for b, pc in enumerate(partial_cuts) for c in pc.values()
     ]
-    codes[np.flatnonzero(codes[:n] == sentinel)] = 3 * np.arange(len(parts), n_blocks) + 1
+    codes[np.flatnonzero(codes[:n] == sentinel)] = 3 * np.arange(len(partial_cuts), n_blocks) + 1
     arr = h.edge_array
     rows = np.sort(codes[arr], axis=1)
     real = rows != sentinel
@@ -489,8 +470,7 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
     expected_sigma = scale * counts[0] + sum(c * table[2][t] for t, c in enumerate(counts))
 
     base = uniform_expected_size(h, 2)
-    promised = x_values.total
-    if Fraction(expected_sigma, scale) != base + promised:
+    if Fraction(expected_sigma, scale) != base + x_values.total:
         raise CertificateError("swap-uniform expectation != base + sum of average excesses")
 
     # Unit 1 takes its edge from table[2][t] to table[1][t-1] under either
@@ -529,13 +509,11 @@ def combine_partial_cuts(h: Hypergraph, parts, partial_cuts) -> tuple[Cut, Combi
     if realized * scale != running:
         raise CertificateError("combined realized size differs from final expectation")
     realized_excess = realized - base
-    if realized_excess < promised:
+    if realized_excess < x_values.total:
         raise GuaranteeViolation(
-            f"combined excess {realized_excess} below promised {promised}"
+            f"combined excess {realized_excess} below promised {x_values.total}"
         )
-    return cut, CombinePlan(
-        average_excesses=x_values, realized_excess=realized_excess, promised=promised
-    )
+    return cut, CombinePlan(x_values, realized_excess)
 
 
 def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     Hypergraph,
+    _pair_counts,
     clique_expand,
     degree_profile,
     part_labels,
@@ -421,13 +422,14 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
 
     The good partition's offending edges are deleted first, leaving hd.
     ``trial(hd, rng)`` draws one exposure and returns None, or (reduction,
-    part sets, partial cuts, certify).  The partial cuts are combined on
-    the forward instance (with no part left, its conditional-expectations
-    cut stands in with a zero promise) and mapped back, and the
-    reduction's ``transfer`` carries the forward promise to hd;
-    ``certify(metrics, averages, promise_hd)``, when given, runs the
-    driver's own checks.  ``claims`` names the two stage entries of the
-    ledger.
+    partial cuts, certify), each partial cut defined on its own part.  The
+    partial cuts are combined on the forward instance (with no part left,
+    its conditional-expectations cut stands in with a zero promise), the
+    combined promise being the plan's ``average_excesses.total``, and
+    mapped back, and the reduction's ``transfer`` carries the forward
+    promise to hd; ``certify(metrics, averages, promise_hd)``, when given,
+    runs the driver's own checks.  ``claims`` names the two stage entries
+    of the ledger.
     """
     hd = h.without_edges(set(gp.deleted_edges))
     best = None
@@ -435,12 +437,11 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
         step = trial(hd, random.Random(f"driver{r}:{params.seed}:{t}"))
         if step is None:
             continue
-        red, part_sets, partials, certify = step
-        if part_sets:
-            fwd_cut, plan = combine_partial_cuts(red.forward, part_sets, partials)
-            averages, fwd_excess, promise_fwd = (
-                plan.average_excesses, plan.realized_excess, plan.promised
-            )
+        red, partials, certify = step
+        if partials:
+            fwd_cut, plan = combine_partial_cuts(red.forward, partials)
+            averages, fwd_excess = plan.average_excesses, plan.realized_excess
+            promise_fwd = averages.total
         else:
             fwd_cut = conditional_rcut(red.forward, 2)
             averages, promise_fwd = (), Fraction(0)
@@ -468,13 +469,15 @@ def _best_trial(h: Hypergraph, gp: GoodPartition, r: int, params: PipelineParams
 def _double_exposure(h: Hypergraph, w, rng, params: PipelineParams):
     """First doubled exposure of the vertices outside W meeting E[Z], or None.
 
-    Each draw rho is built by ``hpart_double`` and kept when its average
-    excess E[Z | rho] - E[Z] is nonnegative, the value its back-map
-    certifies; the rule ``_exposures`` applies.
+    W only decides which vertices each draw rho assigns; ``hpart_double``
+    reads W back as the vertices rho leaves unassigned.  Each draw is
+    built and kept when its average excess E[Z | rho] - E[Z] is
+    nonnegative, the value its back-map certifies; the rule
+    ``_exposures`` applies.
     """
     outside = [v for v in range(h.n_vertices) if v not in w]
     for _ in range(params.retry_budget):
-        red = hpart_double(h, w, {v: rng.choice((1, 2)) for v in outside})
+        red = hpart_double(h, {v: rng.choice((1, 2)) for v in outside})
         if red.average_excess >= 0:
             return red
     return None
@@ -504,14 +507,12 @@ def driver_3cut(
             pu = part_of.get(u)
             if pu is not None and pu == part_of.get(v):
                 internal[pu].append((u, v, 1))
-        part_sets = []
         partials = []
         for i, p in enumerate(gp.parts):
             star = {v for v in p if v not in rho}
             if star:
-                part_sets.append(star)
                 partials.append(_greedy_part(star, internal.get(i, ()), rng))
-        return red, part_sets, partials, None
+        return red, partials, None
 
     return _best_trial(
         h, gp, 3, params, trial, ("combined per-part greedy gains", "part-3 exposure transfer")
@@ -574,7 +575,7 @@ def driver_2cut(
             if metrics.excess < promise_hd:
                 raise GuaranteeViolation("doubled-exposure promise missed")
 
-        return red, part_sets, partials, certify
+        return red, partials, certify
 
     return _best_trial(
         h, gp, 2, params, trial, ("combined weighted greedy gains", "doubled exposure transfer")
@@ -602,9 +603,9 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMet
     (cut, its metrics, number of colours)."""
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
-    g = clique_expand(h)
+    us, vs, _ = _pair_counts(h)
     neighbours: list[set] = [set() for _ in range(h.n_vertices)]
-    for u, v, _ in g.weights:
+    for u, v in zip(us, vs):
         neighbours[u].add(v)
         neighbours[v].add(u)
     order = sorted(range(h.n_vertices), key=lambda v: (-len(neighbours[v]), v))
@@ -677,9 +678,9 @@ def greedy_route(h: Hypergraph, order) -> Route:
     """
     if h.edges_all_of_size(3):
         red = expand_3graph(h)
-        greedy, gl = greedy_order_cut(red.forward, order)
+        greedy, gains = greedy_order_cut(red.forward, order)
         cut, metrics = red.back_map(flip_local_search(red.forward, greedy))
-        promise = red.transfer(gl.realized_excess)
+        promise = red.transfer(gains)
         return Route.of("greedy-flip", cut, metrics, "triangle-expansion greedy gains (halved)", promise)
     mg = clique_expand(h)
     greedy, _ = greedy_order_cut(mg, order)

@@ -112,13 +112,32 @@ def rgraph_expand(h: Hypergraph, r: int) -> Reduction:
     return _halving(h, r, forward, lambda c: cut_metrics(forward, c).size, "subset expansion")
 
 
-def _unexposed_rows(h: Hypergraph, labels, kept) -> np.ndarray:
-    """The vertices rho leaves free (label 0) of each kept edge, as padded rows.
+def _exposure_labels(h: Hypergraph, rho: dict, parts) -> np.ndarray:
+    """Each vertex's part under rho, 0 where rho leaves it free, and one
+    past the largest of ``parts`` for the padding vertex n.
 
-    Every other entry becomes the padding vertex n, which sorts last.
+    Raises ``InvalidExposure`` when rho names a vertex outside [0, n) or a
+    part outside ``parts``.
     """
-    sub = h.edge_array[kept]
-    return np.sort(np.where(labels[sub] == 0, sub, h.n_vertices), axis=1)
+    n = h.n_vertices
+    if any(p not in parts for p in rho.values()):
+        raise InvalidExposure(f"rho must assign parts {sorted(parts)} only")
+    if rho and (min(rho) < 0 or max(rho) >= n):
+        raise InvalidExposure(f"rho assigns a vertex outside the instance (n={n})")
+    labels = np.zeros(n + 1, dtype=np.intp)
+    labels[n] = max(parts) + 1
+    labels[list(rho)] = list(rho.values())
+    return labels
+
+
+def _unexposed_rows(h: Hypergraph, image, kept) -> np.ndarray:
+    """The vertices rho leaves free of each kept edge, as padded rows.
+
+    ``image`` holds the ``_exposure_labels`` of the edge array, 0 where a
+    vertex is free; every other entry becomes the padding vertex n, which
+    sorts last.
+    """
+    return np.sort(np.where(image[kept] == 0, h.edge_array[kept], h.n_vertices), axis=1)
 
 
 @dataclass
@@ -156,18 +175,12 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
         raise InvalidParams("keep must be 2 or 3")
     if r < keep + 1 or r > h.max_arity:
         raise InvalidParams(f"need {keep + 1} <= r <= k, got r={r}, k={h.max_arity}")
-    exposed = set(range(keep + 1, r + 1))
-    if any(p not in exposed for p in rho.values()):
-        raise InvalidExposure(f"rho must assign parts {sorted(exposed)} only")
-
-    labels = np.zeros(h.n_vertices + 1, dtype=np.intp)  # 0 = starred
-    labels[h.n_vertices] = r + 1  # padding sentinel
-    labels[list(rho)] = list(rho.values())
-    image = labels[h.edge_array]
+    exposed = range(keep + 1, r + 1)
+    image = _exposure_labels(h, rho, exposed)[h.edge_array]  # 0 = starred
     covered = np.logical_and.reduce([(image == p).any(axis=1) for p in exposed])
     kept = np.flatnonzero(covered & ((image == 0).sum(axis=1) >= keep))
     forward = Hypergraph.from_rows(
-        h.n_vertices, h.max_arity - r + keep, _unexposed_rows(h, labels, kept)
+        h.n_vertices, h.max_arity - r + keep, _unexposed_rows(h, image, kept)
     )
     cond, base = uniform_expected_size(forward, keep), uniform_expected_size(h, r)
 
@@ -194,33 +207,25 @@ def exposure_average_excess(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> 
     return partial_average_size(h, pc, free_parts=keep) - uniform_expected_size(h, r)
 
 
-def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
+def hpart_double(h: Hypergraph, rho: dict) -> Exposure:
     """Averaging-trick exposure: doubled inside edges plus one-sided stubs.
 
-    The forward instance on W holds two copies of each edge inside W and
-    a stub e∩W for each edge whose exposed remainder shows only one part.
-    Completing a 2-cut phi of the forward instance with rho, the better
-    of phi and its flip has excess at least x'/2 + (E[Z|rho] - E[Z]), where
-    x' is phi's forward excess; that bound is the ``transfer`` of x'.  Every
-    back-map checks it, and the average-size identity under it, exactly,
-    and returns the better side with its metrics.
+    ``rho`` assigns parts {1, 2} to the vertices outside W; W is the set
+    of vertices it leaves unassigned.  The forward instance on W holds two
+    copies of each edge inside W and a stub e∩W for each edge whose
+    exposed remainder shows only one part.  Completing a 2-cut phi of the
+    forward instance with rho, the better of phi and its flip has excess
+    at least x'/2 + (E[Z|rho] - E[Z]), where x' is phi's forward excess;
+    that bound is the ``transfer`` of x'.  Every back-map checks it, and
+    the average-size identity under it, exactly, and returns the better
+    side with its metrics.
 
     E[Z|rho] is read off the built forward instance: half its uniform
     2-cut expectation, plus 1/2 per stub and 1 per edge whose exposed
     vertices show both parts.  The back-map certifies that value against
     ``partial_average_size`` on h.
     """
-    w = frozenset(w_set)
-    outside = set(range(h.n_vertices)) - w
-    if set(rho) != outside:
-        raise InvalidExposure("rho must assign exactly the vertices outside W")
-    if any(p not in (1, 2) for p in rho.values()):
-        raise InvalidExposure("rho assigns parts {1,2}")
-
-    labels = np.zeros(h.n_vertices + 1, dtype=np.intp)  # 0 = inside W
-    labels[h.n_vertices] = 3  # padding sentinel
-    labels[list(rho)] = list(rho.values())
-    sides = labels[h.edge_array]
+    sides = _exposure_labels(h, rho, (1, 2))[h.edge_array]  # 0 = inside W
     has1, has2 = (sides == 1).any(axis=1), (sides == 2).any(axis=1)
     n_inside = (sides == 0).sum(axis=1)
     multi = has1 & has2
@@ -230,7 +235,7 @@ def hpart_double(h: Hypergraph, w_set, rho: dict) -> Exposure:
     n_undet = int(np.count_nonzero(stub))
     kept = np.flatnonzero(doubled | stub)
     # each doubled edge's two copies sit next to each other
-    rows = np.repeat(_unexposed_rows(h, labels, kept), doubled[kept] + 1, axis=0)
+    rows = np.repeat(_unexposed_rows(h, sides, kept), doubled[kept] + 1, axis=0)
     forward = Hypergraph.from_rows(h.n_vertices, h.max_arity, rows)
     cond = uniform_expected_size(forward, 2) / 2 + Fraction(n_undet, 2) + n_multi
     base = uniform_expected_size(h, 2)

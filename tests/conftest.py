@@ -202,7 +202,7 @@ def plain_first_two_vertex_set(h, order) -> frozenset:
     return frozenset(w)
 
 
-def plain_combine_partial_cuts(h, parts, partial_cuts):
+def plain_combine_partial_cuts(h, partial_cuts):
     """The sequential swap pass ``combine_partial_cuts`` ran before it
     visited only the units that can change a decision.
 
@@ -265,11 +265,7 @@ def plain_combine_partial_cuts(h, parts, partial_cuts):
     realized = plain_cut_size(h, assignment, 2)
     assert realized * scale == running
     averages = plain_average_excesses(h, 2, partial_cuts)
-    plan = CombinePlan(
-        average_excesses=averages,
-        realized_excess=realized - stirling_expected_size(h, 2),
-        promised=sum(averages, Fraction(0)),
-    )
+    plan = CombinePlan(averages, realized - stirling_expected_size(h, 2))
     return Cut(2, tuple(assignment)), plan
 
 
@@ -294,8 +290,7 @@ def plain_erdos_selfridge_2cut(h, order, on_step=None):
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
-    ez = sum(prob)
-    trace = [ez]
+    ez = base = sum(prob)
     credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
     def snapshot(v):
@@ -373,7 +368,6 @@ def plain_erdos_selfridge_2cut(h, order, on_step=None):
                 deferred.remove(u)
             if ez != before + best_delta:
                 raise CertificateError("factorized maximum disagrees with applied update")
-        trace.append(ez)
         snapshot(v)
 
     for w in list(deferred):
@@ -388,18 +382,12 @@ def plain_erdos_selfridge_2cut(h, order, on_step=None):
     if credit < len(w_set):
         raise GuaranteeViolation("determined-vertex credit fell below |W|")
     guaranteed = Fraction(credit, 2**k_eff)
-    realized_excess = Fraction(realized * scale - trace[0], scale)
+    realized_excess = Fraction(realized * scale - base, scale)
     if realized_excess < guaranteed:
         raise GuaranteeViolation(
             f"realized excess {realized_excess} below guarantee {guaranteed}"
         )
-    ledger = EsLedger(
-        w_set=w_set,
-        guaranteed_excess=guaranteed,
-        realized_excess=realized_excess,
-        expectation_trace=tuple(Fraction(t, scale) for t in trace),
-    )
-    return cut, ledger
+    return cut, EsLedger(w_set, guaranteed, realized_excess)
 
 
 def plain_conditional_rcut(h, r: int, order=None) -> Cut:
@@ -664,7 +652,7 @@ def plain_double_exposure(h, w, rng, params):
     for _ in range(params.retry_budget):
         rho = {v: rng.choice((1, 2)) for v in outside}
         if partial_average_size(h, PartialCut(2, rho)) >= base:
-            return hpart_double(h, w, rho)
+            return hpart_double(h, rho)
     return None
 
 

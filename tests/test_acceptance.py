@@ -187,7 +187,7 @@ def test_criterion_4_reduction_certificates():
         h = random_mixed(rng, 9, 12, 4)
         w = {v for v in range(h.n_vertices) if rng.random() < 0.6}
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
-        red = hpart_double(h, w, rho)
+        red = hpart_double(h, rho)
         back_map_checked(h, red, Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices))))
         runs += 1
 
@@ -244,7 +244,7 @@ def test_criterion_5_combination_guarantee():
             continue
         h2 = build(h.n_vertices, keep, max_arity=h.max_arity)
         partials = [{v: rng.choice((1, 2)) for v in p} for p in parts]
-        _, plan = combine_partial_cuts(h2, parts, partials)
+        _, plan = combine_partial_cuts(h2, partials)
         assert plan.realized_excess >= sum(plan.average_excesses)
         done += 1
     report(5, "200 random plans realized at least the sum of average excesses")

@@ -18,7 +18,7 @@ from hypercut.derand import (
     order_for_W,
     point_local_search,
 )
-from hypercut.errors import InvalidParams, PlanInvalid
+from hypercut.errors import InvalidCut, InvalidParams, PlanInvalid
 
 from conftest import (
     brute_expected_size,
@@ -48,32 +48,32 @@ def random_mixed(rng, n_hi=10, m_hi=20, k_hi=5):
 def test_greedy_triangle_every_order():
     g = clique_expand(build(3, [(0, 1), (1, 2), (0, 2)]))
     for order in permutations(range(3)):
-        cut, ledger = greedy_order_cut(g, list(order))
+        cut, excess = greedy_order_cut(g, list(order))
         size = sum(m for u, v, m in g.weights if cut.assignment[u] != cut.assignment[v])
         assert size == 2
-        assert ledger.realized_excess == Fraction(1, 2)
+        assert excess == Fraction(1, 2)
 
 
 def test_greedy_star_center_last():
     g = clique_expand(build(4, [(3, 0), (3, 1), (3, 2)]))
-    cut, ledger = greedy_order_cut(g, [0, 1, 2, 3])
+    cut, excess = greedy_order_cut(g, [0, 1, 2, 3])
     # leaves tie into part 1, center then cuts all three edges
     assert cut.assignment[:3] == (1, 1, 1) and cut.assignment[3] == 2
-    assert ledger.realized_excess == Fraction(3, 2)
+    assert excess == Fraction(3, 2)
 
 
 def test_greedy_empty_graph():
     g = clique_expand(build(4, []))
-    _, ledger = greedy_order_cut(g, [2, 0, 3, 1])
-    assert ledger.realized_excess == 0
+    _, excess = greedy_order_cut(g, [2, 0, 3, 1])
+    assert excess == 0
 
 
 def test_greedy_weighted():
     w = WeightedGraph(3, ((0, 1, Fraction(1, 4)), (1, 2, Fraction(3, 4))))
-    cut, ledger = greedy_order_cut(w, [0, 1, 2])
-    assert ledger.realized_excess >= 0
+    cut, excess = greedy_order_cut(w, [0, 1, 2])
+    assert excess >= 0
     cross = sum(wt for u, v, wt in w.weights if cut.assignment[u] != cut.assignment[v])
-    assert cross == w.total_weight / 2 + ledger.realized_excess
+    assert cross == w.total_weight / 2 + excess
 
 
 def test_greedy_random_ledger_identity():
@@ -83,8 +83,8 @@ def test_greedy_random_ledger_identity():
         g = clique_expand(h)
         order = list(range(h.n_vertices))
         rng.shuffle(order)
-        cut, ledger = greedy_order_cut(g, order)
-        assert ledger.realized_excess >= 0  # internal identity already asserted
+        cut, excess = greedy_order_cut(g, order)
+        assert excess >= 0  # internal identity already asserted
 
 
 # ---------------------------------------------------------------- flip
@@ -196,14 +196,13 @@ def test_es_expectation_trace_is_dyadic_and_monotone():
         h = random_mixed(rng)
         order = list(range(h.n_vertices))
         rng.shuffle(order)
-        _, ledger = erdos_selfridge_2cut(h, order)
+        trace = []
+        erdos_selfridge_2cut(h, order, on_step=lambda v, a, e: trace.append(e))
+        assert len(trace) == h.n_vertices + 1  # before the first step, then after each
         k_eff = max(2, max((len(e) for e in h.edges), default=2))
-        for val in ledger.expectation_trace:
+        for val in trace:
             assert is_dyadic(val) and val.denominator <= 2 ** (k_eff - 1)
-        assert all(
-            a <= b
-            for a, b in zip(ledger.expectation_trace, ledger.expectation_trace[1:])
-        )
+        assert all(a <= b for a, b in zip(trace, trace[1:]))
 
 
 def test_es_trace_matches_brute_force_enumeration():
@@ -238,9 +237,8 @@ def test_es_guarantee_batch():
 def test_combine_two_triangles():
     tri = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
     h = build(6, tri)
-    parts = [{0, 1, 2}, {3, 4, 5}]
     partials = [{0: 1, 1: 2, 2: 2}, {3: 1, 4: 2, 5: 2}]
-    cut, plan = combine_partial_cuts(h, parts, partials)
+    cut, plan = combine_partial_cuts(h, partials)
     assert plan.average_excesses == (Fraction(1, 2), Fraction(1, 2))
     assert plan.realized_excess >= 1
     assert cut_metrics(h, cut).size == 4  # max cut of two disjoint triangles
@@ -248,14 +246,14 @@ def test_combine_two_triangles():
 
 def test_combine_single_part():
     h = build(4, [[0, 1, 3]])
-    cut, plan = combine_partial_cuts(h, [{0, 1}], [{0: 1, 1: 2}])
+    cut, plan = combine_partial_cuts(h, [{0: 1, 1: 2}])
     assert plan.realized_excess >= plan.average_excesses[0] == Fraction(1, 4)
     assert cut.assignment[0] != cut.assignment[1]
 
 
 def test_combine_zero_excess_plans():
     h = build(6, [[0, 3, 4], [1, 4, 5]])
-    cut, plan = combine_partial_cuts(h, [{0}, {1}], [{0: 1}, {1: 1}])
+    cut, plan = combine_partial_cuts(h, [{0: 1}, {1: 1}])
     assert plan.average_excesses == (0, 0)
     assert plan.realized_excess >= 0
 
@@ -263,7 +261,7 @@ def test_combine_zero_excess_plans():
 def test_combine_rejects_collapsed_edges():
     h = build(4, [[0, 1, 2, 3]])
     with pytest.raises(PlanInvalid) as err:
-        combine_partial_cuts(h, [{0, 1}, {2, 3}], [{0: 1, 1: 2}, {2: 1, 3: 1}])
+        combine_partial_cuts(h, [{0: 1, 1: 2}, {2: 1, 3: 1}])
     assert err.value.offending_edges == [0]
 
 
@@ -293,7 +291,7 @@ def test_combine_random_plans():
         if h2 is None:
             continue
         partials = [{v: rng.choice((1, 2)) for v in p} for p in parts]
-        cut, plan = combine_partial_cuts(h2, parts, partials)
+        cut, plan = combine_partial_cuts(h2, partials)
         assert plan.realized_excess >= sum(plan.average_excesses)
         base = brute_expected_size(h2, {}, 2)
         for x, pc in zip(plan.average_excesses, partials):
@@ -342,11 +340,11 @@ def test_combine_offenders_match_old_scan():
         want = old_offenders(h, parts)
         if want:
             with pytest.raises(PlanInvalid) as err:
-                combine_partial_cuts(h, parts, partials)
+                combine_partial_cuts(h, partials)
             assert err.value.offending_edges == want
             raised += 1
         else:
-            combine_partial_cuts(h, parts, partials)
+            combine_partial_cuts(h, partials)
     assert 50 <= raised <= 150
 
 
@@ -355,12 +353,25 @@ def test_combine_rejects_vertices_outside_instance(outside):
     # -1 and n used to land on the padding slot, n + 1 past the code array
     h = build(6, [[0, 1, 2], [3], [4, 5]], max_arity=3)
     with pytest.raises(InvalidParams):
-        combine_partial_cuts(h, [{outside, 3}], [{outside: 1, 3: 2}])
+        combine_partial_cuts(h, [{outside: 1, 3: 2}])
+
+
+def test_combine_rejects_overlapping_partial_cuts():
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidParams, match="parts must be disjoint"):
+        combine_partial_cuts(h, [{0: 1, 1: 2}, {1: 1, 2: 2}])
+
+
+@pytest.mark.parametrize("label", [0, 3])
+def test_combine_rejects_labels_outside_two_parts(label):
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidCut, match="partial cuts are 2-cuts"):
+        combine_partial_cuts(h, [{0: 1, 1: 2}, {2: label}])
 
 
 @st.composite
 def combine_plans(draw):
-    """(n, edges, parts, partial cuts) of a valid plan: mixed arity up to 6,
+    """(n, edges, partial cuts) of a valid plan: mixed arity up to 6,
     repeated and size-1 edges, isolated vertices, possibly no part at all;
     edges collapsing into one part twice are left out, as callers do."""
     n = draw(st.integers(1, 12))
@@ -378,7 +389,7 @@ def combine_plans(draw):
         for e in edges
         if sum(c - 1 for c in Counter(index[v] for v in e if v in index).values()) <= 1
     ]
-    return n, kept, parts, [{v: colour[v] for v in p} for p in parts]
+    return n, kept, [{v: colour[v] for v in p} for p in parts]
 
 
 # one 70-vertex edge: the table's scale 2^69 is beyond int64; the pair {0, 1}
@@ -388,12 +399,15 @@ WIDE_EDGES = [list(range(70)), [0, 70], [5, 70, 71], [1, 2], [69, 71]]
 
 @settings(max_examples=300, deadline=None)
 @given(combine_plans())
-@example((72, WIDE_EDGES, [[0, 1], [2, 70], [5, 71]], [{0: 2, 1: 2}, {2: 1, 70: 2}, {5: 2, 71: 1}]))
-@example((72, WIDE_EDGES, [[0, 1], [2, 70], [5, 71]], [{0: 1, 1: 2}, {2: 2, 70: 2}, {5: 2, 71: 2}]))
+@example((72, WIDE_EDGES, [{0: 2, 1: 2}, {2: 1, 70: 2}, {5: 2, 71: 1}]))
+@example((72, WIDE_EDGES, [{0: 1, 1: 2}, {2: 2, 70: 2}, {5: 2, 71: 2}]))
 def test_combine_matches_plain_swap_pass(plan):
-    n, edges, parts, partials = plan
+    n, edges, partials = plan
     h = build(n, edges)
-    assert combine_partial_cuts(h, parts, partials) == plain_combine_partial_cuts(h, parts, partials)
+    got = combine_partial_cuts(h, partials)
+    want = plain_combine_partial_cuts(h, partials)
+    assert got == want
+    assert got[1].average_excesses.total == sum(want[1].average_excesses)  # the promise
 
 
 # ---------------------------------------------------------------- baselines

@@ -338,8 +338,8 @@ def inflate_transfer(monkeypatch):
     """driver_2cut: the doubled exposure's transfer promises m + 1 more than it certified."""
     real = pipeline.hpart_double
 
-    def double(h, w, rho):
-        red = real(h, w, rho)
+    def double(h, rho):
+        red = real(h, rho)
         transfer = red.transfer
         red.transfer = lambda p: transfer(p) + h.m + 1
         return red
@@ -370,8 +370,8 @@ def test_writing_exposure_sizes_after_the_build_changes_no_promise(monkeypatch):
     # the transfer reads the values hpart_double certified, not its attributes
     real = pipeline.hpart_double
 
-    def double(h, w, rho):
-        red = real(h, w, rho)
+    def double(h, rho):
+        red = real(h, rho)
         red.conditional_size += h.m + 1
         return red
 

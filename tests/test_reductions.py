@@ -295,8 +295,7 @@ def test_exposure_average_excess_unbiased():
 
 def test_hpart_double_shapes():
     h = build(6, [[0, 1, 2], [0, 1, 4], [3, 4, 5], [0, 4, 5]])
-    w = {0, 1, 2}
-    red = hpart_double(h, w, {3: 1, 4: 1, 5: 2})
+    red = hpart_double(h, {3: 1, 4: 1, 5: 2})  # W = {0, 1, 2}
     # edge {0,1,2} inside W doubles; {0,1,4} has one-sided outside part -> stub (0,1)
     # {3,4,5} outside-two-parts is determined multicoloured; {0,4,5} determined too
     assert sorted(red.forward.edges) == [(0, 1), (0, 1, 2), (0, 1, 2)]
@@ -330,7 +329,7 @@ def test_hpart_double_matches_old_loop():
         h = build(h.n_vertices, [*h.edges, *h.edges[: rng.randint(0, 3)]])  # repeats
         w = {v for v in range(h.n_vertices) if rng.random() < rng.random()}
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
-        red = hpart_double(h, w, rho)
+        red = hpart_double(h, rho)
         edges, n_multi, n_undet = old_hpart_double_edges(h, w, rho)
         assert red.forward.edges == edges
         # the old counts still give E[Z | rho]: stubs are undetermined, multi edges cut
@@ -360,7 +359,7 @@ def random_forwards(rng):
             rho = {v: rng.randint(keep + 1, r) for v in range(n) if rng.random() < 0.5}
             yield hpart_expose(h, r, rho, keep=keep).forward
     w = {v for v in range(n) if rng.random() < 0.6}
-    yield hpart_double(h, w, {v: rng.choice((1, 2)) for v in range(n) if v not in w}).forward
+    yield hpart_double(h, {v: rng.choice((1, 2)) for v in range(n) if v not in w}).forward
     yield h.without_edges({i for i in range(h.m) if rng.random() < 0.3})
     widest = max(len(e) for e in h.edges)
     yield h.without_edges({i for i, e in enumerate(h.edges) if len(e) == widest})
@@ -378,10 +377,22 @@ def test_forward_arrays_equal_rebuilt_ones():
     assert h.without_edges({0, 1}).edge_array.shape == (1, 2)
 
 
-def test_hpart_double_rejects_partial_rho():
-    h = build(3, [[0, 1, 2]])
-    with pytest.raises(InvalidExposure):
-        hpart_double(h, {0, 1}, {})
+@pytest.mark.parametrize("vertex", [-1, 4, 5])
+def test_exposures_reject_vertices_outside_the_instance(vertex):
+    # n = 4 used to overwrite the padding label, so the exposure built and
+    # reported an average excess; -1 does the same, and 5 ran past the labels
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidExposure, match="outside the instance"):
+        hpart_expose(h, 3, {vertex: 3})
+    with pytest.raises(InvalidExposure, match="outside the instance"):
+        hpart_double(h, {0: 1, vertex: 2})
+
+
+@pytest.mark.parametrize("part", [0, 3])
+def test_hpart_double_rejects_parts_outside_two(part):
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidExposure, match=r"parts \[1, 2\] only"):
+        hpart_double(h, {0: 1, 3: part})
 
 
 def test_hpart_double_excess_transfer_random():
@@ -390,7 +401,7 @@ def test_hpart_double_excess_transfer_random():
         h = random_mixed(rng, n_hi=8, m_hi=10, k_hi=4)
         w = {v for v in range(h.n_vertices) if rng.random() < 0.6}
         rho = {v: rng.choice((1, 2)) for v in range(h.n_vertices) if v not in w}
-        red = hpart_double(h, w, rho)
+        red = hpart_double(h, rho)
         phi = Cut(2, tuple(rng.choice((1, 2)) for _ in range(h.n_vertices)))
         best, metrics = red.back_map(phi)  # averaging + transfer certificates run inside
         assert metrics == cut_metrics(h, best)  # the metrics of the side it chose
@@ -415,7 +426,7 @@ def test_exposure_conditional_size_equals_the_oracle_property(h, keep, data):
     w = data.draw(st.sets(st.integers(0, n - 1)))
     sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
     rho = {v: sides[v] for v in range(n) if v not in w}
-    red = hpart_double(h, w, rho)
+    red = hpart_double(h, rho)
     assert red.conditional_size == partial_average_size(h, PartialCut(2, rho))
 
 
@@ -446,7 +457,7 @@ def test_every_back_map_meets_its_transfer_property(h, data):
         assert_transfer(hpart_expose(h, r, rho, keep=keep), keep)
     w = data.draw(st.sets(st.integers(0, n - 1)))
     sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
-    assert_transfer(hpart_double(h, w, {v: sides[v] for v in range(n) if v not in w}), 2)
+    assert_transfer(hpart_double(h, {v: sides[v] for v in range(n) if v not in w}), 2)
 
 
 # --------------------------------------------------------------- weighted

@@ -137,7 +137,7 @@ def fano():
         (lambda h: erdos_selfridge_2cut(h, range(7)), "realized size differs from final conditional expectation"),
         (lambda h: conditional_rcut(h, 3), "conditional r-cut bookkeeping mismatch"),
         (
-            lambda h: combine_partial_cuts(h, [{0, 1}], [{0: 1, 1: 2}]),
+            lambda h: combine_partial_cuts(h, [{0: 1, 1: 2}]),
             "combined realized size differs from final expectation",
         ),
     ],
