@@ -2,40 +2,39 @@
 
 Conditional expectations with deferred (undetermined) vertices, greedy
 cuts over vertex orderings, flip local search, and derandomized
-combination of per-part partial cuts.  The three conditional-expectation
-engines (``erdos_selfridge_2cut``, ``combine_partial_cuts``,
-``conditional_rcut``) take a ``Hypergraph`` and read multicolour
-probabilities from ``cutspace.multicolour_table``, an integer table
-scaled by r^(k-1); the arithmetic stays exact.  The vertex-by-vertex
-engines give each edge one small integer state code: for
-``conditional_rcut`` and ``erdos_selfridge_2cut`` the mask of parts
-already hit (part p is bit p-1) and the number of vertices still uniform
-(``_uniform_codes``), for ``point_local_search`` the per-part vertex
-counts.  A step tallies the codes of v's incident edges and reads a few
-table entries per distinct code, not per edge; the entries of the codes
-that occur are built on first use, never over all 2^r masks.  The tallies
-are Python ``Counter``s: a per-vertex numpy call costs more than it saves
-on small instances.  ``combine_partial_cuts`` needs
-no mask: an edge's first pending block moves it the same way under either
-swap, and each later one adds one of two table differences while the
-edge shows a single colour, so its swap pass visits only those later
-(edge, block) units, set up with numpy.  Each engine cross-checks its
-own bookkeeping: the realized size, counted by ``cutspace.cut_metrics``
-and not by the engine, times the scale against the integer running
-expectation; it raises ``GuaranteeViolation`` / ``CertificateError`` on
-any mismatch.
-The greedy and flip engines take a ``WeightedGraph`` (a multigraph has
-integer weights) and read its cut weight from ``crossing_weight``.
+combination of per-part partial cuts.  The conditional-expectation
+engines take a ``Hypergraph`` and keep their arithmetic in exact
+integers.  ``conditional_rcut`` and the lift
+(``reductions.lift_2cut_to_3cut``) are one pass, ``_conditional_pass``,
+over product laws: each vertex is free under a law of integer part
+weights until its turn, and each edge carries a small integer code, the
+mask of parts it hits and its count of free vertices under each law;
+``_law_codes`` builds each code's value, gains and next codes on first
+use, never over all 2^r masks.  ``erdos_selfridge_2cut`` keeps its own
+deferral loop on the uniform 2-part codes, and ``point_local_search``
+codes per-part vertex counts.  A step tallies the codes of v's edges in
+a ``Counter`` (a per-vertex numpy call costs more than it saves on small
+instances) and reads one entry per distinct code.
+``combine_partial_cuts`` reads ``cutspace.multicolour_table``: an edge's
+first pending block moves it the same way under either swap, and each
+later one adds one of two table differences while the edge shows a
+single colour, so its swap pass visits only those (edge, block) units,
+set up with numpy.  Each engine checks the realized size, counted by
+``cutspace.cut_metrics``, times the scale against its integer running
+expectation, raising ``GuaranteeViolation`` / ``CertificateError`` on a
+mismatch.  The greedy and flip engines read a ``WeightedGraph``'s cut
+weight from ``crossing_weight`` (a multigraph has integer weights).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, groupby
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import compress, groupby, product
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -84,29 +83,130 @@ class _Memo(dict):
         return value
 
 
-def _uniform_codes(r: int, w: int, table) -> _Memo:
-    """Edge state code -> (value, gains, nexts) for the uniform engines.
+class _LawTable(_Memo):
+    """One law's state codes, code -> (value, gains, nexts, packed), built on
+    first read (see ``_law_codes``).  ``packed`` holds choice i's gain plus
+    the scale from bit ``shifts[i]``, so a step sums one integer per code,
+    and ``best(total)`` is the first choice of largest sum in such a sum,
+    and that sum; a built code's next code for choice i is in ``steps[i]``."""
 
-    An edge's code ``mask * (w + 1) + free`` holds the mask of parts it
-    already hits (part p is bit p-1) and its count of vertices still
-    uniform over the r parts, at most w.  Its value is
-    ``table[r - |mask|][free]``.  When one free vertex joins part p, the
-    value changes by ``gains[p-1]`` and the code becomes ``nexts[p-1]``.
-    An entry is built the first time its code is read, so only codes that
-    occur cost anything; nothing is built over all 2^r masks.
+    def __init__(self, fill, law, width: int):
+        super().__init__(fill)
+        self.choices = tuple(p for p, weight in enumerate(law, 1) if weight)
+        self.steps = [{} for _ in self.choices]
+        self.shifts = shifts = range(0, width * len(self.choices), width)
+        field, two = (1 << width) - 1, len(shifts) == 2
+
+        def best(total: int) -> tuple[int, int]:
+            if two:  # one divmod splits two sums
+                high, low = divmod(total, field + 1)
+                return (1, high) if high > low else (0, low)
+            sums = [total >> shift & field for shift in shifts]
+            return sums.index(max(sums)), max(sums)
+
+        self.best = best
+
+
+@lru_cache(maxsize=None)
+def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
+    """State codes of edges of at most w vertices, one table per vertex law.
+
+    ``laws[l][p-1]`` is the integer weight of part p under law l; all laws
+    share one denominator d, their weights' sum, and a vertex may join the
+    parts its law weighs above 0, its choices.  An edge's code ``mask * b^L
+    + sum_l f_l * b^l`` (b = w + 1, L laws) holds the mask of parts it hits
+    (part p is bit p-1) and its count f_l of vertices free under law l.  Its
+    value is d^w * Pr(the free vertices hit every missing part), built bottom
+    up as the mean of the values after one free vertex joins a part; parts
+    all laws weigh alike are one type, and a value depends only on how many
+    of each type are missing.  A free vertex of law l joining its i-th choice
+    adds ``gains[i]`` to the value and steps the code to ``nexts[i]``.
     """
-    base = w + 1
+    d, base = sum(laws[0]), w + 1
+    scale, units, top = d**w, [base**l for l in range(len(laws))], base ** len(laws)
+    columns = list(zip(*laws))  # each part's weights, one per law
+    types = sorted(set(columns))
+    type_of = [types.index(column) for column in columns]
+    type_bits = [sum(1 << p for p, t in enumerate(type_of) if t == i) for i in range(len(types))]
 
-    def fill(code: int):
-        mask, free = divmod(code, base)
-        value = table[r - mask.bit_count()][free]
-        if not free:
-            return value, (), ()
-        hits = [mask | 1 << p for p in range(r)]
-        gains = tuple(table[r - hit.bit_count()][free - 1] - value for hit in hits)
-        return value, gains, tuple(hit * base + free - 1 for hit in hits)
+    def fewer(missing: tuple, t: int) -> tuple:
+        return missing[:t] + (missing[t] - 1,) + missing[t + 1 :]
 
-    return _Memo(fill)
+    # (missing parts of each type, free counts) -> value; the mean is over the
+    # first free vertex's law, and an edge holds a decided vertex per hit part
+    counts = list(product(*[range(bits.bit_count() + 1) for bits in type_bits]))
+    values = {(missing, 0): 0 if any(missing) else scale for missing in counts}
+    for rest in range(1, top):
+        free = [rest // unit % base for unit in units]
+        l = next(l for l, f in enumerate(free) if f)
+        for missing in (m for m in counts if sum(m) + w >= len(columns) + sum(free)):
+            same = values[missing, rest - units[l]]
+            joins = (c * t[l] * (values[fewer(missing, i), rest - units[l]] - same)
+                     for i, (c, t) in enumerate(zip(missing, types)) if c * t[l])
+            values[missing, rest] = same + sum(joins) // d
+
+    def fill(l: int, code: int):
+        mask, rest = divmod(code, top)
+        missing = tuple((bits & ~mask).bit_count() for bits in type_bits)
+        now = values[missing, rest]
+        if not rest // units[l] % base:
+            return now, (), (), 0
+        after, step = rest - units[l], code - units[l]
+        table = tables[l]
+        gains, nexts, packed = [], [], 0
+        for p, shift, filed in zip(table.choices, table.shifts, table.steps):
+            bit = 1 << (p - 1)
+            if mask & bit:  # the edge already hits part p
+                gain, nxt = values[missing, after] - now, step
+            else:
+                gain, nxt = values[fewer(missing, type_of[p - 1]), after] - now, step + bit * top
+            gains.append(gain)
+            nexts.append(nxt)
+            packed += gain + scale << shift
+            filed[code] = nxt
+        return now, tuple(gains), tuple(nexts), packed
+
+    # a field holds a sum of up to 2^40 gains, each plus the scale
+    tables = [_LawTable(partial(fill, l), law, scale.bit_length() + 41) for l, law in enumerate(laws)]
+    return tuple(tables)
+
+
+def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[list[int], int, int, int]:
+    """Conditional expectations over independent vertex laws (see ``_law_codes``).
+
+    Vertex v is free under law ``law_of[v]`` until its turn, in ``order`` or
+    else in id order; then it joins the choice of its law that maximizes the
+    expected number of multicoloured edges, the first on ties.  A step sums
+    the packed gains of the tally of v's edge codes and steps each edge.
+    Returns (assignment, scale, start, final): each vertex's part, and the
+    expectation before the first step and after the last, over ``scale``.
+    """
+    n, w = h.n_vertices, h.edge_array.shape[1] or 1
+    tables, units = _law_codes(laws, w), [(w + 1) ** l for l in range(len(laws))]
+    scale = sum(laws[0]) ** w
+    first = np.array([*map(units.__getitem__, law_of), 0])[h.edge_array].sum(axis=1)  # no hit
+    state = first.tolist()
+    start = sum(c * tables[0][s][0] for s, c in enumerate(np.bincount(first).tolist()) if c)
+    # each packed sum adds the scale once per edge of its vertex
+    expected = start - scale * sum(map(mul, h.size_histogram, range(w + 1)))
+    views = [(table.__getitem__, table.choices, table.best, table.steps) for table in tables]
+    inc, assignment = h.incidence, [0] * n
+    tally = Counter()  # reused: v's edges by code
+    for v in range(n) if order is None else order:
+        entry, choices, best_of, steps = views[law_of[v]]
+        iv = inc[v]
+        tally.clear()
+        _count_elements(tally, map(state.__getitem__, iv))
+        total = 0
+        for s, c in tally.items():
+            total += c * entry(s)[3]
+        best, top = best_of(total)
+        assignment[v] = choices[best]
+        expected += top
+        step = steps[best]
+        for ei in iv:
+            state[ei] = step[state[ei]]
+    return assignment, scale, start, expected
 
 
 def first_two_vertex_set(h: Hypergraph, order) -> frozenset:
@@ -139,12 +239,12 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     The realized excess provably meets (|D| + sum |U_v|) / 2^k, which is
     at least |W|/2^k for the first-two vertex set W of the order.
 
-    Each edge carries a uniform state code (see ``_uniform_codes``); an
-    edge is uncertain while its value lies strictly between 0 and 1.  It
-    also counts the deferred vertices it holds and sums their ids, so the
-    one deferred partner of an uncertain edge is read off directly.  A
-    step reads the tally of v's codes, and of each partner's uncertain
-    codes split by whether the edge holds v.
+    Each edge carries its code under the uniform 2-part law (see
+    ``_law_codes``), uncertain while its value lies strictly between 0 and
+    1, and counts the deferred vertices it holds and sums their ids, so the
+    one deferred partner of an uncertain edge is read off directly.  A step
+    reads the tally of v's codes, and of each partner's uncertain codes
+    split by whether the edge holds v.
 
     ``on_step(v, assigned, expectation)`` is called after each step with
     the vertex just processed, a copy of the determined assignments, and
@@ -155,9 +255,8 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
     k_eff = max(h.edge_array.shape[1], 2)
-    scale = 1 << (k_eff - 1)
-    table = multicolour_table(2, k_eff)
-    codes = _uniform_codes(2, k_eff, table)
+    scale = 1 << k_eff
+    codes = _law_codes(((1, 1),), k_eff)[0]
 
     inc = h.incidence
     state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
@@ -166,7 +265,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
-    ez = base = sum(c * table[2][s] for s, c in enumerate(h.size_histogram))
+    ez = base = sum(c * codes[s][0] for s, c in enumerate(h.size_histogram))
     credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
     def snapshot(v):
@@ -182,15 +281,13 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     def assign(w: int, p: int) -> None:
         nonlocal ez
         part[w] = p
-        move = {}
         tally.clear()
-        tally.update(map(state.__getitem__, inc[w]))
+        _count_elements(tally, map(state.__getitem__, inc[w]))
         for s, c in tally.items():
-            _, gains, nexts = codes[s]
-            ez += c * gains[p - 1]
-            move[s] = nexts[p - 1]
+            ez += c * codes[s][1][p - 1]
+        step = codes.steps[p - 1]  # filled as the tally read each code
         for ei in inc[w]:
-            state[ei] = move[state[ei]]
+            state[ei] = step[state[ei]]
 
     def count_deferred(w: int, sign: int) -> None:
         for ei in inc[w]:
@@ -201,7 +298,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     for v in order:
         iv = inc[v]
         tally.clear()
-        tally.update(map(state.__getitem__, iv))
+        _count_elements(tally, map(state.__getitem__, iv))
         u_v: set[int] = set()
         for ei in compress(iv, map(n_deferred.__getitem__, iv)):
             if uncertain(state[ei]):
@@ -227,7 +324,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
                 for (s, with_v), c in Counter(keys).items():
                     if not uncertain(s):
                         continue
-                    _, gains, nexts = codes[s]
+                    _, gains, nexts, _ = codes[s]
                     for cu in (0, 1):
                         for cv in (0, 1):
                             extra = codes[nexts[cu]][1][cv] if with_v else 0
@@ -250,7 +347,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
 
         if best_delta < 0:
             raise CertificateError("maximal conditional expectation fell below the average")
-        if best_delta < len(u_v):  # scaled units: |U_v| / 2^(k-1)
+        if best_delta < 2 * len(u_v):  # |U_v| / 2^(k-1), in units of 2^-k
             raise CertificateError("step gain fell below the deferred-partner bound")
         if best_delta == 0:
             if u_v:
@@ -280,7 +377,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     w_set = first_two_vertex_set(h, order)
     if credit < len(w_set):
         raise GuaranteeViolation("determined-vertex credit fell below |W|")
-    guaranteed = Fraction(credit, 2**k_eff)
+    guaranteed = Fraction(credit, scale)
     realized_excess = Fraction(realized * scale - base, scale)
     if realized_excess < guaranteed:
         raise GuaranteeViolation(
@@ -521,37 +618,15 @@ def conditional_rcut(h: Hypergraph, r: int, order=None) -> Cut:
 
     Assigns each vertex, in order, to the part maximizing the exact
     conditional expected number of multicoloured edges with the remaining
-    vertices uniform over all r parts.  Ties prefer the smallest part id.
-    Each edge carries a uniform state code (see ``_uniform_codes``); part
-    p's gain is the tally of v's codes times their gains for p, and the
-    chosen part then steps each of v's edges to its next code.
+    vertices uniform over all r parts: ``_conditional_pass`` with one law
+    that weighs every part 1.  Ties prefer the smallest part id.
     """
     if r < 2:
         raise InvalidParams("need r >= 2")
-    n = h.n_vertices
-    seq = list(range(n)) if order is None else list(order)
-    inc = h.incidence
-    k = h.edge_array.shape[1] or 1
-    table = multicolour_table(r, k)
-    scale = table[0][0]  # probability 1
-    codes = _uniform_codes(r, k, table)
-    state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
-    expected = base = sum(c * table[r][s] for s, c in enumerate(h.size_histogram))
-    assignment = [1] * n
-    tally = Counter()  # reused: v's edges by code
-    for v in seq:
-        tally.clear()
-        tally.update(map(state.__getitem__, inc[v]))
-        gain = [0] * r
-        for s, c in tally.items():
-            for p, d in enumerate(codes[s][1]):
-                gain[p] += c * d
-        best = gain.index(max(gain))  # first maximum: smallest part
-        assignment[v] = best + 1
-        expected += gain[best]
-        move = {s: codes[s][2][best] for s in tally}
-        for ei in inc[v]:
-            state[ei] = move[state[ei]]
+    n, order = h.n_vertices, None if order is None else list(order)
+    if order is not None and sorted(order) != list(range(n)):
+        raise InvalidParams("order must be a permutation of all vertices")
+    assignment, scale, base, expected = _conditional_pass(h, ((1,) * r,), [0] * n, order)
     cut = Cut(r, tuple(assignment))
     realized = cut_metrics(h, cut).size
     if realized * scale != expected:
@@ -607,7 +682,7 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
             lose = 0
             plus = [0] * (r + 1)
             tally.clear()
-            tally.update(map(code.__getitem__, inc[v]))
+            _count_elements(tally, map(code.__getitem__, inc[v]))
             for c, t in tally.items():
                 q = missing_of[c]
                 if q == 0:

@@ -24,7 +24,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -40,6 +39,7 @@ from .cutspace import (
     partial_average_size,
     uniform_expected_size,
 )
+from .derand import _conditional_pass
 from .errors import (
     CertificateError,
     InvalidArity,
@@ -330,104 +330,27 @@ def weighted_identity_check(wgs, omegas, averages) -> None:
             )
 
 
-@lru_cache(maxsize=None)
-def _rainbow_table() -> tuple[int, ...]:
-    """27 * Pr(a 3-edge ends rainbow), indexed by its packed lift state.
-
-    The state (mask << 4) | (a << 2) | b holds the mask of parts that
-    decided vertices hit (part 1 is bit 1, part 2 bit 2, part 3 bit 4)
-    and the counts a and b of free vertices in 2-cut parts 1 and 2.  A free vertex stays in its part with
-    probability 2/3 and moves to part 3 with probability 1/3; summing
-    2^(stays) over the 2^(a+b) outcomes that complete the mask, times
-    3^(3-a-b), gives 27 * Pr exactly.
-    """
-    table = [0] * 128
-    for mask in range(8):
-        for a in range(4):
-            for b in range(4 - a):
-                free = (1,) * a + (2,) * b
-                total = 0
-                for moves in range(1 << len(free)):
-                    parts, weight = mask, 1
-                    for i, p in enumerate(free):
-                        if moves >> i & 1:
-                            parts |= 4
-                        else:
-                            parts |= p
-                            weight *= 2
-                    if parts == 7:
-                        total += weight
-                table[mask << 4 | a << 2 | b] = total * 3 ** (3 - a - b)
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _lift_steps(side: int) -> tuple[dict, dict]:
-    """(stay, move) for a free vertex of 2-cut part ``side``.
-
-    Each maps a packed state holding such a vertex to (change of its
-    ``_rainbow_table`` entry, next state) when the vertex stays in its
-    part, and when it moves to part 3.
-    """
-    table = _rainbow_table()
-    free = 4 if side == 1 else 1  # the vertex leaves its part's free count
-    stay, move = {}, {}
-    for s in range(128):
-        if s // free & 3:  # a free vertex of this part
-            for steps, bit in ((stay, side << 4), (move, 4 << 4)):
-                nxt = (s | bit) - free
-                steps[s] = (table[nxt] - table[s], nxt)
-    return stay, move
-
-
 def lift_2cut_to_3cut(h: Hypergraph, c2: Cut) -> Cut:
     """Open a third part by conditional expectations over per-vertex moves.
 
     Each vertex independently moving to part 3 with probability 1/3 makes
     a spanning edge rainbow with probability 8/27, so the expected 3-cut
-    size is (8/27) times the 2-cut size; the derandomized pass meets that
-    expectation.  Each edge keeps its packed state (see
-    ``_rainbow_table``), built from the edge array; deciding a vertex
-    moves it from a free count into the decided-part mask.  The gains of
-    staying and of moving come from the tally of the vertex's edge states
-    (see ``_lift_steps``).
+    size is (8/27) times the 2-cut size, and ``derand._conditional_pass``
+    meets it with one law per 2-cut part: stay w.p. 2/3, move w.p. 1/3.
+    Staying is listed first, so a tie keeps a vertex in its 2-cut part.
     """
     if not h.edges_all_of_size(3):
         raise InvalidArity("lift needs a 3-uniform hypergraph")
     if c2.r != 2 or len(c2.assignment) != h.n_vertices:
         raise InvalidParams("expected a 2-cut of h")
-    n = h.n_vertices
     z2 = cut_metrics(h, c2).size
-    side = c2.assignment
-
-    # probabilities carried as integers scaled by 27 (denominators are 3^u)
-    table = _rainbow_table()
-    inc = h.incidence
-    free_of = np.where(np.array(side, dtype=np.intp) == 1, 4, 1)  # a << 2 | b per vertex
-    state = free_of[h.edge_array].sum(axis=1).tolist()
-    expected = sum(map(table.__getitem__, state))
-    if expected != 8 * z2:
+    law_of = [p - 1 for p in c2.assignment]
+    assignment, scale, start, expected = _conditional_pass(h, ((2, 0, 1), (0, 2, 1)), law_of)
+    if start * 27 != 8 * z2 * scale:
         raise CertificateError("initial lift expectation != (8/27) * 2-cut size")
-    moved = [False] * n
-    steps = {1: _lift_steps(1), 2: _lift_steps(2)}
-    tally = Counter()  # reused: v's edges by state
-    for v in range(n):
-        stay, move = steps[side[v]]
-        tally.clear()
-        tally.update(map(state.__getitem__, inc[v]))
-        d_stay = d_move = 0
-        for s, c in tally.items():
-            d_stay += c * stay[s][0]
-            d_move += c * move[s][0]
-        mv = d_move > d_stay  # tie keeps the vertex in its 2-cut part
-        moved[v] = mv
-        expected += d_move if mv else d_stay
-        chosen = move if mv else stay
-        for ei in inc[v]:
-            state[ei] = chosen[state[ei]][1]
-    cut = Cut(3, tuple(3 if moved[v] else side[v] for v in range(n)))
+    cut = Cut(3, tuple(assignment))
     realized = cut_metrics(h, cut).size
-    if realized * 27 != expected:
+    if realized * scale != expected:
         raise CertificateError("lift bookkeeping mismatch")
     if realized * 27 < 8 * z2:
         raise CertificateError("lift fell below (8/27) * 2-cut size")

@@ -3,8 +3,9 @@
 The oracles here enumerate assignments directly or loop over the edges
 one at a time, and never call the package's own enumeration or
 probability code, so they can check it.  The one exception is the
-vertex-by-vertex engine oracles at the end: they read the engines' cached
-integer tables, which other tests pin against enumeration.
+vertex-by-vertex engine oracles at the end: they read
+``multicolour_table``, which its own test pins against enumeration; the
+lift oracle enumerates its own table.
 """
 
 import math
@@ -33,7 +34,7 @@ from hypercut.errors import (
     SearchFailed,
 )
 from hypercut.pipeline import C, GoodnessReport, GoodPartition, derive_params
-from hypercut.reductions import _rainbow_table, hpart_double
+from hypercut.reductions import hpart_double
 
 FANO_LINES = [
     [0, 1, 2],
@@ -270,9 +271,10 @@ def plain_combine_partial_cuts(h, partial_cuts):
 
 
 # The vertex-by-vertex engines as they ran before they read tallies of
-# per-edge state codes: each step walks every incident edge.  They read the
-# same cached tables as the engines (pinned against enumeration by their
-# own tests), and take incidences and sizes from the plain loops above.
+# per-edge state codes: each step walks every incident edge.  They read
+# ``multicolour_table`` or ``rainbow_table`` (each pinned against
+# enumeration by its own test), never the engines' state codes, and take
+# incidences and sizes from the plain loops above.
 
 
 def plain_erdos_selfridge_2cut(h, order, on_step=None):
@@ -427,12 +429,42 @@ def plain_conditional_rcut(h, r: int, order=None) -> Cut:
     return Cut(r, tuple(assignment))
 
 
+def rainbow_table() -> tuple[int, ...]:
+    """27 * Pr(a 3-edge ends rainbow), indexed by its packed lift state.
+
+    The state (mask << 4) | (a << 2) | b holds the mask of parts that
+    decided vertices hit (part 1 is bit 1, part 2 bit 2, part 3 bit 4) and
+    the counts a and b of free vertices in 2-cut parts 1 and 2.  A free
+    vertex stays in its part with probability 2/3 and moves to part 3 with
+    probability 1/3; summing 2^(stays) over the 2^(a+b) outcomes that
+    complete the mask, times 3^(3-a-b), gives 27 * Pr exactly.
+    """
+    table = [0] * 128
+    for mask in range(8):
+        for a in range(4):
+            for b in range(4 - a):
+                free = (1,) * a + (2,) * b
+                total = 0
+                for moves in range(1 << len(free)):
+                    parts, weight = mask, 1
+                    for i, p in enumerate(free):
+                        if moves >> i & 1:
+                            parts |= 4
+                        else:
+                            parts |= p
+                            weight *= 2
+                    if parts == 7:
+                        total += weight
+                table[mask << 4 | a << 2 | b] = total * 3 ** (3 - a - b)
+    return tuple(table)
+
+
 def plain_lift_2cut_to_3cut(h, c2: Cut) -> Cut:
     """The third-part lift, scoring staying and moving on every incident edge."""
     n = h.n_vertices
     side = c2.assignment
     z2 = plain_cut_size(h, side, 2)
-    table = _rainbow_table()
+    table = rainbow_table()
     inc = plain_incidence(h)
     state = [sum(4 if side[v] == 1 else 1 for v in e) for e in h.edges]
     expected = sum(table[s] for s in state)

@@ -422,6 +422,14 @@ def test_conditional_rcut_nonnegative_excess():
             assert cut_metrics(h, cut).excess >= 0
 
 
+@pytest.mark.parametrize("order", [[0, 1], [0, 0, 1, 2, 3], [0, 1, 2, 3, 7]])
+def test_conditional_rcut_rejects_an_order_that_is_not_a_permutation(order):
+    # too short, a repeated vertex, a vertex outside the instance
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidParams, match="order must be a permutation of all vertices"):
+        conditional_rcut(h, 2, order)
+
+
 def test_point_local_search_improves():
     pairs = [[a, b] for a in range(4) for b in range(a + 1, 4)]
     h = build(4, pairs)

@@ -24,8 +24,8 @@ from hypercut.errors import (
     InvalidParams,
     InvalidReduction,
 )
+from hypercut.derand import _law_codes
 from hypercut.reductions import (
-    _rainbow_table,
     dense_subset_cut,
     expand_3graph,
     exposure_average_excess,
@@ -37,7 +37,7 @@ from hypercut.reductions import (
     weighted_reduce,
 )
 
-from conftest import brute_expected_size, plain_weighted_reduce
+from conftest import brute_expected_size, plain_weighted_reduce, rainbow_table
 from test_derand import random_mixed
 from test_state_codes import instances
 
@@ -727,7 +727,9 @@ def lift_by_enumeration(h, c2) -> tuple[int, ...]:
 
 
 def test_rainbow_table_matches_enumeration():
-    table = _rainbow_table()
+    # the lift's laws: a free vertex of 2-cut part 1 (2) stays w.p. 2/3, else joins part 3
+    codes = _law_codes(((2, 0, 1), (0, 2, 1)), 3)[0]
+    oracle = rainbow_table()  # the plain lift oracle's own table
     checked = 0
     for a in range(4):
         for b in range(4 - a):
@@ -737,7 +739,9 @@ def test_rainbow_table_matches_enumeration():
                 moved = {a + b + i: p == 3 for i, p in enumerate(hit)}
                 side = (1,) * a + (2,) * b + tuple(p if p < 3 else 1 for p in hit)
                 mask = sum({1: 1, 2: 2, 3: 4}[p] for p in set(hit))
-                assert table[mask << 4 | a << 2 | b] == rainbow27((0, 1, 2), moved, side)
+                want = rainbow27((0, 1, 2), moved, side)
+                assert codes[mask << 4 | b << 2 | a][0] == want  # code: mask, then b, then a
+                assert oracle[mask << 4 | a << 2 | b] == want
                 checked += 1
     assert checked == 58  # every state the lift can reach, 3^(3-a-b) per (a, b)
 

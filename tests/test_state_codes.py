@@ -3,8 +3,9 @@
 ``erdos_selfridge_2cut``, ``conditional_rcut``, ``point_local_search`` and
 ``lift_2cut_to_3cut`` must give exactly what their per-edge loops gave
 (kept in ``conftest``): the same cut, the same ledger and the same
-``on_step`` calls.  Their certificates must still catch a wrong size, and
-a large r must stay cheap.
+``on_step`` calls.  The uniform law's codes must carry r times the
+``multicolour_table`` entries, their certificates must still catch a
+wrong size, and a large r must stay cheap.
 """
 
 import random
@@ -18,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypercut import derand, reductions
 from hypercut.cli import main
 from hypercut.core import build
-from hypercut.cutspace import Cut, cut_metrics
+from hypercut.cutspace import Cut, cut_metrics, multicolour_table
 from hypercut.derand import (
+    _law_codes,
     combine_partial_cuts,
     conditional_rcut,
     erdos_selfridge_2cut,
@@ -112,6 +114,28 @@ def test_lift_matches_plain_loop(h, data):
     n = h.n_vertices
     c2 = Cut(2, tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))))
     assert lift_2cut_to_3cut(h, c2) == plain_lift_2cut_to_3cut(h, c2)
+
+
+# ------------------------------------------------------------ the builder
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for k in range(2, 7) for r in range(2, k + 1)])
+def test_uniform_law_codes_match_the_multicolour_table(r, k):
+    # every code an edge of at most k vertices can reach: a hit part needs a decided vertex
+    codes = _law_codes(((1,) * r,), k)[0]
+    table, scale = multicolour_table(r, k), r**k
+    for mask in range(1 << r):
+        for free in range(k + 1 - mask.bit_count()):
+            value, gains, nexts, packed = codes[mask * (k + 1) + free]
+            assert value == r * table[r - mask.bit_count()][free]
+            if not free:
+                assert (gains, nexts) == ((), ())
+                continue
+            assert nexts == tuple((mask | 1 << p) * (k + 1) + free - 1 for p in range(r))
+            assert gains == tuple(codes[nxt][0] - value for nxt in nexts)
+            # one code's packed gains: its first largest gain, plus the scale
+            assert codes.best(packed) == (gains.index(max(gains)), max(gains) + scale)
+            assert [codes.steps[p][mask * (k + 1) + free] for p in range(r)] == list(nexts)
 
 
 # ------------------------------------------------------------ certificates
