@@ -5,7 +5,7 @@ excesses of partial cuts, and the closed-form excess bounds.  Every
 probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
 ``multicolour_table`` carries the uniform-completion probabilities as
-integers scaled by r^(k-1), the one form the derandomization engines use.
+integers scaled by r^(k-1), the form ``combine_partial_cuts`` reads.
 Every function here takes a ``Hypergraph``, repeated edges allowed; a
 multigraph is ``core``'s integer-weighted ``WeightedGraph``, never read
 here.  ``cut_metrics`` is the one hypergraph cut scorer: each part owns

@@ -84,11 +84,11 @@ class _Memo(dict):
 
 
 class _LawTable(_Memo):
-    """One law's state codes, code -> (value, gains, nexts, packed), built on
-    first read (see ``_law_codes``).  ``packed`` holds choice i's gain plus
-    the scale from bit ``shifts[i]``, so a step sums one integer per code,
-    and ``best(total)`` is the first choice of largest sum in such a sum,
-    and that sum; a built code's next code for choice i is in ``steps[i]``."""
+    """One law's codes, code -> (value, gains, nexts, packed), built on first
+    read (see ``_law_codes``).  ``packed`` holds choice i's gain plus the
+    scale from bit ``shifts[i]``, so a step sums one integer per code, and
+    ``best(total)`` is the first choice of largest sum in a sum of packed
+    gains, with that sum; ``steps[i]`` maps each built code to ``nexts[i]``."""
 
     def __init__(self, fill, law, width: int):
         super().__init__(fill)
@@ -126,8 +126,7 @@ def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
     scale, units, top = d**w, [base**l for l in range(len(laws))], base ** len(laws)
     columns = list(zip(*laws))  # each part's weights, one per law
     types = sorted(set(columns))
-    type_of = [types.index(column) for column in columns]
-    type_bits = [sum(1 << p for p, t in enumerate(type_of) if t == i) for i in range(len(types))]
+    type_bits = [sum(1 << p for p, column in enumerate(columns) if column == t) for t in types]
 
     def fewer(missing: tuple, t: int) -> tuple:
         return missing[:t] + (missing[t] - 1,) + missing[t + 1 :]
@@ -159,7 +158,8 @@ def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
             if mask & bit:  # the edge already hits part p
                 gain, nxt = values[missing, after] - now, step
             else:
-                gain, nxt = values[fewer(missing, type_of[p - 1]), after] - now, step + bit * top
+                t = types.index(columns[p - 1])
+                gain, nxt = values[fewer(missing, t), after] - now, step + bit * top
             gains.append(gain)
             nexts.append(nxt)
             packed += gain + scale << shift
@@ -176,17 +176,18 @@ def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[l
 
     Vertex v is free under law ``law_of[v]`` until its turn, in ``order`` or
     else in id order; then it joins the choice of its law that maximizes the
-    expected number of multicoloured edges, the first on ties.  A step sums
-    the packed gains of the tally of v's edge codes and steps each edge.
-    Returns (assignment, scale, start, final): each vertex's part, and the
-    expectation before the first step and after the last, over ``scale``.
+    expected number of multicoloured edges, the first on ties.  Returns
+    (assignment, scale, start, final): each vertex's part, and the expected
+    number before the first step and after the last, as integers over scale.
     """
     n, w = h.n_vertices, h.edge_array.shape[1] or 1
-    tables, units = _law_codes(laws, w), [(w + 1) ** l for l in range(len(laws))]
-    scale = sum(laws[0]) ** w
-    first = np.array([*map(units.__getitem__, law_of), 0])[h.edge_array].sum(axis=1)  # no hit
-    state = first.tolist()
-    start = sum(c * tables[0][s][0] for s, c in enumerate(np.bincount(first).tolist()) if c)
+    tables, scale = _law_codes(laws, w), sum(laws[0]) ** w
+    if len(laws) == 1:  # no part is hit yet: a code is its edge's size
+        state, counts = h.edge_sizes.tolist(), h.size_histogram
+    else:  # a vertex of law l adds (w + 1)^l
+        first = np.array([(w + 1) ** law for law in law_of] + [0])[h.edge_array].sum(axis=1)
+        state, counts = first.tolist(), np.bincount(first).tolist()
+    start = sum(c * tables[0][s][0] for s, c in enumerate(counts) if c)
     # each packed sum adds the scale once per edge of its vertex
     expected = start - scale * sum(map(mul, h.size_histogram, range(w + 1)))
     views = [(table.__getitem__, table.choices, table.best, table.steps) for table in tables]
@@ -255,8 +256,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
     k_eff = max(h.edge_array.shape[1], 2)
-    scale = 1 << k_eff
-    codes = _law_codes(((1, 1),), k_eff)[0]
+    scale, codes = 1 << k_eff, _law_codes(((1, 1),), k_eff)[0]  # the uniform 2-part law
 
     inc = h.incidence
     state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
@@ -682,7 +682,7 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
             lose = 0
             plus = [0] * (r + 1)
             tally.clear()
-            _count_elements(tally, map(code.__getitem__, inc[v]))
+            tally.update(map(code.__getitem__, inc[v]))
             for c, t in tally.items():
                 q = missing_of[c]
                 if q == 0:
