@@ -85,10 +85,10 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
 
     ``es`` and ``chromatic`` run ``solve``'s own routes and print their
     lines; ``greedy`` runs ``solve``'s greedy route at r = 2 on any
-    instance, with the route's line on a 3-graph and an advisory line of
-    its own elsewhere.  Only ``pipeline`` (the structural driver alone,
-    with a conditional-expectations fallback) is the CLI's own.  Every
-    algorithm needs ``trials >= 1``, which ``PipelineParams`` checks.
+    instance, with one advisory line of its own.  Only ``pipeline`` (the
+    structural driver alone, with a conditional-expectations fallback) is
+    the CLI's own.  Every algorithm needs ``trials >= 1``, which
+    ``PipelineParams`` checks.
     """
     params = PipelineParams(trials=trials, seed=seed)
     if algo == "auto":
@@ -100,8 +100,7 @@ def _run_algorithm(h: Hypergraph, algo: str, r: int, trials: int, seed: int):
         if r != 2:
             raise HypercutError("--algo greedy is a 2-cut heuristic")
         route = greedy_route(h, engine_order(h, params))
-        if not route.ledger.entries:  # only a 3-graph's route certifies a line
-            route = Route.of("greedy", route.cut, route.metrics, "pair-expansion greedy gains")
+        route = Route.of("greedy", route.cut, route.metrics, "pair-expansion greedy gains")
     elif algo == "chromatic":
         route = chromatic_route(h, r, params)
     elif algo == "pipeline":
