@@ -12,9 +12,10 @@ mask of parts it hits and its count of free vertices under each law;
 ``_law_codes`` builds each code's value, gains and next codes on first
 use, never over all 2^r masks.  ``erdos_selfridge_2cut`` keeps its own
 deferral loop on the uniform 2-part codes, and ``point_local_search``
-codes per-part vertex counts.  A step tallies the codes of v's edges in
-a ``Counter`` (a per-vertex numpy call costs more than it saves on small
-instances) and reads one entry per distinct code.
+codes per-part vertex counts.  A step of the pass or of the deferred
+engine sums the packed gains of v's edges' codes, one integer per edge;
+the local search tallies its codes in a ``Counter``.  No numpy call runs
+per vertex.
 ``combine_partial_cuts`` reads ``cutspace.multicolour_table``: an edge's
 first pending block moves it the same way under either swap, and each
 later one adds one of two table differences while the edge shows a
@@ -29,7 +30,8 @@ weight from ``crossing_weight`` (a multigraph has integer weights).
 from __future__ import annotations
 
 import random
-from collections import Counter, _count_elements
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -85,17 +87,19 @@ class _Memo(dict):
 
 class _LawTable(_Memo):
     """One law's codes, code -> (value, gains, nexts, packed), built on first
-    read (see ``_law_codes``).  ``packed`` holds choice i's gain plus the
-    scale from bit ``shifts[i]``, so a step sums one integer per code, and
-    ``best(total)`` is the first choice of largest sum in a sum of packed
-    gains, with that sum; ``steps[i]`` maps each built code to ``nexts[i]``."""
+    read (see ``_law_codes``).  ``packed`` holds choice i's gain plus the scale
+    in the ``width`` bits from bit ``shifts[i]``; ``packed[code]`` reads it and
+    ``best`` gives a sum's first choice of largest sum, with that sum.  An entry
+    files ``nexts[i]`` in ``steps[i]`` as it is built, so a step reads its codes
+    first; the table refers to itself only weakly, so it is freed once dropped."""
 
     def __init__(self, fill, law, width: int):
-        super().__init__(fill)
+        super().__init__(partial(fill, weakref.proxy(self)))  # fill(table, code)
         self.choices = tuple(p for p, weight in enumerate(law, 1) if weight)
         self.steps = [{} for _ in self.choices]
-        self.shifts = shifts = range(0, width * len(self.choices), width)
-        field, two = (1 << width) - 1, len(shifts) == 2
+        self.packed = _Memo(lambda code, table=weakref.proxy(self): table[code][3])
+        self.width, self.shifts = width, range(0, width * len(self.choices), width)
+        field, two, shifts = (1 << width) - 1, len(self.shifts) == 2, self.shifts
 
         def best(total: int) -> tuple[int, int]:
             if two:  # one divmod splits two sums
@@ -107,8 +111,8 @@ class _LawTable(_Memo):
         self.best = best
 
 
-@lru_cache(maxsize=None)
-def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
+@lru_cache(maxsize=16)
+def _law_codes(laws: tuple, w: int, degree_bits: int) -> tuple[_LawTable, ...]:
     """State codes of edges of at most w vertices, one table per vertex law.
 
     ``laws[l][p-1]`` is the integer weight of part p under law l; all laws
@@ -121,12 +125,14 @@ def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
     all laws weigh alike are one type, and a value depends only on how many
     of each type are missing.  A free vertex of law l joining its i-th choice
     adds ``gains[i]`` to the value and steps the code to ``nexts[i]``.
+    Packed fields hold sums over fewer than 2^degree_bits edges.
     """
     d, base = sum(laws[0]), w + 1
     scale, units, top = d**w, [base**l for l in range(len(laws))], base ** len(laws)
     columns = list(zip(*laws))  # each part's weights, one per law
     types = sorted(set(columns))
     type_bits = [sum(1 << p for p, column in enumerate(columns) if column == t) for t in types]
+    part_type = list(map(types.index, columns))
 
     def fewer(missing: tuple, t: int) -> tuple:
         return missing[:t] + (missing[t] - 1,) + missing[t + 1 :]
@@ -144,31 +150,38 @@ def _law_codes(laws: tuple, w: int) -> tuple[_LawTable, ...]:
                      for i, (c, t) in enumerate(zip(missing, types)) if c * t[l])
             values[missing, rest] = same + sum(joins) // d
 
-    def fill(l: int, code: int):
+    def fill(l: int, table: _LawTable, code: int):
         mask, rest = divmod(code, top)
         missing = tuple((bits & ~mask).bit_count() for bits in type_bits)
         now = values[missing, rest]
         if not rest // units[l] % base:
             return now, (), (), 0
         after, step = rest - units[l], code - units[l]
-        table = tables[l]
         gains, nexts, packed = [], [], 0
         for p, shift, filed in zip(table.choices, table.shifts, table.steps):
             bit = 1 << (p - 1)
             if mask & bit:  # the edge already hits part p
                 gain, nxt = values[missing, after] - now, step
             else:
-                t = types.index(columns[p - 1])
-                gain, nxt = values[fewer(missing, t), after] - now, step + bit * top
+                gain, nxt = values[fewer(missing, part_type[p - 1]), after] - now, step + bit * top
             gains.append(gain)
             nexts.append(nxt)
             packed += gain + scale << shift
             filed[code] = nxt
         return now, tuple(gains), tuple(nexts), packed
 
-    # a field holds a sum of up to 2^40 gains, each plus the scale
-    tables = [_LawTable(partial(fill, l), law, scale.bit_length() + 41) for l, law in enumerate(laws)]
-    return tuple(tables)
+    width = (scale << degree_bits + 1).bit_length()  # each gain plus the scale is at most 2 * scale
+    return tuple(_LawTable(partial(fill, l), law, width) for l, law in enumerate(laws))
+
+
+def _law_tables(h: Hypergraph, laws: tuple, w: int) -> tuple[_LawTable, ...]:
+    """``_law_codes`` with fields for h's largest degree, at least 9 bits (the
+    lift's two fields then fit one 30-bit int digit).  Tables past 2^12 codes
+    are dropped from the cache first, so only small ones outlive a call."""
+    bits = max(9, max(map(len, h.incidence), default=0).bit_length())
+    if sum(map(len, _law_codes(laws, w, bits))) > 1 << 12:
+        _law_codes.cache_clear()
+    return _law_codes(laws, w, bits)
 
 
 def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[list[int], int, int, int]:
@@ -181,27 +194,21 @@ def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[l
     number before the first step and after the last, as integers over scale.
     """
     n, w = h.n_vertices, h.edge_array.shape[1] or 1
-    tables, scale = _law_codes(laws, w), sum(laws[0]) ** w
-    if len(laws) == 1:  # no part is hit yet: a code is its edge's size
-        state, counts = h.edge_sizes.tolist(), h.size_histogram
-    else:  # a vertex of law l adds (w + 1)^l
-        first = np.array([(w + 1) ** law for law in law_of] + [0])[h.edge_array].sum(axis=1)
-        state, counts = first.tolist(), np.bincount(first).tolist()
-    start = sum(c * tables[0][s][0] for s, c in enumerate(counts) if c)
+    tables, scale = _law_tables(h, laws, w), sum(laws[0]) ** w
+    # no part is hit yet: a vertex of law l counts (w + 1)^l = 1 + ((w + 1)^l - 1)
+    first, law = h.edge_sizes.astype(np.intp), np.array([*law_of, 0])
+    for l in range(1, len(laws)):
+        first += ((w + 1) ** l - 1) * (law == l)[h.edge_array].sum(axis=1)
+    state = first.tolist()
+    start = sum(c * tables[0][s][0] for s, c in enumerate(np.bincount(first).tolist()) if c)
     # each packed sum adds the scale once per edge of its vertex
     expected = start - scale * sum(map(mul, h.size_histogram, range(w + 1)))
-    views = [(table.__getitem__, table.choices, table.best, table.steps) for table in tables]
+    views = [(table.packed.__getitem__, table.choices, table.best, table.steps) for table in tables]
     inc, assignment = h.incidence, [0] * n
-    tally = Counter()  # reused: v's edges by code
     for v in range(n) if order is None else order:
-        entry, choices, best_of, steps = views[law_of[v]]
+        packed, choices, best_of, steps = views[law_of[v]]
         iv = inc[v]
-        tally.clear()
-        _count_elements(tally, map(state.__getitem__, iv))
-        total = 0
-        for s, c in tally.items():
-            total += c * entry(s)[3]
-        best, top = best_of(total)
+        best, top = best_of(sum(map(packed, map(state.__getitem__, iv))))
         assignment[v] = choices[best]
         expected += top
         step = steps[best]
@@ -244,8 +251,9 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     ``_law_codes``), uncertain while its value lies strictly between 0 and
     1, and counts the deferred vertices it holds and sums their ids, so the
     one deferred partner of an uncertain edge is read off directly.  A step
-    reads the tally of v's codes, and of each partner's uncertain codes
-    split by whether the edge holds v.
+    sums the packed gains of v's codes, takes off those of its edges with a
+    deferred partner (an edge that is not uncertain gains nothing), and
+    tallies each partner's uncertain codes split by whether the edge holds v.
 
     ``on_step(v, assigned, expectation)`` is called after each step with
     the vertex just processed, a copy of the determined assignments, and
@@ -255,10 +263,8 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     n = h.n_vertices
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of all vertices")
-    k_eff = max(h.edge_array.shape[1], 2)
-    scale, codes = 1 << k_eff, _law_codes(((1, 1),), k_eff)[0]  # the uniform 2-part law
-
-    inc = h.incidence
+    k_eff, inc = max(h.edge_array.shape[1], 2), h.incidence
+    scale, codes = 1 << k_eff, _law_tables(h, ((1, 1),), k_eff)[0]  # the uniform 2-part law
     state = h.edge_sizes.tolist()  # no part hit yet: the code is the free count
     n_deferred = [0] * h.m  # deferred vertices in each edge
     deferred_sum = [0] * h.m  # the sum of their ids
@@ -276,43 +282,38 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     def uncertain(s: int) -> bool:
         return 0 < codes[s][0] < scale
 
-    tally = Counter()  # reused: a vertex's edges by code
+    def gain_sums(iw) -> list[int]:  # the summed gains of edges iw, per part
+        total = sum(map(codes.packed.__getitem__, map(state.__getitem__, iw)))
+        return [g - len(iw) * scale for g in divmod(total, 1 << codes.width)[::-1]]
 
-    def assign(w: int, p: int) -> None:
+    def assign(w: int, p: int, gains: list[int]) -> None:  # gains: gain_sums(inc[w])
         nonlocal ez
         part[w] = p
-        tally.clear()
-        _count_elements(tally, map(state.__getitem__, inc[w]))
-        for s, c in tally.items():
-            ez += c * codes[s][1][p - 1]
-        step = codes.steps[p - 1]  # filled as the tally read each code
+        ez += gains[p - 1]
+        step = codes.steps[p - 1]
         for ei in inc[w]:
             state[ei] = step[state[ei]]
 
     def count_deferred(w: int, sign: int) -> None:
+        signed = sign * w
         for ei in inc[w]:
             n_deferred[ei] += sign
-            deferred_sum[ei] += sign * w
+            deferred_sum[ei] += signed
 
     snapshot(None)
     for v in order:
         iv = inc[v]
-        tally.clear()
-        _count_elements(tally, map(state.__getitem__, iv))
+        # per choice of v's part: the gain on v's edges with no deferred vertex
+        gains_v = gain_sums(iv)
+        solo_gain = gains_v[:]
         u_v: set[int] = set()
         for ei in compress(iv, map(n_deferred.__getitem__, iv)):
             if uncertain(state[ei]):
                 if n_deferred[ei] > 1:
                     raise CertificateError("uncertain edge touches two deferred vertices")
                 u_v.add(deferred_sum[ei])
-                tally[state[ei]] -= 1  # weighed with its partner below
-        # per choice of v's part: the gain on v's uncertain edges with no deferred vertex
-        solo_gain = [0, 0]
-        for s, c in tally.items():
-            if c and uncertain(s):
-                gains = codes[s][1]
-                solo_gain[0] += c * gains[0]
-                solo_gain[1] += c * gains[1]
+                # weighed with its partner below
+                solo_gain = [g - held for g, held in zip(solo_gain, codes[state[ei]][1])]
         # per partner u: gain[cv][cu] on u's uncertain edges, v joining those that hold it
         partner_gains = []
         if u_v:
@@ -357,9 +358,9 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
         else:
             credit += 1 + len(u_v)
             before = ez
-            assign(v, best_cv)
+            assign(v, best_cv, gains_v)
             for u in sorted(u_v):
-                assign(u, best_cu[u])
+                assign(u, best_cu[u], gain_sums(inc[u]))
                 deferred.remove(u)
                 count_deferred(u, -1)
             if ez != before + best_delta:

@@ -728,7 +728,7 @@ def lift_by_enumeration(h, c2) -> tuple[int, ...]:
 
 def test_rainbow_table_matches_enumeration():
     # the lift's laws: a free vertex of 2-cut part 1 (2) stays w.p. 2/3, else joins part 3
-    codes = _law_codes(((2, 0, 1), (0, 2, 1)), 3)[0]
+    codes = _law_codes(((2, 0, 1), (0, 2, 1)), 3, 9)[0]
     oracle = rainbow_table()  # the plain lift oracle's own table
     checked = 0
     for a in range(4):

@@ -122,7 +122,9 @@ def test_lift_matches_plain_loop(h, data):
 @pytest.mark.parametrize("r, k", [(r, k) for k in range(2, 7) for r in range(2, k + 1)])
 def test_uniform_law_codes_match_the_multicolour_table(r, k):
     # every code an edge of at most k vertices can reach: a hit part needs a decided vertex
-    codes = _law_codes(((1,) * r,), k)[0]
+    _law_codes.cache_clear()
+    codes = _law_codes(((1,) * r,), k, 9)[0]
+    assert codes.steps == [{}] * r  # a code's steps are filed as its entry is built
     table, scale = multicolour_table(r, k), r**k
     for mask in range(1 << r):
         for free in range(k + 1 - mask.bit_count()):
@@ -133,7 +135,9 @@ def test_uniform_law_codes_match_the_multicolour_table(r, k):
                 continue
             assert nexts == tuple((mask | 1 << p) * (k + 1) + free - 1 for p in range(r))
             assert gains == tuple(codes[nxt][0] - value for nxt in nexts)
-            # one code's packed gains: its first largest gain, plus the scale
+            # one code's packed gains: each gain plus the scale, and the first largest
+            fields = [packed >> shift & (1 << codes.width) - 1 for shift in codes.shifts]
+            assert fields == [gain + scale for gain in gains]
             assert codes.best(packed) == (gains.index(max(gains)), max(gains) + scale)
             assert [codes.steps[p][mask * (k + 1) + free] for p in range(r)] == list(nexts)
 
