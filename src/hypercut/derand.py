@@ -9,13 +9,14 @@ integers.  ``conditional_rcut`` and the lift
 over product laws: each vertex is free under a law of integer part
 weights until its turn, and each edge carries a small integer code, the
 mask of parts it hits and its count of free vertices under each law;
-``_law_codes`` builds each code's value, gains and next codes on first
-use, never over all 2^r masks.  ``erdos_selfridge_2cut`` keeps its own
-deferral loop on the uniform 2-part codes, and ``point_local_search``
-codes per-part vertex counts.  A step of the pass or of the deferred
-engine sums the packed gains of v's edges' codes, one integer per edge;
-the local search tallies its codes in a ``Counter``.  No numpy call runs
-per vertex.
+``_law_codes`` builds each code's value, and apart from it its packed
+gains and next codes, on first use, never over all 2^r masks.  A step of
+the pass or of ``erdos_selfridge_2cut``, which reads the uniform 2-part
+codes, sums the packed gains of v's edges' codes, one integer per edge;
+the deferred engine weighs each deferred partner by the same sums on its
+own edges once v's codes have stepped.  ``point_local_search`` codes
+per-part vertex counts and tallies them in a ``Counter``.  No numpy call
+runs per vertex.
 ``combine_partial_cuts`` reads ``cutspace.multicolour_table``: an edge's
 first pending block moves it the same way under either swap, and each
 later one adds one of two table differences while the edge shows a
@@ -86,18 +87,18 @@ class _Memo(dict):
 
 
 class _LawTable(_Memo):
-    """One law's codes, code -> (value, gains, nexts, packed), built on first
-    read (see ``_law_codes``).  ``packed`` holds choice i's gain plus the scale
-    in the ``width`` bits from bit ``shifts[i]``; ``packed[code]`` reads it and
-    ``best`` gives a sum's first choice of largest sum, with that sum.  An entry
-    files ``nexts[i]`` in ``steps[i]`` as it is built, so a step reads its codes
-    first; the table refers to itself only weakly, so it is freed once dropped."""
+    """One law's codes, code -> value, built on first read (see ``_law_codes``).
+    ``packed[code]`` holds choice i's gain plus the scale in the ``width`` bits
+    from bit ``shifts[i]``, and ``best`` gives a sum's first choice of largest
+    sum, with that sum.  A packed entry files choice i's next code in
+    ``steps[i]`` as it is built, so a step reads its codes' packed gains first;
+    the table refers to itself only weakly, so it is freed once dropped."""
 
-    def __init__(self, fill, law, width: int):
-        super().__init__(partial(fill, weakref.proxy(self)))  # fill(table, code)
+    def __init__(self, value, pack, law, width: int):
+        super().__init__(value)
         self.choices = tuple(p for p, weight in enumerate(law, 1) if weight)
         self.steps = [{} for _ in self.choices]
-        self.packed = _Memo(lambda code, table=weakref.proxy(self): table[code][3])
+        self.packed = _Memo(partial(pack, weakref.proxy(self)))  # pack(table, code)
         self.width, self.shifts = width, range(0, width * len(self.choices), width)
         field, two, shifts = (1 << width) - 1, len(self.shifts) == 2, self.shifts
 
@@ -123,8 +124,9 @@ def _law_codes(laws: tuple, w: int, degree_bits: int) -> tuple[_LawTable, ...]:
     value is d^w * Pr(the free vertices hit every missing part), built bottom
     up as the mean of the values after one free vertex joins a part; parts
     all laws weigh alike are one type, and a value depends only on how many
-    of each type are missing.  A free vertex of law l joining its i-th choice
-    adds ``gains[i]`` to the value and steps the code to ``nexts[i]``.
+    of each type are missing.  A table's entry is that value; a free vertex
+    of law l joining its i-th choice adds the gain in field i of
+    ``packed[code]`` to it and steps the code to ``steps[i][code]``.
     Packed fields hold sums over fewer than 2^degree_bits edges.
     """
     d, base = sum(laws[0]), w + 1
@@ -150,36 +152,38 @@ def _law_codes(laws: tuple, w: int, degree_bits: int) -> tuple[_LawTable, ...]:
                      for i, (c, t) in enumerate(zip(missing, types)) if c * t[l])
             values[missing, rest] = same + sum(joins) // d
 
-    def fill(l: int, table: _LawTable, code: int):
+    def key(code: int) -> tuple:  # (missing parts of each type, free counts)
         mask, rest = divmod(code, top)
-        missing = tuple((bits & ~mask).bit_count() for bits in type_bits)
-        now = values[missing, rest]
+        return tuple((bits & ~mask).bit_count() for bits in type_bits), rest
+
+    def pack(l: int, table: _LawTable, code: int) -> int:
+        (missing, rest), mask = key(code), code // top
         if not rest // units[l] % base:
-            return now, (), (), 0
-        after, step = rest - units[l], code - units[l]
-        gains, nexts, packed = [], [], 0
+            return 0
+        now, after, step = values[missing, rest], rest - units[l], code - units[l]
+        packed = 0
         for p, shift, filed in zip(table.choices, table.shifts, table.steps):
             bit = 1 << (p - 1)
             if mask & bit:  # the edge already hits part p
-                gain, nxt = values[missing, after] - now, step
+                gain, filed[code] = values[missing, after] - now, step
             else:
-                gain, nxt = values[fewer(missing, part_type[p - 1]), after] - now, step + bit * top
-            gains.append(gain)
-            nexts.append(nxt)
+                gain, filed[code] = values[fewer(missing, part_type[p - 1]), after] - now, step + bit * top
             packed += gain + scale << shift
-            filed[code] = nxt
-        return now, tuple(gains), tuple(nexts), packed
+        return packed
 
     width = (scale << degree_bits + 1).bit_length()  # each gain plus the scale is at most 2 * scale
-    return tuple(_LawTable(partial(fill, l), law, width) for l, law in enumerate(laws))
+    return tuple(
+        _LawTable(lambda code: values[key(code)], partial(pack, l), law, width) for l, law in enumerate(laws)
+    )
 
 
 def _law_tables(h: Hypergraph, laws: tuple, w: int) -> tuple[_LawTable, ...]:
     """``_law_codes`` with fields for h's largest degree, at least 9 bits (the
-    lift's two fields then fit one 30-bit int digit).  Tables past 2^12 codes
-    are dropped from the cache first, so only small ones outlive a call."""
+    lift's two fields then fit one 30-bit int digit).  Tables past 2^12
+    values plus packed entries are dropped from the cache first, so only
+    small ones outlive a call."""
     bits = max(9, max(map(len, h.incidence), default=0).bit_length())
-    if sum(map(len, _law_codes(laws, w, bits))) > 1 << 12:
+    if sum(len(table) + len(table.packed) for table in _law_codes(laws, w, bits)) > 1 << 12:
         _law_codes.cache_clear()
     return _law_codes(laws, w, bits)
 
@@ -200,7 +204,7 @@ def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[l
     for l in range(1, len(laws)):
         first += ((w + 1) ** l - 1) * (law == l)[h.edge_array].sum(axis=1)
     state = first.tolist()
-    start = sum(c * tables[0][s][0] for s, c in enumerate(np.bincount(first).tolist()) if c)
+    start = sum(c * tables[0][s] for s, c in enumerate(np.bincount(first).tolist()) if c)
     # each packed sum adds the scale once per edge of its vertex
     expected = start - scale * sum(map(mul, h.size_histogram, range(w + 1)))
     views = [(table.packed.__getitem__, table.choices, table.best, table.steps) for table in tables]
@@ -251,9 +255,11 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     ``_law_codes``), uncertain while its value lies strictly between 0 and
     1, and counts the deferred vertices it holds and sums their ids, so the
     one deferred partner of an uncertain edge is read off directly.  A step
-    sums the packed gains of v's codes, takes off those of its edges with a
-    deferred partner (an edge that is not uncertain gains nothing), and
-    tallies each partner's uncertain codes split by whether the edge holds v.
+    sums the packed gains of v's codes per choice cv, then steps v's codes
+    to cv and adds each partner's largest sum on its own codes, and then
+    restores v's codes.  Per edge, v's gain and then u's equal u's gain and
+    then v's, and an edge that is not uncertain gains nothing, so this is
+    the joint maximum over v and its partners.
 
     ``on_step(v, assigned, expectation)`` is called after each step with
     the vertex just processed, a copy of the determined assignments, and
@@ -271,7 +277,7 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
 
     part = [0] * n  # 0 = unassigned
     deferred: set[int] = set()
-    ez = base = sum(c * codes[s][0] for s, c in enumerate(h.size_histogram))
+    ez = base = sum(c * codes[s] for s, c in enumerate(h.size_histogram))
     credit = 0  # |D| + sum |U_v|: determined vertices plus their deferred partners
 
     def snapshot(v):
@@ -280,19 +286,22 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
             on_step(v, assigned, Fraction(ez, scale))
 
     def uncertain(s: int) -> bool:
-        return 0 < codes[s][0] < scale
+        return 0 < codes[s] < scale
 
     def gain_sums(iw) -> list[int]:  # the summed gains of edges iw, per part
         total = sum(map(codes.packed.__getitem__, map(state.__getitem__, iw)))
         return [g - len(iw) * scale for g in divmod(total, 1 << codes.width)[::-1]]
 
+    def step(iw, p: int) -> None:  # edges iw gain a vertex in part p
+        to = codes.steps[p - 1]
+        for ei in iw:
+            state[ei] = to[state[ei]]
+
     def assign(w: int, p: int, gains: list[int]) -> None:  # gains: gain_sums(inc[w])
         nonlocal ez
         part[w] = p
         ez += gains[p - 1]
-        step = codes.steps[p - 1]
-        for ei in inc[w]:
-            state[ei] = step[state[ei]]
+        step(inc[w], p)
 
     def count_deferred(w: int, sign: int) -> None:
         signed = sign * w
@@ -303,46 +312,29 @@ def erdos_selfridge_2cut(h: Hypergraph, order, on_step=None) -> tuple[Cut, EsLed
     snapshot(None)
     for v in order:
         iv = inc[v]
-        # per choice of v's part: the gain on v's edges with no deferred vertex
-        gains_v = gain_sums(iv)
-        solo_gain = gains_v[:]
+        gains_v = gain_sums(iv)  # per choice of v's part, on all of v's edges
         u_v: set[int] = set()
         for ei in compress(iv, map(n_deferred.__getitem__, iv)):
             if uncertain(state[ei]):
                 if n_deferred[ei] > 1:
                     raise CertificateError("uncertain edge touches two deferred vertices")
                 u_v.add(deferred_sum[ei])
-                # weighed with its partner below
-                solo_gain = [g - held for g, held in zip(solo_gain, codes[state[ei]][1])]
-        # per partner u: gain[cv][cu] on u's uncertain edges, v joining those that hold it
-        partner_gains = []
-        if u_v:
-            holds_v = set(iv)
-            for u in sorted(u_v):
-                gain = [[0, 0], [0, 0]]
-                iu = inc[u]
-                keys = zip(map(state.__getitem__, iu), map(holds_v.__contains__, iu))
-                for (s, with_v), c in Counter(keys).items():
-                    if not uncertain(s):
-                        continue
-                    _, gains, nexts, _ = codes[s]
-                    for cu in (0, 1):
-                        for cv in (0, 1):
-                            extra = codes[nexts[cu]][1][cv] if with_v else 0
-                            gain[cv][cu] += c * (gains[cu] + extra)
-                partner_gains.append((u, gain))
 
         best_delta = None
         best_cv = 1
         best_cu: dict[int, int] = {}
         for cv in (1, 2):
-            delta = solo_gain[cv - 1]
+            delta = gains_v[cv - 1]
             choice: dict[int, int] = {}
-            for u, gain in partner_gains:
-                d1, d2 = gain[cv - 1]
-                cu = 2 if d2 > d1 else 1
-                delta += max(d1, d2)
-                choice[u] = cu
+            if u_v:  # each partner's best part once v has joined cv, then v's codes back
+                saved = list(map(state.__getitem__, iv))
+                step(iv, cv)
+                for u in sorted(u_v):
+                    d1, d2 = gain_sums(inc[u])
+                    choice[u] = 2 if d2 > d1 else 1
+                    delta += max(d1, d2)
+                for ei, s in zip(iv, saved):
+                    state[ei] = s
             if best_delta is None or delta > best_delta:
                 best_delta, best_cv, best_cu = delta, cv, choice
 

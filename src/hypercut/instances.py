@@ -205,7 +205,7 @@ def _rgs_strings(n: int, r: int):
             if a[i] < cap:
                 break
             i -= 1
-        if i == 0:
+        if i <= 0:  # also n = 0, whose one string is the empty one
             return
         a[i] += 1
         for j in range(i + 1, n):

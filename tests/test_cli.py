@@ -113,6 +113,12 @@ def test_gen_exact_round(tmp_path, capsys):
     assert out.strip() == "10"
 
 
+def test_exact_of_an_empty_instance_prints_0(tmp_path, capsys):
+    path = tmp_path / "empty.hg"
+    path.write_text("hg 1 3 0 0\n")
+    assert run(capsys, "exact", str(path), "--r", "3") == (0, "0\n", "")
+
+
 def test_cut_es_reports_guarantee(tmp_path, capsys):
     path = tmp_path / "s9.hg"
     run(capsys, "gen", "--family", "sts", "--n", "9", "-o", str(path))

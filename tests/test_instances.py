@@ -178,6 +178,11 @@ def test_exact_matches_naive_enumeration():
             assert cut_metrics(h, cut).size == value
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_exact_empty_instance(r):
+    assert exact_maxcut(build(0, []), r) == (0, Cut(r, ()))
+
+
 def test_exact_oracle_limits():
     h = build(17, [[0, 1]])
     with pytest.raises(OracleInfeasible):

@@ -740,7 +740,7 @@ def test_rainbow_table_matches_enumeration():
                 side = (1,) * a + (2,) * b + tuple(p if p < 3 else 1 for p in hit)
                 mask = sum({1: 1, 2: 2, 3: 4}[p] for p in set(hit))
                 want = rainbow27((0, 1, 2), moved, side)
-                assert codes[mask << 4 | b << 2 | a][0] == want  # code: mask, then b, then a
+                assert codes[mask << 4 | b << 2 | a] == want  # code: mask, then b, then a
                 assert oracle[mask << 4 | a << 2 | b] == want
                 checked += 1
     assert checked == 58  # every state the lift can reach, 3^(3-a-b) per (a, b)

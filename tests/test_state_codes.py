@@ -22,6 +22,7 @@ from hypercut.core import build
 from hypercut.cutspace import Cut, cut_metrics, multicolour_table
 from hypercut.derand import (
     _law_codes,
+    _law_tables,
     combine_partial_cuts,
     conditional_rcut,
     erdos_selfridge_2cut,
@@ -78,10 +79,17 @@ PARTNER_ON_A_HIT_EDGE = (
     [0, 4, 3, 5, 2, 1],
 )
 
+# at v = 2 the engine decides both deferred partners, 1 and 4, in one step
+TWO_PARTNERS_IN_ONE_STEP = (
+    build(5, [[2, 1], [3, 0, 4, 2], [1, 0, 2], [3, 4], [1, 3, 0, 2], [4, 2, 3]]),
+    [4, 1, 2, 0, 3],
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(instances().flatmap(lambda h: st.tuples(st.just(h), st.permutations(range(h.n_vertices)))))
 @example(PARTNER_ON_A_HIT_EDGE)
+@example(TWO_PARTNERS_IN_ONE_STEP)
 def test_es_matches_plain_loop(instance):
     h, order = instance
     steps, plain_steps = [], []
@@ -124,22 +132,24 @@ def test_uniform_law_codes_match_the_multicolour_table(r, k):
     # every code an edge of at most k vertices can reach: a hit part needs a decided vertex
     _law_codes.cache_clear()
     codes = _law_codes(((1,) * r,), k, 9)[0]
-    assert codes.steps == [{}] * r  # a code's steps are filed as its entry is built
+    assert codes.steps == [{}] * r  # a code's steps are filed as its packed gains are built
     table, scale = multicolour_table(r, k), r**k
     for mask in range(1 << r):
         for free in range(k + 1 - mask.bit_count()):
-            value, gains, nexts, packed = codes[mask * (k + 1) + free]
+            code = mask * (k + 1) + free
+            value = codes[code]
             assert value == r * table[r - mask.bit_count()][free]
-            if not free:
-                assert (gains, nexts) == ((), ())
+            assert not any(code in filed for filed in codes.steps)  # reading a value files no step
+            packed = codes.packed[code]
+            if not free:  # no vertex left to join a part: nothing packed, no step filed
+                assert packed == 0 and not any(code in filed for filed in codes.steps)
                 continue
-            assert nexts == tuple((mask | 1 << p) * (k + 1) + free - 1 for p in range(r))
-            assert gains == tuple(codes[nxt][0] - value for nxt in nexts)
+            nexts = [codes.steps[p][code] for p in range(r)]
+            assert nexts == [(mask | 1 << p) * (k + 1) + free - 1 for p in range(r)]
             # one code's packed gains: each gain plus the scale, and the first largest
-            fields = [packed >> shift & (1 << codes.width) - 1 for shift in codes.shifts]
-            assert fields == [gain + scale for gain in gains]
+            gains = [(packed >> shift & (1 << codes.width) - 1) - scale for shift in codes.shifts]
+            assert gains == [codes[nxt] - value for nxt in nexts]
             assert codes.best(packed) == (gains.index(max(gains)), max(gains) + scale)
-            assert [codes.steps[p][mask * (k + 1) + free] for p in range(r)] == list(nexts)
 
 
 # ------------------------------------------------------------ certificates
@@ -218,3 +228,17 @@ def test_large_r_stays_cheap():
     assert cut == plain_conditional_rcut(h, 16)
     assert moved == plain_point_local_search(h, cut)
     assert cut_metrics(h, moved).size >= cut_metrics(h, cut).size
+
+
+def test_law_tables_drop_a_table_past_the_cap_by_its_packed_entries():
+    # r = k = 16 fills few values but thousands of packed gains; the two cuts share one table
+    rng = random.Random(16)
+    h = build(60, [rng.sample(range(60), 16) for _ in range(300)])
+    laws = ((1,) * 16,)
+    _law_codes.cache_clear()
+    tables = _law_tables(h, laws, 16)
+    conditional_rcut(h, 16)
+    conditional_rcut(h, 16, range(59, -1, -1))
+    (table,) = tables
+    assert len(table) <= 1 << 12 < len(table) + len(table.packed)
+    assert _law_tables(h, laws, 16) is not tables
