@@ -4,8 +4,6 @@ Sizes, expected sizes, excesses, multicolour probabilities, average
 excesses of partial cuts, and the closed-form excess bounds.  Every
 probability and expectation is an exact ``fractions.Fraction`` with a
 big-integer numerator; floats appear only at the reporting boundary.
-``multicolour_table`` carries the uniform-completion probabilities as
-integers scaled by r^(k-1), the form ``combine_partial_cuts`` reads.
 Every function here takes a ``Hypergraph``, repeated edges allowed; a
 multigraph is ``core``'s integer-weighted ``WeightedGraph``, never read
 here.  ``cut_metrics`` is the one hypergraph cut scorer: each part owns
@@ -17,8 +15,10 @@ cached per (size histogram, r).  The partial-cut oracles
 edge's (missing-part, free-vertex) key with numpy over the same array;
 their sums stay exact, integer numerators built from
 ``_inclusion_exclusion`` over one power of the base, and the family's
-sum is one ``Fraction`` of the summed numerators.  They never read
-``multicolour_table``, so they stay independent of the engines they audit.
+sum is one ``Fraction`` of the summed numerators.  They read none of the
+engines' state codes, so they stay independent of the engines they audit,
+and they check the parts they are given: labels in {1..r}, vertices in
+the instance, disjoint domains.
 """
 
 from __future__ import annotations
@@ -84,29 +84,6 @@ def _inclusion_exclusion(missing: int, free_count: int, base: int) -> Fraction:
         term = Fraction((base - j) ** free_count, base**free_count)
         total += (-1) ** j * math.comb(missing, j) * term
     return total
-
-
-@lru_cache(maxsize=None)
-def multicolour_table(r: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Multicolour probabilities of edges of size <= k, scaled by r^(k-1).
-
-    ``table[missing][free]`` is r^(k-1) times the probability that
-    ``free`` vertices, uniform over the r parts, hit all ``missing`` parts
-    not yet hit.  Row r runs to free = k, the other rows to k-1: an edge
-    with k free vertices has no part hit yet.  Every entry is an integer,
-    since r^free divides r^(k-1) for free < k, and r^(k-1) * r! S(k,r) / r^k
-    = (r-1)! S(k,r).
-    """
-    scale = r ** (k - 1)
-    rows = []
-    for missing in range(r + 1):
-        row = []
-        for free in range((k if missing == r else k - 1) + 1):
-            value = scale * _inclusion_exclusion(missing, free, r)
-            assert value.denominator == 1
-            row.append(value.numerator)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def uniform_expected_size(h: Hypergraph, r: int) -> Fraction:

@@ -17,12 +17,12 @@ the deferred engine weighs each deferred partner by the same sums on its
 own edges once v's codes have stepped.  ``point_local_search`` codes
 per-part vertex counts and tallies them in a ``Counter``.  No numpy call
 runs per vertex.
-``combine_partial_cuts`` reads ``cutspace.multicolour_table``: an edge's
-first pending block moves it the same way under either swap, and each
-later one adds one of two table differences while the edge shows a
-single colour, so its swap pass visits only those (edge, block) units,
-set up with numpy.  Each engine checks the realized size, counted by
-``cutspace.cut_metrics``, times the scale against its integer running
+``combine_partial_cuts`` reads no table: an edge's first pending block
+moves it the same way under either swap, and each later one moves it by
+plus or minus a power of two while the edge shows a single colour, so
+its swap pass visits only those (edge, block) units, set up with numpy,
+and sums one signed move per block.  Each engine checks the realized
+size, counted by ``cutspace.cut_metrics``, times the scale against its integer running
 expectation, raising ``GuaranteeViolation`` / ``CertificateError`` on a
 mismatch.  The greedy and flip engines read a ``WeightedGraph``'s cut
 weight from ``crossing_weight`` (a multigraph has integer weights).
@@ -31,7 +31,6 @@ weight from ``crossing_weight`` (a multigraph has integer weights).
 from __future__ import annotations
 
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,6 @@ from .core import Hypergraph, WeightedGraph
 from .cutspace import (
     Cut,
     cut_metrics,
-    multicolour_table,
     partial_average_excesses,
     uniform_expected_size,
 )
@@ -92,14 +90,15 @@ class _LawTable(_Memo):
     from bit ``shifts[i]``, and ``best`` gives a sum's first choice of largest
     sum, with that sum.  A packed entry files choice i's next code in
     ``steps[i]`` as it is built, so a step reads its codes' packed gains first;
-    the table refers to itself only weakly, so it is freed once dropped."""
+    ``pack`` gets the choices, shifts and steps, not the table, so the table
+    holds no reference to itself and is freed once dropped."""
 
     def __init__(self, value, pack, law, width: int):
         super().__init__(value)
         self.choices = tuple(p for p, weight in enumerate(law, 1) if weight)
         self.steps = [{} for _ in self.choices]
-        self.packed = _Memo(partial(pack, weakref.proxy(self)))  # pack(table, code)
         self.width, self.shifts = width, range(0, width * len(self.choices), width)
+        self.packed = _Memo(partial(pack, self.choices, self.shifts, self.steps))  # pack(..., code)
         field, two, shifts = (1 << width) - 1, len(self.shifts) == 2, self.shifts
 
         def best(total: int) -> tuple[int, int]:
@@ -156,13 +155,13 @@ def _law_codes(laws: tuple, w: int, degree_bits: int) -> tuple[_LawTable, ...]:
         mask, rest = divmod(code, top)
         return tuple((bits & ~mask).bit_count() for bits in type_bits), rest
 
-    def pack(l: int, table: _LawTable, code: int) -> int:
+    def pack(l: int, choices: tuple, shifts: range, steps: list, code: int) -> int:
         (missing, rest), mask = key(code), code // top
         if not rest // units[l] % base:
             return 0
         now, after, step = values[missing, rest], rest - units[l], code - units[l]
         packed = 0
-        for p, shift, filed in zip(table.choices, table.shifts, table.steps):
+        for p, shift, filed in zip(choices, shifts, steps):
             bit = 1 << (p - 1)
             if mask & bit:  # the edge already hits part p
                 gain, filed[code] = values[missing, after] - now, step
@@ -177,15 +176,23 @@ def _law_codes(laws: tuple, w: int, degree_bits: int) -> tuple[_LawTable, ...]:
     )
 
 
+_last_tables: tuple = ()  # what ``_law_tables`` returned last, sized at its next call
+
+
 def _law_tables(h: Hypergraph, laws: tuple, w: int) -> tuple[_LawTable, ...]:
     """``_law_codes`` with fields for h's largest degree, at least 9 bits (the
-    lift's two fields then fit one 30-bit int digit).  Tables past 2^12
-    values plus packed entries are dropped from the cache first, so only
-    small ones outlive a call."""
+    lift's two fields then fit one 30-bit int digit).  When the tables the
+    last call returned hold more than 2^12 values, packed entries and filed
+    steps (one per packed entry and choice), the cache is cleared first,
+    whatever key is asked for, so a table past the cap stays cached only
+    until the next call."""
+    global _last_tables
     bits = max(9, max(map(len, h.incidence), default=0).bit_length())
-    if sum(len(table) + len(table.packed) for table in _law_codes(laws, w, bits)) > 1 << 12:
+    held = sum(len(t) + len(t.packed) * (1 + len(t.choices)) for t in _last_tables)
+    if held > 1 << 12:
         _law_codes.cache_clear()
-    return _law_codes(laws, w, bits)
+    _last_tables = _law_codes(laws, w, bits)
+    return _last_tables
 
 
 def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[list[int], int, int, int]:
@@ -508,22 +515,19 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
 
     A swap changes the expectation only through the edges the part shares
     with an earlier part, so only those (edge, part) units are visited
-    (``_swap_units``); a part with none keeps its labels, as ties do.
+    (``_swap_units``); a part with none keeps its labels, as ties do.  Each
+    unit moves the expectation, scaled by 2^(k-1), by +-2^(k-2-u) with u
+    units after it on its edge, so a part's swap is one signed sum.  The
+    parts are checked by ``partial_average_excesses``: overlapping parts
+    and vertices outside the instance raise ``InvalidParams``, labels
+    outside {1, 2} ``InvalidCut``.
     """
     n = h.n_vertices
-    seen: set[int] = set()
-    for pc in partial_cuts:
-        if not seen.isdisjoint(pc):
-            raise InvalidParams("parts must be disjoint")
-        seen.update(pc)
-        if not {*pc.values()} <= {1, 2}:
-            raise InvalidCut("partial cuts are 2-cuts")
-        if pc and (min(pc) < 0 or max(pc) >= n):
-            raise InvalidParams(f"partial cut vertex outside the instance (n={n})")
+    x_values = partial_average_excesses(h, 2, partial_cuts)  # checks the parts
 
     # Per vertex, code 3*block + colour; each vertex outside the parts is a
     # singleton block pinned to colour 1; the padding sentinel n sorts last.
-    n_blocks = len(partial_cuts) + n - len(seen)
+    n_blocks = len(partial_cuts) + n - sum(map(len, partial_cuts))
     sentinel = 3 * n_blocks
     codes = np.full(n + 1, sentinel, dtype=np.intp)
     codes[[v for pc in partial_cuts for v in pc]] = [
@@ -543,11 +547,8 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
             f"{len(offenders)} edges collapse into a single part twice", offenders
         )
 
-    x_values = partial_average_excesses(h, 2, partial_cuts)
-
     k_eff = arr.shape[1] or 2
-    table = multicolour_table(2, k_eff)
-    scale = table[0][0]  # probability 1
+    scale = 1 << (k_eff - 1)  # probability 1
 
     # A block meets an edge in at most 2 vertices, so it is bicolour iff its
     # two codes differ, and then the edge shows both colours whatever the
@@ -557,39 +558,31 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
     units = real & ~same_block & ~fixed[:, None]
     pending = units.sum(axis=1)
     counts = np.bincount(pending, minlength=k_eff + 1).tolist()
-    expected_sigma = scale * counts[0] + sum(c * table[2][t] for t, c in enumerate(counts))
+    # an edge with t >= 1 pending units misses one colour w.p. 2^(1-t)
+    running = scale * sum(counts) - sum(c << (k_eff - t) for t, c in enumerate(counts) if t)
 
     base = uniform_expected_size(h, 2)
-    if Fraction(expected_sigma, scale) != base + x_values.total:
+    if Fraction(running, scale) != base + x_values.total:
         raise CertificateError("swap-uniform expectation != base + sum of average excesses")
 
-    # Unit 1 takes its edge from table[2][t] to table[1][t-1] under either
-    # swap.  Unit j >= 2, while units 1..j-1 show one colour, adds agree[u]
-    # if it shows that colour too and dis[u] if not; once both show, 0.
-    running = expected_sigma + sum(
-        c * (table[1][t - 1] - table[2][t]) for t, c in enumerate(counts) if t
-    )
-    agree = [table[1][u] - table[1][u + 1] for u in range(k_eff - 1)]
-    dis = [table[0][u] - table[1][u + 1] for u in range(k_eff - 1)]
+    # Unit 1 leaves its edge's expectation as it is under either swap.  Unit
+    # j >= 2 with u units after it, while units 1..j-1 show one colour, adds
+    # -2^(k-2-u) if it shows that colour too and +2^(k-2-u) if not; once both
+    # show, 0.  So keeping a block moves the expectation by -lean, swapping it
+    # by lean.
     swaps = [0] * n_blocks
     dead: set[int] = set()  # edges already showing both colours
     for b, units_b in groupby(_swap_units(rows, units, pending), itemgetter(0)):
-        keep = swap = 0
+        lean = 0
         for _, u, first, x, i, prev, y in units_b:
             if i in dead or y != swaps[first] ^ swaps[prev]:  # or unit j-1 disagreed
                 dead.add(i)
                 continue
-            if x == swaps[first]:  # kept, the unit shows unit 1's colour
-                keep += agree[u]
-                swap += dis[u]
-            else:
-                keep += dis[u]
-                swap += agree[u]
-        if swap > keep:
+            move = 1 << (k_eff - 2 - u)
+            lean += move if x == swaps[first] else -move  # kept, unit j shows unit 1's colour
+        if lean > 0:
             swaps[b] = 1
-            running += swap
-        else:
-            running += keep
+        running += abs(lean)
 
     colour = codes[:n] % 3
     flipped = np.array(swaps, dtype=bool)[codes[:n] // 3]

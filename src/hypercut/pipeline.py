@@ -240,9 +240,7 @@ def conditioned_matching_cut(
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     pairs = [tuple(p) for p in matching]
-    used = [v for p in pairs for v in p]
-    if len(set(used)) != len(used):
-        raise InvalidParams("matching pairs must be disjoint")
+    part_labels(h.n_vertices, pairs, "conditioned_matching_cut")  # the pairs are disjoint and in [0, n)
     rng = random.Random(f"matching-cut:{seed}")
 
     def draw() -> Cut:

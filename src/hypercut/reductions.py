@@ -361,6 +361,7 @@ def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> tuple[C
     """Best of random cuts whose restriction to W is an equitable r-partition,
     with its metrics."""
     w = sorted(set(w_set))
+    part_labels(h.n_vertices, [w], "dense_subset_cut")  # W lies in [0, n)
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     if len(w) < r:

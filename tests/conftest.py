@@ -2,10 +2,9 @@
 
 The oracles here enumerate assignments directly or loop over the edges
 one at a time, and never call the package's own enumeration or
-probability code, so they can check it.  The one exception is the
-vertex-by-vertex engine oracles at the end: they read
-``multicolour_table``, which its own test pins against enumeration; the
-lift oracle enumerates its own table.
+probability code, so they can check it.  The vertex-by-vertex engine
+oracles at the end read ``plain_multicolour_table``, which its own test
+pins against enumeration; the lift oracle enumerates its own table.
 """
 
 import math
@@ -21,7 +20,6 @@ from hypercut.core import Hypergraph, WeightedGraph, build
 from hypercut.cutspace import (
     Cut,
     PartialCut,
-    multicolour_table,
     partial_average_size,
     uniform_expected_size,
 )
@@ -115,6 +113,19 @@ def plain_multicolour_probability(missing: int, free: int, base: int) -> Fractio
         ),
         Fraction(0),
     )
+
+
+def plain_multicolour_table(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """``table[missing][free]``: r^(k-1) times ``plain_multicolour_probability``
+    over r parts, an integer.  Row r runs to free = k, the other rows to
+    k-1: an edge with k free vertices has no part hit yet."""
+    rows = []
+    for missing in range(r + 1):
+        top = k if missing == r else k - 1
+        row = [r ** (k - 1) * plain_multicolour_probability(missing, free, r) for free in range(top + 1)]
+        assert all(value.denominator == 1 for value in row)
+        rows.append(tuple(value.numerator for value in row))
+    return tuple(rows)
 
 
 def plain_average_size(h, assigned: dict, r: int, free_parts=None) -> Fraction:
@@ -272,7 +283,7 @@ def plain_combine_partial_cuts(h, partial_cuts):
 
 # The vertex-by-vertex engines as they ran before they read tallies of
 # per-edge state codes: each step walks every incident edge.  They read
-# ``multicolour_table`` or ``rainbow_table`` (each pinned against
+# ``plain_multicolour_table`` or ``rainbow_table`` (each pinned against
 # enumeration by its own test), never the engines' state codes, and take
 # incidences and sizes from the plain loops above.
 
@@ -282,7 +293,7 @@ def plain_erdos_selfridge_2cut(h, order, on_step=None):
     n = h.n_vertices
     k_eff = max(max((len(e) for e in h.edges), default=0), 2)
     scale = 1 << (k_eff - 1)
-    table = multicolour_table(2, k_eff)
+    table = plain_multicolour_table(2, k_eff)
 
     edges = h.edges
     inc = plain_incidence(h)
@@ -398,7 +409,7 @@ def plain_conditional_rcut(h, r: int, order=None) -> Cut:
     seq = list(range(n)) if order is None else list(order)
     inc = plain_incidence(h)
     k = max((len(e) for e in h.edges), default=0) or 1
-    table = multicolour_table(r, k)
+    table = plain_multicolour_table(r, k)
     scale = table[0][0]  # probability 1
     hit = [0] * len(h.edges)
     freec = [len(e) for e in h.edges]

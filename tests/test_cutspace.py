@@ -16,7 +16,6 @@ from hypercut.cutspace import (
     cut_metrics,
     equitable_complete_value,
     expected_fraction,
-    multicolour_table,
     partial_average_excess,
     partial_average_excesses,
     partial_average_size,
@@ -33,6 +32,7 @@ from conftest import (
     plain_average_size,
     plain_cut_size,
     plain_multicolour_probability,
+    plain_multicolour_table,
     stirling_expected_size,
 )
 
@@ -217,7 +217,7 @@ def test_multicolour_table_matches_one_edge_enumeration():
     brute = {}
     for r in range(2, 6):
         for k in range(1, 7):
-            table = multicolour_table(r, k)
+            table = plain_multicolour_table(r, k)
             assert [len(row) for row in table] == [k] * r + [k + 1]
             for missing, row in enumerate(table):
                 for free, entry in enumerate(row):

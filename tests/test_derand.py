@@ -358,14 +358,14 @@ def test_combine_rejects_vertices_outside_instance(outside):
 
 def test_combine_rejects_overlapping_partial_cuts():
     h = build(4, [[0, 1, 2], [1, 2, 3]])
-    with pytest.raises(InvalidParams, match="parts must be disjoint"):
+    with pytest.raises(InvalidParams, match="partial cuts must have disjoint domains"):
         combine_partial_cuts(h, [{0: 1, 1: 2}, {1: 1, 2: 2}])
 
 
 @pytest.mark.parametrize("label", [0, 3])
 def test_combine_rejects_labels_outside_two_parts(label):
     h = build(4, [[0, 1, 2], [1, 2, 3]])
-    with pytest.raises(InvalidCut, match="partial cuts are 2-cuts"):
+    with pytest.raises(InvalidCut, match="part labels must lie in"):
         combine_partial_cuts(h, [{0: 1, 1: 2}, {2: label}])
 
 
@@ -392,7 +392,7 @@ def combine_plans(draw):
     return n, kept, [{v: colour[v] for v in p} for p in parts]
 
 
-# one 70-vertex edge: the table's scale 2^69 is beyond int64; the pair {0, 1}
+# one 70-vertex edge: combine's scale 2^69 is beyond int64; the pair {0, 1}
 # meets it once as a single colour, then as both colours
 WIDE_EDGES = [list(range(70)), [0, 70], [5, 70, 71], [1, 2], [69, 71]]
 

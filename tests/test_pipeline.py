@@ -15,6 +15,7 @@ from hypercut.errors import (
     CertificateError,
     DriverInapplicable,
     GuaranteeViolation,
+    InvalidParams,
     SearchFailed,
 )
 from hypercut.instances import GenSpec, generate
@@ -99,6 +100,15 @@ def test_conditioned_matching_cut_single_edge():
     # the matched pair spans both parts, so the edge is always multicoloured
     assert cut.assignment[0] != cut.assignment[1]
     assert metrics == cut_metrics(h, cut) and metrics.size == 1
+
+
+@pytest.mark.parametrize("pair, vertex", [((-1, 0), -1), ((0, 4), 4)])
+def test_conditioned_matching_cut_rejects_vertices_outside_instance(pair, vertex):
+    # -1 used to pin the last vertex, n to raise a bare IndexError
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    match = f"^conditioned_matching_cut part vertex {vertex} outside the instance \\(n=4\\)$"
+    with pytest.raises(InvalidParams, match=match):
+        conditioned_matching_cut(h, [pair], 2, trials=3, seed=0)
 
 
 def test_conditioned_matching_cut_empty_matching(fano):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hypercut.reductions as reductions
-from hypercut.core import Hypergraph, WeightedGraph, build
+from hypercut.core import WeightedGraph, build
 from hypercut.cutspace import (
     Cut,
     PartialCut,
@@ -774,6 +774,15 @@ def test_dense_subset_complete_9():
 def test_dense_subset_rejects_zero_trials(fano):
     with pytest.raises(InvalidParams):
         dense_subset_cut(fano, range(7), 2, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_dense_subset_rejects_vertices_outside_instance(vertex):
+    # -1 used to put the last vertex in W, n to raise a bare IndexError
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    match = f"^dense_subset_cut part vertex {vertex} outside the instance \\(n=4\\)$"
+    with pytest.raises(InvalidParams, match=match):
+        dense_subset_cut(h, [vertex, 0], 2, trials=3, seed=0)
 
 
 def test_dense_subset_no_edges():

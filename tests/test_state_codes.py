@@ -4,10 +4,11 @@
 ``lift_2cut_to_3cut`` must give exactly what their per-edge loops gave
 (kept in ``conftest``): the same cut, the same ledger and the same
 ``on_step`` calls.  The uniform law's codes must carry r times the
-``multicolour_table`` entries, their certificates must still catch a
+``plain_multicolour_table`` entries, their certificates must still catch a
 wrong size, and a large r must stay cheap.
 """
 
+import gc
 import random
 import time
 from dataclasses import replace
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypercut import derand, reductions
 from hypercut.cli import main
 from hypercut.core import build
-from hypercut.cutspace import Cut, cut_metrics, multicolour_table
+from hypercut.cutspace import Cut, cut_metrics
 from hypercut.derand import (
     _law_codes,
     _law_tables,
@@ -37,6 +38,7 @@ from conftest import (
     plain_conditional_rcut,
     plain_erdos_selfridge_2cut,
     plain_lift_2cut_to_3cut,
+    plain_multicolour_table,
     plain_point_local_search,
 )
 
@@ -133,7 +135,7 @@ def test_uniform_law_codes_match_the_multicolour_table(r, k):
     _law_codes.cache_clear()
     codes = _law_codes(((1,) * r,), k, 9)[0]
     assert codes.steps == [{}] * r  # a code's steps are filed as its packed gains are built
-    table, scale = multicolour_table(r, k), r**k
+    table, scale = plain_multicolour_table(r, k), r**k
     for mask in range(1 << r):
         for free in range(k + 1 - mask.bit_count()):
             code = mask * (k + 1) + free
@@ -231,14 +233,32 @@ def test_large_r_stays_cheap():
 
 
 def test_law_tables_drop_a_table_past_the_cap_by_its_packed_entries():
-    # r = k = 16 fills few values but thousands of packed gains; the two cuts share one table
+    # r = k = 16 fills few values but thousands of packed gains, each filing 16
+    # next codes: only the filed steps take one cut's table past the cap
     rng = random.Random(16)
     h = build(60, [rng.sample(range(60), 16) for _ in range(300)])
     laws = ((1,) * 16,)
     _law_codes.cache_clear()
     tables = _law_tables(h, laws, 16)
     conditional_rcut(h, 16)
-    conditional_rcut(h, 16, range(59, -1, -1))
     (table,) = tables
-    assert len(table) <= 1 << 12 < len(table) + len(table.packed)
+    steps = sum(map(len, table.steps))
+    assert steps == 16 * len(table.packed)
+    assert len(table) + len(table.packed) <= 1 << 12 < len(table) + len(table.packed) + steps
     assert _law_tables(h, laws, 16) is not tables
+
+
+def test_law_tables_keep_no_large_table_past_the_next_call():
+    # each r fills its own table with thousands of packed entries, r next codes each;
+    # the next call drops the last one whatever law it asks for
+    rng = random.Random(16)
+    h = build(60, [rng.sample(range(60), 16) for _ in range(300)])
+    _law_codes.cache_clear()
+    for r in (16, 15, 14):
+        conditional_rcut(h, r)
+    conditional_rcut(generate(GenSpec(family="sts", n=9)), 2)
+    gc.collect()
+    live = [obj for obj in gc.get_objects() if isinstance(obj, derand._LawTable)]
+    assert live  # STS(9)'s 2-part table
+    for table in live:
+        assert len(table) + len(table.packed) + sum(map(len, table.steps)) <= 1 << 12
