@@ -12,8 +12,9 @@ instance's padded edge array, and an edge is multicoloured when the
 popcount of its OR is r, an exact integer count; its expectation is
 cached per (size histogram, r).  The partial-cut oracles
 ``partial_average_size`` and ``partial_average_excesses`` count each
-edge's (missing-part, free-vertex) key with numpy over the same array;
-their sums stay exact, integer numerators built from
+edge's (missing-part, free-vertex) key with numpy over the same array,
+the first from the same per-column OR of part bits, the second from rows
+sorted by assignment; their sums stay exact, integer numerators built from
 ``_inclusion_exclusion`` over one power of the base, and the family's
 sum is one ``Fraction`` of the summed numerators.  They read none of the
 engines' state codes, so they stay independent of the engines they audit,
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Hypergraph
+from .core import Hypergraph, row_sums
 from .errors import InvalidCut, InvalidParams
 
 
@@ -120,6 +121,20 @@ def _part_bits(r: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+def _seen_words(h: Hypergraph, labels: np.ndarray, r: int):
+    """Per word of ``_part_bits(r)``: (its table, each edge's OR of its
+    vertices' bits in that word, over the columns of the edge array).
+    ``labels`` gives each vertex's part, 0 for no part and for the padding
+    vertex n."""
+    columns = h.edge_array.T
+    for table in _part_bits(r):
+        bits = table[labels]
+        seen = np.zeros(h.m, dtype=bits.dtype)
+        for column in columns:
+            seen |= bits[column]
+        yield table, seen
+
+
 def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     """Size, exact expected size, and excess of a cut of h.
 
@@ -135,13 +150,8 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
             f"assignment length {len(c.assignment)} != n_vertices {h.n_vertices}"
         )
     labels = np.array((*c.assignment, 0), dtype=np.min_scalar_type(c.r))
-    columns = h.edge_array.T
     hits = np.zeros(h.m, dtype=np.min_scalar_type(c.r))
-    for table in _part_bits(c.r):
-        bits = table[labels]
-        seen = np.zeros(h.m, dtype=bits.dtype)
-        for column in columns:
-            seen |= bits[column]
+    for _, seen in _seen_words(h, labels, c.r):
         hits += np.bitwise_count(seen)
     size = int(np.count_nonzero(hits == c.r))
     expected = uniform_expected_size(h, c.r)
@@ -206,27 +216,32 @@ def partial_average_size(h: Hypergraph, pc: PartialCut, free_parts: int | None =
     """Expected cut size after completing ``pc`` uniformly at random.
 
     ``free_parts`` restricts the uniform completion to parts
-    {1..free_parts} (used by partial-exposure reductions); by default the
-    completion is uniform over all r parts.  Each edge's term is keyed by
-    its (missing-part, free-vertex) counts, read off its sorted row of
-    labels (0 free, r+1 the padding sentinel); an edge that leaves a part
-    above ``free_parts`` unhit has probability 0.
+    {1..free_parts} (used by partial-exposure reductions), 1 <= free_parts
+    <= r; by default the completion is uniform over all r parts.  Each
+    edge's term is keyed by its (missing-part, free-vertex) counts: its
+    parts are the OR of its vertices' ``_part_bits`` over the columns of
+    the edge array, their popcount gives the missing parts, and its free
+    vertices are counted column by column.  An edge that leaves a part
+    above ``free_parts`` unhit, which a mask of those parts' bits in each
+    word shows, has probability 0.
     """
     r = pc.r
     base = r if free_parts is None else free_parts
-    arr = h.edge_array
-    width = arr.shape[1]
-    labels = _vertex_codes(h, [pc.assigned], r, 0, r + 1)
-    rows = np.sort(labels[arr], axis=1)
-    # a part label opens a new value where it differs from its left neighbour
-    new = (rows != 0) & (rows <= r)
-    new[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    missing = r - new.sum(axis=1)
-    free = (rows == 0).sum(axis=1)
-    if base < r:
-        keep = (new & (rows > base)).sum(axis=1) == r - base
-        missing, free = missing[keep], free[keep]
-    counts = np.bincount(missing * (width + 1) + free, minlength=(r + 1) * (width + 1))
+    if not 1 <= base <= r:
+        raise InvalidParams(f"free_parts must lie in 1..r={r}, got {free_parts}")
+    width = h.edge_array.shape[1]
+    labels = _vertex_codes(h, [pc.assigned], r, 0, 0)  # 0: free, and the padding vertex
+    free = labels == 0
+    free[-1] = False
+    n_free = row_sums(free[h.edge_array])
+    hits = np.zeros(h.m, dtype=np.intp)
+    keep = np.ones(h.m, dtype=bool)
+    for table, seen in _seen_words(h, labels, r):
+        hits += np.bitwise_count(seen)
+        above = np.bitwise_or.reduce(table[base + 1 :])  # this word's parts above base
+        keep &= (seen & above) == above
+    key = (r - hits) * (width + 1) + n_free
+    counts = np.bincount(key[keep], minlength=(r + 1) * (width + 1))
     (total,) = _scaled_key_sums(counts.reshape(1, r + 1, width + 1), base)
     return Fraction(total, base**width)
 
@@ -271,7 +286,7 @@ def partial_average_excesses(h: Hypergraph, r: int, assignments) -> AverageExces
     codes = _vertex_codes(h, assignments, r, unowned, unowned + 1)
     arr = h.edge_array
     width = arr.shape[1]
-    sizes = (arr != h.n_vertices).sum(axis=1)
+    sizes = h.edge_sizes
     rows = np.sort(codes[arr], axis=1)
     owned = rows < unowned
     owner = rows // (r + 1)

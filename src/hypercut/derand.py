@@ -35,12 +35,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, groupby, product
-from operator import itemgetter, mul
+from itertools import compress, product
+from operator import mul
 
 import numpy as np
 
-from .core import Hypergraph, WeightedGraph
+from .core import Hypergraph, WeightedGraph, row_sums
 from .cutspace import (
     Cut,
     cut_metrics,
@@ -209,7 +209,7 @@ def _conditional_pass(h: Hypergraph, laws: tuple, law_of, order=None) -> tuple[l
     # no part is hit yet: a vertex of law l counts (w + 1)^l = 1 + ((w + 1)^l - 1)
     first, law = h.edge_sizes.astype(np.intp), np.array([*law_of, 0])
     for l in range(1, len(laws)):
-        first += ((w + 1) ** l - 1) * (law == l)[h.edge_array].sum(axis=1)
+        first += ((w + 1) ** l - 1) * row_sums((law == l)[h.edge_array])
     state = first.tolist()
     start = sum(c * tables[0][s] for s, c in enumerate(np.bincount(first).tolist()) if c)
     # each packed sum adds the scale once per edge of its vertex
@@ -476,22 +476,22 @@ def flip_local_search(g: WeightedGraph, start: Cut) -> Cut:
 
 
 def _swap_units(rows: np.ndarray, units: np.ndarray, pending: np.ndarray) -> list[list[int]]:
-    """The units a swap choice can weigh on, as records sorted by block.
+    """The units a swap choice can weigh on, as seven aligned columns sorted by block.
 
     ``units`` marks, in the sorted code rows (code 3*block + colour), one
     vertex per (edge, block) unit of each edge that no bicolour block
     fixes; ``pending`` is each edge's unit count t.  Listed in block
     order, unit j of an edge has u = t - j units after it.  Unit 1 sits in
     column 0 and moves its edge the same way under both swap choices, so
-    only units j >= 2 are returned, each as [block, u, first, x, edge,
-    prev, y]: ``first`` and ``prev`` are the blocks of the edge's unit 1
-    and of unit j-1, and x (y) is 1 when unit j's (unit j-1's) colour
-    differs from unit 1's before any swap.
+    only units j >= 2 are returned, in the columns [block, u, first, x,
+    edge, prev, y]: ``first`` and ``prev`` are the blocks of the edge's
+    unit 1 and of unit j-1, and x (y) is 1 when unit j's (unit j-1's)
+    colour differs from unit 1's before any swap.
     """
     later = units[:, 1:]
     edge = np.nonzero(later)[0]
     if not edge.size:
-        return []
+        return [[] for _ in range(7)]
     # codes of unit j, of unit 1, and of the column left of unit j: that is
     # unit j-1 or the same-coloured twin that follows it in its block
     block, colour = np.divmod(np.array([rows[:, 1:][later], rows[edge, 0], rows[:, :-1][later]]), 3)
@@ -499,7 +499,7 @@ def _swap_units(rows: np.ndarray, units: np.ndarray, pending: np.ndarray) -> lis
     fields = np.array(
         [block[0], u, block[1], colour[0] != colour[1], edge, block[2], colour[2] != colour[1]]
     )
-    return fields[:, np.argsort(block[0], kind="stable")].T.tolist()
+    return fields[:, np.argsort(block[0], kind="stable")].tolist()
 
 
 def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]:
@@ -515,9 +515,11 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
 
     A swap changes the expectation only through the edges the part shares
     with an earlier part, so only those (edge, part) units are visited
-    (``_swap_units``); a part with none keeps its labels, as ties do.  Each
-    unit moves the expectation, scaled by 2^(k-1), by +-2^(k-2-u) with u
-    units after it on its edge, so a part's swap is one signed sum.  The
+    (``_swap_units``, seven aligned columns in block order); a part with
+    none keeps its labels, as ties do.  Each unit moves the expectation,
+    scaled by 2^(k-1), by +-2^(k-2-u) with u units after it on its edge, so
+    a part's swap is one signed sum, closed when the block id changes; the
+    moves are Python ints, as k may pass 64.  The
     parts are checked by ``partial_average_excesses``: overlapping parts
     and vertices outside the instance raise ``InvalidParams``, labels
     outside {1, 2} ``InvalidCut``.
@@ -541,7 +543,7 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
     same_block = np.zeros_like(real)  # same block as the left neighbour
     same_block[:, 1:] = real[:, 1:] & (block[:, 1:] == block[:, :-1])
     # an edge meeting a part c >= 2 times adds c - 1 repeats to its count
-    offenders = np.flatnonzero(same_block.sum(axis=1) > 1).tolist()
+    offenders = np.flatnonzero(row_sums(same_block) > 1).tolist()
     if offenders:
         raise PlanInvalid(
             f"{len(offenders)} edges collapse into a single part twice", offenders
@@ -554,9 +556,9 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
     # two codes differ, and then the edge shows both colours whatever the
     # swaps.  On any other edge each block is one unit, uniform over the
     # two colours while its swap is undecided; t = 0 marks a fixed edge.
-    fixed = (same_block[:, 1:] & (rows[:, 1:] != rows[:, :-1])).any(axis=1)
+    fixed = row_sums(same_block[:, 1:] & (rows[:, 1:] != rows[:, :-1])) > 0
     units = real & ~same_block & ~fixed[:, None]
-    pending = units.sum(axis=1)
+    pending = row_sums(units)
     counts = np.bincount(pending, minlength=k_eff + 1).tolist()
     # an edge with t >= 1 pending units misses one colour w.p. 2^(1-t)
     running = scale * sum(counts) - sum(c << (k_eff - t) for t, c in enumerate(counts) if t)
@@ -572,17 +574,21 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
     # by lean.
     swaps = [0] * n_blocks
     dead: set[int] = set()  # edges already showing both colours
-    for b, units_b in groupby(_swap_units(rows, units, pending), itemgetter(0)):
-        lean = 0
-        for _, u, first, x, i, prev, y in units_b:
-            if i in dead or y != swaps[first] ^ swaps[prev]:  # or unit j-1 disagreed
-                dead.add(i)
-                continue
-            move = 1 << (k_eff - 2 - u)
-            lean += move if x == swaps[first] else -move  # kept, unit j shows unit 1's colour
-        if lean > 0:
-            swaps[b] = 1
-        running += abs(lean)
+    block, lean = -1, 0  # the open block and its lean
+    for b, u, first, x, i, prev, y in zip(*_swap_units(rows, units, pending)):
+        if b != block:  # close the open block: swap it iff it leans to swapping
+            if lean > 0:
+                swaps[block] = 1
+            running += abs(lean)
+            block, lean = b, 0
+        if i in dead or y != swaps[first] ^ swaps[prev]:  # or unit j-1 disagreed
+            dead.add(i)
+            continue
+        move = 1 << (k_eff - 2 - u)  # a Python int: k may pass 64
+        lean += move if x == swaps[first] else -move  # kept, unit j shows unit 1's colour
+    if lean > 0:
+        swaps[block] = 1
+    running += abs(lean)
 
     colour = codes[:n] % 3
     flipped = np.array(swaps, dtype=bool)[codes[:n] // 3]

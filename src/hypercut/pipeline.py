@@ -494,17 +494,20 @@ def driver_3cut(
     if np.count_nonzero(inside) < h.m / (4 * k):
         raise DriverInapplicable("induced core holds too few edges")
     gp = good_partition_search(h, inside, u_set, params, seed=f"d3:{params.seed}")
-    part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
+    labels = part_labels(h.n_vertices, gp.parts, "driver_3cut")  # -1 outside the parts
 
     def trial(hd, rng):
         rho = {v: 3 for v in range(h.n_vertices) if rng.random() < 1 / 3}
         red = hpart_expose(hd, 3, rho, keep=2)  # its back-map certifies the transfer
-        # forward edges are pairs of starred vertices
+        # forward edges are pairs of starred vertices; an edgeless forward
+        # instance has width 0
         internal = defaultdict(list)
-        for u, v in red.forward.edge_array.tolist():
-            pu = part_of.get(u)
-            if pu is not None and pu == part_of.get(v):
-                internal[pu].append((u, v, 1))
+        if red.forward.edge_array.shape[1]:
+            u, v = red.forward.edge_array.T
+            pu = labels[u]
+            same = np.flatnonzero((pu == labels[v]) & (pu >= 0))  # in row order
+            for p, a, b in zip(pu[same].tolist(), u[same].tolist(), v[same].tolist()):
+                internal[p].append((a, b, 1))
         partials = []
         for i, p in enumerate(gp.parts):
             star = {v for v in p if v not in rho}

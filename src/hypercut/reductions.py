@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Hypergraph, WeightedGraph, clique_expand, part_labels, within_part_pairs
+from .core import Hypergraph, WeightedGraph, clique_expand, part_labels, row_sums, within_part_pairs
 from .cutspace import (
     Cut,
     CutMetrics,
@@ -177,8 +177,8 @@ def hpart_expose(h: Hypergraph, r: int, rho: dict, keep: int = 2) -> Exposure:
         raise InvalidParams(f"need {keep + 1} <= r <= k, got r={r}, k={h.max_arity}")
     exposed = range(keep + 1, r + 1)
     image = _exposure_labels(h, rho, exposed)[h.edge_array]  # 0 = starred
-    covered = np.logical_and.reduce([(image == p).any(axis=1) for p in exposed])
-    kept = np.flatnonzero(covered & ((image == 0).sum(axis=1) >= keep))
+    covered = np.logical_and.reduce([row_sums(image == p) > 0 for p in exposed])
+    kept = np.flatnonzero(covered & (row_sums(image == 0) >= keep))
     forward = Hypergraph.from_rows(
         h.n_vertices, h.max_arity - r + keep, _unexposed_rows(h, image, kept)
     )
@@ -226,8 +226,8 @@ def hpart_double(h: Hypergraph, rho: dict) -> Exposure:
     ``partial_average_size`` on h.
     """
     sides = _exposure_labels(h, rho, (1, 2))[h.edge_array]  # 0 = inside W
-    has1, has2 = (sides == 1).any(axis=1), (sides == 2).any(axis=1)
-    n_inside = (sides == 0).sum(axis=1)
+    has1, has2 = row_sums(sides == 1) > 0, row_sums(sides == 2) > 0
+    n_inside = row_sums(sides == 0)
     multi = has1 & has2
     doubled = ~(has1 | has2)
     stub = ~multi & ~doubled & (n_inside > 0)

@@ -1,13 +1,16 @@
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hypercut.core import (
     build,
     clique_expand,
     degree_profile,
     induce,
+    row_sums,
 )
 from hypercut.cutspace import Cut
 from hypercut.derand import first_two_vertex_set, point_local_search
@@ -278,3 +281,22 @@ def test_array_counters_match_plain_loops(data):
     r = data.draw(st.integers(min_value=2, max_value=4))
     start = Cut(r, tuple(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))))
     assert point_local_search(h, start) == plain_point_local_search(h, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8)),
+        arrays(np.intp, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+               elements=st.integers(-1000, 1000)),
+    )
+)
+@example(np.zeros((0, 3), dtype=bool))
+@example(np.zeros((0, 5), dtype=np.intp))
+@example(np.zeros((4, 0), dtype=bool))
+@example(np.zeros((4, 0), dtype=np.intp))
+def test_row_sums_matches_axis_sum_property(a):
+    got = row_sums(a)
+    assert got.dtype == np.intp
+    assert got.shape == (a.shape[0],)
+    assert np.array_equal(got, a.sum(axis=1))

@@ -289,6 +289,13 @@ def test_partial_average_excesses_match_enumeration_property(data, draw):
     assert got == tuple(brute_expected_size(h, pc, r) - base for pc in partials)
 
 
+@pytest.mark.parametrize("free_parts", [0, 4, 5, -1])
+def test_partial_average_size_rejects_free_parts_outside_one_to_r(free_parts):
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidParams, match="free_parts must lie in 1..r=3"):
+        partial_average_size(h, PartialCut(3, {0: 1}), free_parts)
+
+
 def test_partial_average_excesses_rejects_overlap():
     h = build(3, [[0, 1, 2]])
     with pytest.raises(InvalidParams):
@@ -318,8 +325,25 @@ def averaged_families(draw):
     return h, r, free_parts, family
 
 
+# Above r = 64 the part bits take a second word: the wide edges meet parts on
+# both sides of that boundary, and free_parts 64 and 65 mask parts across it.
+_WIDE_FAMILY = build(72, [range(70), range(2, 72), [0, 64, 65, 70, 71], range(60, 72)])
+_WIDE_FAMILIES = {
+    65: [{v: v + 1 for v in range(5)}, {v: v + 1 for v in range(60, 65)}, {70: 65, 71: 64}],
+    70: [{v: v + 1 for v in range(5)}, {v: v + 1 for v in range(60, 70)}, {70: 70, 71: 66}],
+}
+
+
+def _wide_examples(test):
+    for r, family in _WIDE_FAMILIES.items():
+        for free_parts in (None, 64, 65):
+            test = example((_WIDE_FAMILY, r, free_parts, family))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(averaged_families())
+@_wide_examples
 def test_partial_averages_match_plain_loop_property(data):
     h, r, free_parts, family = data
     merged = {v: p for assigned in family for v, p in assigned.items()}
