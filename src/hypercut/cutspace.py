@@ -158,11 +158,14 @@ def cut_metrics(h: Hypergraph, c: Cut) -> CutMetrics:
     return CutMetrics(size, expected, size - expected)
 
 
-def best_cut(h: Hypergraph, cuts) -> tuple[Cut, CutMetrics] | None:
-    """First cut of largest size among ``cuts``, an iterable of cuts of h,
-    with the metrics that ranked it; None when there is no cut."""
+def best_cut(h: Hypergraph, draw, trials: int) -> tuple[Cut, CutMetrics]:
+    """First cut of largest size among ``trials`` calls of ``draw``, each
+    drawing a cut of h, with the metrics that ranked it."""
+    if trials < 1:
+        raise InvalidParams("trials must be >= 1")
     best = None
-    for cut in cuts:
+    for _ in range(trials):
+        cut = draw()
         metrics = cut_metrics(h, cut)
         if best is None or metrics.size > best[1].size:
             best = (cut, metrics)

@@ -581,7 +581,9 @@ def combine_partial_cuts(h: Hypergraph, partial_cuts) -> tuple[Cut, CombinePlan]
                 swaps[block] = 1
             running += abs(lean)
             block, lean = b, 0
-        if i in dead or y != swaps[first] ^ swaps[prev]:  # or unit j-1 disagreed
+        if i in dead:
+            continue
+        if y != swaps[first] ^ swaps[prev]:  # unit j-1 disagreed
             dead.add(i)
             continue
         move = 1 << (k_eff - 2 - u)  # a Python int: k may pass 64

@@ -3,9 +3,11 @@
 Steiner triple systems come from the two classical quasigroup
 constructions (direct product for n = 6t+3, half-idempotent plus a fixed
 point for n = 6t+1); both are deterministic and every generated system is
-validated pair-by-pair.  The exact max-cut oracle enumerates assignments
-quotiented by part relabelling: a bit-parallel sweep for r=2 and
-restricted-growth strings for r>=3.
+validated pair-by-pair.  Both exact oracles enumerate assignments
+quotiented by part relabelling, as restricted-growth strings built
+column-wise by ``_partitions``: the max-cut oracle scores every string
+edge by edge, and the monotonicity check weighs each string by the
+number of assignments it stands for.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -176,62 +178,48 @@ def _unused_clique_exists(n: int, k: int, used_pairs) -> bool:
     return extend((1 << n) - 1, k)
 
 
-def _exact_maxcut_2(h: Hypergraph) -> tuple[int, Cut]:
-    n = h.n_vertices
-    # vertex 0 pinned to part 1 quotients the relabelling symmetry
-    count = 1 << max(0, n - 1)
-    masks = (np.arange(count, dtype=np.uint32) << 1).astype(np.uint32)
-    acc = np.zeros(count, dtype=np.int32)
-    for e, mult in h.edge_multiset().items():
-        emask = np.uint32(0)
-        for v in e:
-            emask |= np.uint32(1 << v)
-        x = masks & emask
-        acc += mult * ((x != 0) & (x != emask))
-    best = int(acc.argmax())
-    value = int(acc[best])
-    assignment = tuple(2 if (best << 1) >> v & 1 else 1 for v in range(n))
-    return value, Cut(2, assignment)
+def _partitions(n: int, r: int) -> np.ndarray:
+    """Every split of n vertices into at most r parts, each exactly once.
 
-
-def _rgs_strings(n: int, r: int):
-    """Restricted-growth strings: canonical part labels, quotient by relabelling."""
-    a = [0] * n
-    yield a
-    while True:
-        i = n - 1
-        while i > 0:
-            cap = min(max(a[:i]) + 1, r - 1)
-            if a[i] < cap:
-                break
-            i -= 1
-        if i <= 0:  # also n = 0, whose one string is the empty one
-            return
-        a[i] += 1
-        for j in range(i + 1, n):
-            a[j] = 0
-        yield a
+    The splits are restricted-growth strings in lexicographic order: vertex
+    0 is in part 1, and each later vertex joins a part already used or the
+    next new one.  Row v holds vertex v's part bits, bit p-1 for part p,
+    one column per string.  Strings grow one vertex at a time, each
+    repeated once per child.
+    """
+    r = max(min(r, n), 0)  # no split uses more than n parts
+    dtype = np.min_scalar_type((1 << r) - 1)
+    bits = np.zeros((0, 1), dtype=dtype)
+    used = np.zeros(1, dtype=np.intp)  # parts each string uses so far
+    for _ in range(n):
+        children = np.minimum(used + 1, r)
+        parent = np.repeat(np.arange(len(used)), children)
+        part = np.arange(len(parent)) - np.repeat(np.cumsum(children) - children, children)
+        bits = np.vstack((bits[:, parent], (1 << part).astype(dtype)))
+        used = np.maximum(used[parent], part + 1)
+    return np.ascontiguousarray(bits)  # the oracles OR whole rows
 
 
 def exact_maxcut(h: Hypergraph, r: int) -> tuple[int, Cut]:
-    """Exact max r-cut with witness, for desk-scale instances only."""
+    """Exact max r-cut with witness, for desk-scale instances only.
+
+    The witness is the first optimal restricted-growth string.
+    """
     if r < 2:
         raise InvalidParams("need r >= 2")
     n = h.n_vertices
     limit = 16 if r == 2 else (12 if r == 3 else 10)
     if n > limit:
         raise OracleInfeasible(f"n={n} exceeds the r={r} enumeration limit {limit}")
-    if r == 2:
-        return _exact_maxcut_2(h)
-    best_value = -1
-    best = None
-    full = frozenset(range(r))
-    for a in _rgs_strings(n, r):
-        value = sum(1 for e in h.edges if {a[v] for v in e} == full)
-        if value > best_value:
-            best_value = value
-            best = tuple(p + 1 for p in a)
-    return best_value, Cut(r, best)
+    bits = _partitions(n, r)
+    size = np.zeros(bits.shape[1], dtype=np.int64)
+    for e, mult in h.edge_multiset().items():
+        seen = bits[e[0]]
+        for v in e[1:]:
+            seen = seen | bits[v]
+        size += mult * (np.bitwise_count(seen) == r)
+    best = int(size.argmax())
+    return int(size[best]), Cut(r, tuple(int(b).bit_length() for b in bits[:, best]))
 
 
 @dataclass(frozen=True)
@@ -246,8 +234,9 @@ def monotonicity_check(h, r: int, e, constraints) -> MonotonicityResult:
 
     ``constraints`` lists (f_i, l_i): f_i a subset of e with at least two
     vertices, conditioned to meet at least l_i >= 2 parts.  Enumeration is
-    exact over r^|e| assignments of e's vertices.  ``e`` must be a nonempty
-    set of distinct vertex ids of h.
+    exact over the r^|e| assignments of e's vertices: a split of e into j
+    parts stands for the r (r-1) ... (r-j+1) assignments that name its
+    parts.  ``e`` must be a nonempty set of distinct vertex ids of h.
     """
     e = tuple(e)
     if not e or len(set(e)) != len(e):
@@ -266,16 +255,16 @@ def monotonicity_check(h, r: int, e, constraints) -> MonotonicityResult:
         used.update(f)
     if r ** len(e) > 10**6:
         raise OracleInfeasible("edge too large for exact enumeration")
+    bits = _partitions(len(e), r)
     pos = {v: i for i, v in enumerate(e)}
-    good = 0
-    sat = 0
-    full = set(range(1, r + 1))
-    for assign in product(range(1, r + 1), repeat=len(e)):
-        if any(len({assign[pos[v]] for v in f}) < l for f, l in fs):
-            continue
-        sat += 1
-        if set(assign) == full:
-            good += 1
+    ok = np.ones(bits.shape[1], dtype=bool)
+    for f, l in fs:
+        ok &= np.bitwise_count(np.bitwise_or.reduce(bits[[pos[v] for v in f]])) >= l
+    parts = np.bitwise_count(np.bitwise_or.reduce(bits))
+    # Python ints: the falling products overflow no word at any r
+    weight = np.cumprod([1, *range(r, r - len(e), -1)], dtype=object)[parts]
+    sat = int(weight[ok].sum())
+    good = int(weight[ok & (parts == r)].sum())
     if sat == 0:
         raise InvalidParams("constraints are unsatisfiable")
     conditional = Fraction(good, sat)

@@ -237,8 +237,6 @@ def conditioned_matching_cut(
 ) -> tuple[Cut, CutMetrics]:
     """Best random r-cut forcing each matched pair into two distinct parts,
     with its metrics."""
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
     pairs = [tuple(p) for p in matching]
     part_labels(h.n_vertices, pairs, "conditioned_matching_cut")  # the pairs are disjoint and in [0, n)
     rng = random.Random(f"matching-cut:{seed}")
@@ -253,7 +251,7 @@ def conditioned_matching_cut(
             assignment[u], assignment[v] = a, b
         return Cut(r, tuple(assignment))
 
-    return best_cut(h, (draw() for _ in range(trials)))
+    return best_cut(h, draw, trials)
 
 
 # --------------------------------------------------------------- goodness
@@ -602,8 +600,6 @@ def _driver_2cut_wrapped(h: Hypergraph, params: PipelineParams, u_set: set):
 def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMetrics, int]:
     """Best of random r-splits of a greedy strong colouring's classes:
     (cut, its metrics, number of colours)."""
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
     us, vs, _ = _pair_counts(h)
     neighbours: list[set] = [set() for _ in range(h.n_vertices)]
     for u, v in zip(us, vs):
@@ -629,7 +625,7 @@ def chromatic_cut(h: Hypergraph, r: int, trials: int, seed) -> tuple[Cut, CutMet
         group = {cls: idx // per + 1 for idx, cls in enumerate(classes)}
         return Cut(r, tuple(group[colour[v]] for v in range(h.n_vertices)))
 
-    return *best_cut(h, (draw() for _ in range(trials))), chi
+    return *best_cut(h, draw, trials), chi
 
 
 def chromatic_route(h: Hypergraph, r: int, params: PipelineParams) -> Route:

@@ -362,8 +362,6 @@ def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> tuple[C
     with its metrics."""
     w = sorted(set(w_set))
     part_labels(h.n_vertices, [w], "dense_subset_cut")  # W lies in [0, n)
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
     if len(w) < r:
         raise InvalidParams(f"|W| = {len(w)} < r = {r}")
     rng = random.Random(f"dense-subset:{seed}")
@@ -380,4 +378,4 @@ def dense_subset_cut(h: Hypergraph, w_set, r: int, trials: int, seed) -> tuple[C
             pos += quota[p]
         return Cut(r, tuple(assignment))
 
-    return best_cut(h, (draw() for _ in range(trials)))
+    return best_cut(h, draw, trials)

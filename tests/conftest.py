@@ -66,6 +66,43 @@ def brute_force_maxcut(h: Hypergraph, r: int) -> int:
     return best
 
 
+def restricted_growth_strings(n: int, r: int):
+    """Every split of n vertices into at most r parts, once, in
+    lexicographic order: vertex 0 in part 1, each later vertex in a part
+    already used or the next new one.  Vertex v's part is drawn from the
+    first min(r, v + 1) parts, and strings that skip a part are dropped."""
+    for a in product(*(range(1, min(r, v + 1) + 1) for v in range(n))):
+        if all(a[v] <= max(a[:v]) + 1 for v in range(1, n)):
+            yield a
+
+
+def first_optimal_rgs(h: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
+    """Max r-cut size, and the first restricted-growth string reaching it."""
+    best_size, best = -1, ()
+    for a in restricted_growth_strings(h.n_vertices, r):
+        size = sum(1 for e in h.edges if len({a[v] for v in e}) == r)
+        if size > best_size:
+            best_size, best = size, a
+    return best_size, best
+
+
+def plain_monotonicity(r: int, k: int, constraints) -> tuple[Fraction, Fraction] | None:
+    """(conditional, base) multicolour probabilities of k vertices 0..k-1,
+    each uniform over r parts, counted over all r^k assignments: conditioned
+    on every (f, l) of ``constraints`` meeting at least l parts, and not
+    conditioned.  None when no assignment meets the constraints."""
+    good = sat = every = 0
+    for a in product(range(r), repeat=k):
+        multicolour = len(set(a)) == r
+        every += multicolour
+        if all(len({a[v] for v in f}) >= l for f, l in constraints):
+            sat += 1
+            good += multicolour
+    if sat == 0:
+        return None
+    return Fraction(good, sat), Fraction(every, r**k)
+
+
 def brute_expected_size(h: Hypergraph, fixed: dict, r: int, free_parts=None) -> Fraction:
     """Average cut size over all completions of ``fixed``, enumerated directly.
 

@@ -126,9 +126,10 @@ def test_best_cut_keeps_first_of_equal_sizes():
     first, flipped = Cut(2, (1, 2, 2, 1)), Cut(2, (2, 1, 1, 2))
     draws = [Cut(2, (1, 2, 1, 1)), first, Cut(2, (1, 1, 1, 1)), flipped]
     assert [cut_metrics(h, c).size for c in draws] == [1, 2, 0, 2]
-    assert best_cut(h, iter(draws)) == (first, cut_metrics(h, first))
-    assert best_cut(h, iter(draws[:1])) == (draws[0], cut_metrics(h, draws[0]))
-    assert best_cut(h, iter(())) is None
+    assert best_cut(h, iter(draws).__next__, 4) == (first, cut_metrics(h, first))
+    assert best_cut(h, iter(draws).__next__, 1) == (draws[0], cut_metrics(h, draws[0]))
+    with pytest.raises(InvalidParams, match="^trials must be >= 1$"):
+        best_cut(h, iter(draws).__next__, 0)
 
 
 def test_partial_average_excess_determined_edge():

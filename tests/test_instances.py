@@ -18,7 +18,12 @@ from hypercut.instances import (
     validate_steiner,
 )
 
-from conftest import brute_force_maxcut
+from conftest import (
+    brute_force_maxcut,
+    first_optimal_rgs,
+    plain_monotonicity,
+    restricted_growth_strings,
+)
 from test_derand import random_mixed
 
 
@@ -172,10 +177,26 @@ def test_exact_matches_naive_enumeration():
     rng = random.Random(19)
     for _ in range(15):
         h = random_mixed(rng, n_hi=7, m_hi=10, k_hi=4)
-        for r in (2, 3):
+        for r in (2, 3, 4, 5, 9):  # 9 parts are more than any instance has vertices
             value, cut = exact_maxcut(h, r)
-            assert value == brute_force_maxcut(h, r)
+            assert (value, cut.assignment) == first_optimal_rgs(h, r)
+            if r <= 5:  # 9^n assignments are too many to enumerate
+                assert value == brute_force_maxcut(h, r)
             assert cut_metrics(h, cut).size == value
+
+
+@pytest.mark.parametrize("n,r", [(0, 2), (1, 3), (5, 2), (6, 3), (6, 4), (4, 9)])
+def test_partitions_are_the_restricted_growth_strings_in_order(n, r):
+    bits = instances._partitions(n, r)
+    got = [tuple(int(b).bit_length() for b in column) for column in bits.T]
+    assert got == list(restricted_growth_strings(n, r))
+
+
+def test_oracles_with_more_parts_than_vertices():
+    h = build(3, [[0, 1, 2]])
+    assert exact_maxcut(h, 70) == (0, Cut(70, (1, 1, 1)))
+    res = monotonicity_check(h, 70, (0, 1, 2), [])
+    assert (res.conditional, res.base, res.verdict) == (0, 0, "PASS")
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -230,6 +251,32 @@ def test_monotonicity_two_pairs():
     assert res.conditional == 1
     assert res.base == Fraction(7, 8)
     assert res.verdict == "STRICT"
+
+
+def test_monotonicity_matches_product_count():
+    rng = random.Random(31)
+    for _ in range(80):
+        r, k = rng.randint(2, 4), rng.randint(2, 6)
+        n = k + rng.randint(0, 3)
+        edge = rng.sample(range(n), k)
+        free = list(range(k))  # positions in the edge
+        rng.shuffle(free)
+        shape = []
+        while len(free) >= 2 and rng.random() < 0.7:
+            size = rng.randint(2, len(free))
+            shape.append((free[:size], rng.randint(2, r)))
+            free = free[size:]
+        constraints = [([edge[i] for i in f], l) for f, l in shape]
+        want = plain_monotonicity(r, k, shape)
+        if want is None:
+            with pytest.raises(InvalidParams, match="^constraints are unsatisfiable$"):
+                monotonicity_check(build(n, [edge]), r, edge, constraints)
+            continue
+        res = monotonicity_check(build(n, [edge]), r, edge, constraints)
+        assert (res.conditional, res.base) == want
+        conditional, base = want
+        verdict = "STRICT" if conditional > base else "PASS" if conditional == base else "FAIL"
+        assert res.verdict == verdict
 
 
 def test_monotonicity_rejects_bad_constraints():
