@@ -14,9 +14,11 @@ gains and next codes, on first use, never over all 2^r masks.  A step of
 the pass or of ``erdos_selfridge_2cut``, which reads the uniform 2-part
 codes, sums the packed gains of v's edges' codes, one integer per edge;
 the deferred engine weighs each deferred partner by the same sums on its
-own edges once v's codes have stepped.  ``point_local_search`` codes
-per-part vertex counts and tallies them in a ``Counter``.  No numpy call
-runs per vertex.
+own edges once v's codes have stepped.  No numpy call runs per vertex
+in these engines.  ``point_local_search`` keeps every vertex's loss and
+per-part move gains in Python lists, tallied once from the edges'
+per-part vertex counts, so a sweep reads them; numpy runs only when a
+vertex moves, to re-derive the slots of its own edges' members.
 ``combine_partial_cuts`` reads no table: an edge's first pending block
 moves it the same way under either swap, and each later one moves it by
 plus or minus a power of two while the edge shows a single colour, so
@@ -31,7 +33,6 @@ weight from ``crossing_weight`` (a multigraph has integer weights).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -232,15 +233,25 @@ def first_two_vertex_set(h: Hypergraph, order) -> frozenset:
     """Vertices among the first two, in the order, of some edge of size >= 3."""
     n = h.n_vertices
     by_rank = np.array(order, dtype=np.intp)
-    pos = np.empty(n + 1, dtype=np.min_scalar_type(n))
+    # as unsigned, a negative id exceeds n too
+    if by_rank.shape != (n,) or np.count_nonzero(by_rank.view(np.uintp) >= n):
+        raise InvalidParams("order must be a permutation of all vertices")
+    pos = np.full(n + 1, n, dtype=np.min_scalar_type(n))  # n: after every vertex, as the padding sorts
     pos[by_rank] = np.arange(n)
-    pos[n] = n  # the padding sentinel comes after every vertex
-    ranks = pos[h.edge_array][h.edge_sizes >= 3]
-    if not len(ranks):
+    if np.count_nonzero(pos[:n] == n):  # a repeated vertex leaves another without a position
+        raise InvalidParams("order must be a permutation of all vertices")
+    if not any(h.size_histogram[3:]):
         return frozenset()
-    # each row's two smallest positions; at least three are real vertices
+    keep = h.edge_sizes >= 3
+    # each row's two smallest positions, column by column (so the edge array
+    # has three columns or more); they are real vertices on the rows kept
+    ranks = np.ascontiguousarray(pos[h.edge_array].T)
+    first, second = np.minimum(ranks[0], ranks[1]), np.maximum(ranks[0], ranks[1])
+    for column in ranks[2:]:
+        second = np.minimum(second, np.maximum(first, column))
+        first = np.minimum(first, column)
     chosen = np.zeros(n, dtype=bool)
-    chosen[np.partition(ranks, 1, axis=1)[:, :2]] = True
+    chosen[first[keep]] = chosen[second[keep]] = True
     return frozenset(by_rank[chosen].tolist())
 
 
@@ -635,62 +646,78 @@ def point_local_search(h: Hypergraph, cut: Cut) -> Cut:
 
     Sweeps the vertices in id order until a sweep makes no move; each
     vertex moves to the first part of strictly largest positive gain.
-    Each edge keeps its per-part vertex counts as one base-(w + 1) code,
-    w the widest edge.  Moving v from p to q gains 1 on each edge whose
-    only missing part is q and that holds at least two vertices of p, and
-    loses 1 on each covered edge where v is p's only vertex; so the gains
-    come from the tally of v's codes, and a move adds ``unit[q] -
-    unit[p]`` to each of v's codes.  A vertex whose part and edge codes
-    are as at its last evaluation would make no move again, so a sweep
-    skips it; the search stops when no vertex is left to evaluate.
+    Moving v from p to q gains 1 on each edge whose only missing part is q
+    and that holds at least two vertices of p, and loses 1 on each covered
+    edge where v is p's only vertex.  So each (edge, member) pair has one
+    slot, read off its edge's per-part vertex counts: 0 when a move loses
+    the edge, else the part a move would gain it in, else r + 1.  One
+    ``bincount`` tallies the slots into every vertex's loss and per-part
+    gains, kept as Python lists that a sweep reads.  Each pair's slot is
+    kept, so a move derives the new slots of v's own edges only and
+    refreshes the lists of the members whose slots changed; numpy runs
+    only when a vertex moves.  The moves are those of a search that
+    re-tallies every vertex on each visit: a vertex's lists change only
+    when one of its edges' slots does.
     """
-    r = cut.r
-    n = h.n_vertices
+    r, n = cut.r, h.n_vertices
     if len(cut.assignment) != n:
         raise InvalidCut("assignment length mismatch")
-    inc, rows = h.incidence, h.edge_array.tolist()
+    inc, neither, stride = h.incidence, r + 1, r + 2
     part = list(cut.assignment)
-    base = h.edge_array.shape[1] + 1
-    unit = [0] + [base**p for p in range(r)]
-    # Python ints in an object array: (w + 1)^r may pass any fixed width
-    weight = np.array([*map(unit.__getitem__, part), 0], dtype=object)
-    code = weight[h.edge_array].sum(axis=1).tolist()
+    # narrow types: a part or slot fits ``labels``, a count of an edge's
+    # vertices ``counts``, and a vertex's tally entry id * stride + slot ``key``
+    labels = np.array([*part, 0], dtype=np.min_scalar_type(neither))  # the padding's part is 0
+    slot, parts = labels.dtype.type, np.arange(1, neither, dtype=labels.dtype)[:, None]
+    key = np.min_scalar_type((n + 1) * stride - 1).type
+    members = np.ascontiguousarray(h.edge_array.T, dtype=key)  # one row per column of the edge array
+    counts = np.zeros((neither, h.m), dtype=np.min_scalar_type(len(members)))
+    for column in labels[members]:
+        counts[1:] += column == parts  # row 0, the padding's, stays 0
 
-    def only_missing(c: int) -> int:
-        """The one part code c leaves empty; 0 when none is, -1 when several are."""
-        gaps = [p for p in range(1, r + 1) if not c // unit[p] % base]
-        return -1 if len(gaps) > 1 else gaps[0] if gaps else 0
+    def slots(c: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The slot of each member ``ids`` of the edges whose counts are the columns of ``c``."""
+        empty = c[1:] == 0
+        holes = empty.sum(axis=0, dtype=labels.dtype)
+        lose = (holes == 0) * slot(neither)
+        # with one part missing, the sum of the missing parts is that part; where
+        # more are missing the sum may wrap around, and its product is 0
+        gain = (holes == 1) * (slot(neither) - (empty * parts).sum(axis=0, dtype=labels.dtype))
+        lab = labels[ids]
+        own = np.zeros(lab.shape, dtype=c.dtype)  # the member's part's count in its edge
+        for column in lab:
+            own += lab == column
+        own *= lab > 0
+        return slot(neither) - (own == 1) * lose - (own >= 2) * gain
 
-    missing_of = _Memo(only_missing)
-    tally = Counter()  # reused: v's edges by code
-    # moved, or an edge's code changed, since the last evaluation; entry n,
-    # which the padding vertex in an edge's row marks, is never read
-    dirty = [True] * (n + 1)
-    while any(dirty[:n]):
+    pair = slots(counts, members)  # the slot of each (edge, member) pair, laid out as ``members``
+    # row u of the table: u's loss, its gain in each part, its pairs with neither
+    flat = np.bincount((members * key(stride) + pair).ravel(), minlength=(n + 1) * stride)
+    table = flat.reshape(n + 1, stride)[:, :neither]  # a view: it reads what a move adds to flat
+    tally = table.tolist()
+
+    def move(v: int, q: int) -> None:
+        edges = np.array(inc[v], dtype=np.intp)
+        counts[part[v], edges] -= 1
+        counts[q, edges] += 1
+        labels[v] = part[v] = q
+        ids = np.take(members, edges, axis=1)
+        before = np.take(pair, edges, axis=1)
+        after = pair[:, edges] = slots(np.take(counts, edges, axis=1), ids)
+        changed = np.flatnonzero(before != after)
+        movers = ids.ravel()[changed]  # the members whose slots changed
+        np.subtract.at(flat, movers * key(stride) + before.ravel()[changed], 1)
+        np.add.at(flat, movers * key(stride) + after.ravel()[changed], 1)
+        touched = np.flatnonzero(np.bincount(movers))  # each once; np.unique would import numpy.ma
+        for u, row in zip(touched.tolist(), table[touched].tolist()):
+            tally[u] = row
+
+    moved = True
+    while moved:
+        moved = False
         for v in range(n):
-            if not dirty[v]:
-                continue
-            dirty[v] = False
-            p = part[v]
-            up = unit[p]
-            lose = 0
-            plus = [0] * (r + 1)
-            tally.clear()
-            tally.update(map(code.__getitem__, inc[v]))
-            for c, t in tally.items():
-                q = missing_of[c]
-                if q == 0:
-                    if c // up % base == 1:
-                        lose += t
-                elif q > 0 and c // up % base >= 2:
-                    plus[q] += t
-            most = max(plus)  # plus[p] = 0: v's edges all hold part p
-            if most > lose:
-                q = plus.index(most)  # the first part of strictly largest gain
-                step = unit[q] - up
-                for ei in inc[v]:
-                    code[ei] += step
-                    for u in rows[ei]:
-                        dirty[u] = True
-                part[v] = q
+            row = tally[v]
+            most = max(row)
+            if most > row[0]:  # a gain beats the loss; row[part[v]] = 0, as v's edges all hold it
+                move(v, row.index(most))
+                moved = True
     return Cut(r, tuple(part))

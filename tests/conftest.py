@@ -542,9 +542,10 @@ def plain_lift_2cut_to_3cut(h, c2: Cut) -> Cut:
     return Cut(3, assignment)
 
 
-def plain_point_local_search(h, cut: Cut) -> Cut:
+def plain_point_local_search(h, cut: Cut, moves=None) -> Cut:
     """Single-vertex moves until none grows the cut, with per-edge part
-    counts kept in plain lists; the moves follow ``point_local_search``."""
+    counts kept in plain lists; the moves follow ``point_local_search``.
+    Each move (vertex, new part) is appended to the list ``moves``, if given."""
     r, n = cut.r, h.n_vertices
     inc = plain_incidence(h)
     part = list(cut.assignment)
@@ -573,6 +574,8 @@ def plain_point_local_search(h, cut: Cut) -> Cut:
                     best = (move_gain(v, q), q)
             if best[0] > 0:
                 p, q = part[v], best[1]
+                if moves is not None:
+                    moves.append((v, q))
                 for ei in inc[v]:
                     c = counts[ei]
                     covered[ei] += (c[q] == 0) - (c[p] == 1)

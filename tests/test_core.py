@@ -228,13 +228,13 @@ def test_induce_identity(h):
 
 
 @st.composite
-def mixed_instances(draw):
+def mixed_instances(draw, max_used=9, max_edges=14):
     """Mixed arity with size-1 edges, repeated edges, isolated vertices,
     m = 0 and a declared max_arity above the realized size."""
-    used = draw(st.integers(min_value=0, max_value=9))
+    used = draw(st.integers(min_value=0, max_value=max_used))
     n = used + draw(st.integers(min_value=0, max_value=2))  # isolated vertices
     edges: list[list[int]] = []
-    for _ in range(draw(st.integers(min_value=0, max_value=14)) if used else 0):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges)) if used else 0):
         if edges and draw(st.booleans()):
             edges.append(draw(st.sampled_from(edges)))  # a repeated edge
             continue
@@ -278,9 +278,11 @@ def test_array_counters_match_plain_loops(data):
     w_set = first_two_vertex_set(h, order)
     assert w_set == plain_first_two_vertex_set(h, order) and all_ints(w_set)
 
-    r = data.draw(st.integers(min_value=2, max_value=4))
-    start = Cut(r, tuple(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))))
-    assert point_local_search(h, start) == plain_point_local_search(h, start)
+    r = data.draw(st.integers(min_value=2, max_value=6))
+    # and a denser draw, whose starts make several moves over several sweeps
+    for g in (h, data.draw(mixed_instances(max_used=10, max_edges=40))):
+        start = Cut(r, tuple(data.draw(st.lists(st.integers(1, r), min_size=g.n_vertices, max_size=g.n_vertices))))
+        assert point_local_search(g, start) == plain_point_local_search(g, start)
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,6 +24,7 @@ from conftest import (
     brute_expected_size,
     brute_force_maxcut,
     plain_combine_partial_cuts,
+    plain_point_local_search,
 )
 
 
@@ -145,6 +146,17 @@ def test_w_empty_for_graphs():
 def test_w_single_edge():
     h = build(5, [[1, 2, 4]])
     assert first_two_vertex_set(h, [4, 3, 2, 1, 0]) == {4, 2}
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 1, 2], [0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2, 9], [0, 1, 2, -1]],
+    ids=["short", "repeated-vertex", "vertex-n", "above-n", "negative"],
+)
+def test_first_two_vertex_set_rejects_an_order_that_is_not_a_permutation(order):
+    h = build(4, [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidParams, match="order must be a permutation of all vertices"):
+        first_two_vertex_set(h, order)
 
 
 def test_order_for_w_threshold():
@@ -435,6 +447,16 @@ def test_point_local_search_improves():
     h = build(4, pairs)
     cut = point_local_search(h, Cut(2, (1, 1, 1, 1)))
     assert cut_metrics(h, cut).size == 4
+
+
+def test_point_local_search_moves_a_vertex_twice():
+    # seeded: vertex 3 moves to part 2 in the first sweep and to part 3 in the second
+    rng = random.Random(95)
+    h = random_mixed(rng)
+    start = Cut(3, tuple(rng.randint(1, 3) for _ in range(h.n_vertices)))
+    moves = []
+    assert point_local_search(h, start) == plain_point_local_search(h, start, moves)
+    assert moves == [(0, 2), (1, 2), (3, 2), (8, 1), (5, 2), (3, 3)]
 
 
 def test_point_local_search_never_hurts():
